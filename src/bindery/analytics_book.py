@@ -18,6 +18,7 @@ import numpy as np
 from . import lexicons
 from .errors import AnalyticsError
 from .linguistic import count_syllables
+from .report import write_if_changed
 from .xml_model import ANALYZED_POS
 
 READABILITY_METRICS = (
@@ -228,9 +229,7 @@ class VectorStore:
             parts.append(struct.pack("<H", len(encoded)))
             parts.append(encoded)
             parts.append(struct.pack(f"<{row.size}f", *row.tolist()))
-        data = b"".join(parts)
-        if not (path.exists() and path.read_bytes() == data):
-            path.write_bytes(data)
+        write_if_changed(path, b"".join(parts))
         return path
 
     @classmethod

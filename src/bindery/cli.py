@@ -3,7 +3,7 @@
 Subcommands mirror the pipeline phases: fetch, ingest, dedup, annotate,
 analyze, corpus-stats, report, and all. Phase ordering is enforced through
 the stamp list inside each book's XML; completed books are skipped unless
---force. Human logs go to stderr; one JSON line per completed book goes to
+--force. Human logs go to stderr; one JSON line per book per phase goes to
 the progress log under the store.
 """
 
@@ -61,14 +61,14 @@ def _configure(args):
     return config
 
 
-def _write_progress(store, command, results):
+def _write_progress(store, results):
     path = Path(store) / pipeline.CORPUS_DIR / pipeline.PROGRESS_FILE
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
         for result in results:
             fh.write(json.dumps({
                 "book": result.book_id,
-                "phase": command,
+                "phase": result.phase,
                 "status": "ok" if result.ok else "error",
                 "error": result.error,
             }, sort_keys=True) + "\n")
@@ -114,12 +114,14 @@ def main(argv=None):
     except BinderyError as exc:
         log.error("%s failed: %s", args.command, exc)
         return 1
-    _write_progress(store, args.command, results)
+    _write_progress(store, results)
     failed = [r for r in results if not r.ok]
-    done = len(results) - len(failed)
-    log.info("%s: %d book(s) ok, %d failed", args.command, done, len(failed))
+    failed_books = {r.book_id for r in failed}
+    ok_books = {r.book_id for r in results} - failed_books
+    log.info("%s: %d book(s) ok, %d failed", args.command, len(ok_books),
+             len(failed_books))
     for result in failed:
-        log.error("%s: %s", result.book_id, result.error)
+        log.error("%s: %s: %s", result.book_id, result.phase, result.error)
     return 1 if failed else 0
 
 

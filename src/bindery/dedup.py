@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import TooShortError
 from .ingest import strip_diacritics
+from .report import write_if_changed
 
 BASE_SEED = 0x5EED
 NUM_HASHES = 128
@@ -160,9 +161,7 @@ class CorpusIndex:
                 record["normalized_author"] = entry.fingerprint.normalized_author
                 record["signature"] = list(entry.fingerprint.signature)
             lines.append(json.dumps(record, sort_keys=True))
-        data = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-        if not (path.exists() and path.read_bytes() == data):
-            path.write_bytes(data)
+        write_if_changed(path, "\n".join(lines) + "\n" if lines else "")
         return path
 
     @classmethod

@@ -4,7 +4,8 @@ Store layout: ``store/<book_id>/{book.xml, book.json, index.html}`` with
 corpus-level artifacts under ``store/_corpus/``. Phase stamps inside each
 book's XML enforce ordering and make re-runs incremental: a book whose
 stamps are current is skipped unless forced, and files are only rewritten
-when their bytes change.
+when their bytes change. Stamp checks read only a book's ``<meta>``
+(:func:`xml_model.load_head`), so skipping a book costs no full parse.
 """
 
 import json
@@ -12,6 +13,7 @@ import logging
 import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import analytics_book, analytics_corpus, characters, dedup, ingest
@@ -450,11 +452,19 @@ def enrich_book_payload(payload, book, stats, lemma_model, vectors, config):
 # -- store-level runners ---------------------------------------------------------
 
 
+@dataclass
 class PhaseResult:
-    def __init__(self, book_id, ok, error=None):
-        self.book_id = book_id
-        self.ok = ok
-        self.error = error
+    """Outcome of one phase on one book: one line of the progress log."""
+
+    book_id: str
+    phase: str
+    ok: bool
+    error: str | None = None
+
+
+def _failed(book_id, phase, exc):
+    log.error("%s: %s failed: %s", book_id, phase, exc)
+    return PhaseResult(book_id, phase, False, str(exc))
 
 
 def _book_dir(store, book_id):
@@ -487,16 +497,21 @@ def kept_book_ids(store):
     return [book_id for book_id in ids if book_id not in duplicates]
 
 
+def _stamped(store, book_id, phase):
+    """Whether the stored book carries ``phase``; reads only its ``<meta>``."""
+    _, phases = xml_model.load_head(_xml_path(store, book_id))
+    return phase in phases
+
+
 def run_ingest(in_dir, store, config, force=False):
     results = []
     for book_id, path, kind in discover_sources(in_dir):
         xml_path = _xml_path(store, book_id)
         try:
-            if xml_path.exists() and not force:
-                existing = xml_model.load(xml_path)
-                if existing.has_phase("ingest"):
-                    results.append(PhaseResult(book_id, True))
-                    continue
+            if (not force and xml_path.exists()
+                    and _stamped(store, book_id, "ingest")):
+                results.append(PhaseResult(book_id, "ingest", True))
+                continue
             if kind == ingest.SourceKind.GUTENBERG_TEXT:
                 raw = ingest.read_gutenberg(path)
             else:
@@ -505,10 +520,9 @@ def run_ingest(in_dir, store, config, force=False):
             raw.source_id = book_id
             book = ingest_to_book(raw, config)
             report.write_if_changed(xml_path, xml_model.serialize(book))
-            results.append(PhaseResult(book_id, True))
+            results.append(PhaseResult(book_id, "ingest", True))
         except BinderyError as exc:
-            log.error("%s: ingest failed: %s", book_id, exc)
-            results.append(PhaseResult(book_id, False, str(exc)))
+            results.append(_failed(book_id, "ingest", exc))
     return results
 
 
@@ -536,10 +550,9 @@ def run_dedup(store, config):
                 corpus=book.meta.corpus or "",
                 text_length=len(body),
                 fingerprint=fp))
-            results.append(PhaseResult(book_id, True))
+            results.append(PhaseResult(book_id, "dedup", True))
         except BinderyError as exc:
-            log.error("%s: dedup failed: %s", book_id, exc)
-            results.append(PhaseResult(book_id, False, str(exc)))
+            results.append(_failed(book_id, "dedup", exc))
     dedup.dedup_corpus(index,
                        title_author_match=config.dedup_title_author,
                        content_threshold=config.dedup_content_threshold)
@@ -563,27 +576,23 @@ def _annotate_one(args):
             annotate_book(book, config)
             report.write_if_changed(_xml_path(store, book_id),
                                     xml_model.serialize(book))
-        return PhaseResult(book_id, True)
+        return PhaseResult(book_id, "annotate", True)
     except BinderyError as exc:
-        log.error("%s: annotate failed: %s", book_id, exc)
-        return PhaseResult(book_id, False, str(exc))
+        return _failed(book_id, "annotate", exc)
 
 
 def _analyze_one(args):
-    store, book_id, config, force = args
+    store, book_id, config, _ = args
     try:
         book = xml_model.load(_xml_path(store, book_id))
-        if book.has_phase("analytics") and not force:
-            return PhaseResult(book_id, True)
         payload = build_book_payload(book, config)
         report.dump_json(payload, _book_dir(store, book_id) / "book.json")
         book.add_phase("analytics")
         report.write_if_changed(_xml_path(store, book_id),
                                 xml_model.serialize(book))
-        return PhaseResult(book_id, True)
+        return PhaseResult(book_id, "analyze", True)
     except BinderyError as exc:
-        log.error("%s: analyze failed: %s", book_id, exc)
-        return PhaseResult(book_id, False, str(exc))
+        return _failed(book_id, "analyze", exc)
 
 
 def _pool_map(worker, args_list, jobs):
@@ -593,14 +602,37 @@ def _pool_map(worker, args_list, jobs):
         return list(pool.map(worker, args_list))
 
 
+def _run_stale(phase, stamp, worker, store, config, force):
+    """Run ``worker`` over the kept books that lack ``stamp`` (all if forced).
+
+    Up-to-date books are answered here from their ``<meta>``, so they are
+    neither fully parsed nor sent to a worker, and a run with nothing
+    pending starts no pool.
+    """
+    book_ids = kept_book_ids(store)
+    results = {}
+    if not force:
+        for book_id in book_ids:
+            try:
+                if _stamped(store, book_id, stamp):
+                    results[book_id] = PhaseResult(book_id, phase, True)
+            except BinderyError as exc:
+                results[book_id] = _failed(book_id, phase, exc)
+    stale = [(store, book_id, config, force) for book_id in book_ids
+             if book_id not in results]
+    for result in _pool_map(worker, stale, config.jobs):
+        results[result.book_id] = result
+    return [results[book_id] for book_id in book_ids]
+
+
 def run_annotate(store, config, force=False):
-    args = [(store, book_id, config, force) for book_id in kept_book_ids(store)]
-    return _pool_map(_annotate_one, args, config.jobs)
+    return _run_stale("annotate", "characters", _annotate_one, store, config,
+                      force)
 
 
 def run_analyze(store, config, force=False):
-    args = [(store, book_id, config, force) for book_id in kept_book_ids(store)]
-    return _pool_map(_analyze_one, args, config.jobs)
+    return _run_stale("analyze", "analytics", _analyze_one, store, config,
+                      force)
 
 
 def run_corpus_stats(store, config, force=False):
@@ -620,10 +652,9 @@ def run_corpus_stats(store, config, force=False):
             lemma_counter.update(analytics_book.lemma_counts(book))
             streams[book_id] = analytics_book.lemma_stream(
                 book, lexicon_dir=config.lexicon_dir)
-            results.append(PhaseResult(book_id, True))
+            results.append(PhaseResult(book_id, "corpus-stats", True))
         except BinderyError as exc:
-            log.error("%s: corpus-stats failed: %s", book_id, exc)
-            results.append(PhaseResult(book_id, False, str(exc)))
+            results.append(_failed(book_id, "corpus-stats", exc))
     if not payloads:
         return results
 
@@ -679,17 +710,16 @@ def run_report(store, config, force=False):
             enrich_book_payload(payload, book, stats, lemma_model, vectors,
                                 config)
             report.emit_book_report(payload, _book_dir(store, book_id))
-            results.append(PhaseResult(book_id, True))
+            results.append(PhaseResult(book_id, "report", True))
         except BinderyError as exc:
-            log.error("%s: report failed: %s", book_id, exc)
-            results.append(PhaseResult(book_id, False, str(exc)))
+            results.append(_failed(book_id, "report", exc))
     report.emit_corpus_report(stats, _corpus_path(store, ""))
     return results
 
 
 def run_all(in_dir, store, config, force=False):
     results = run_ingest(in_dir, store, config, force=force)
-    run_dedup(store, config)
+    results.extend(run_dedup(store, config))
     for runner in (run_annotate, run_analyze, run_corpus_stats, run_report):
         results.extend(runner(store, config, force=force))
     return results

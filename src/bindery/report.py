@@ -10,6 +10,7 @@ byte-identical files.
 import html
 import json
 import math
+import os
 from pathlib import Path
 
 from .errors import ChartError
@@ -294,13 +295,25 @@ def dump_json(payload, path):
 
 
 def write_if_changed(path, content):
-    """Write text only when it differs, preserving timestamps on no-ops."""
+    """Write text or bytes only when they differ, preserving timestamps on no-ops.
+
+    A write is atomic: the bytes go to a temporary file in the same
+    directory, which then replaces ``path``, so a killed run leaves the
+    old file or the new one, never a truncated one. The temporary file is
+    created like any other file, so the result has the usual mode.
+    """
     path = Path(path)
     data = content.encode("utf-8") if isinstance(content, str) else content
     if path.exists() and path.read_bytes() == data:
         return False
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return True
 
 

@@ -178,15 +178,19 @@ def _check_text(value, what):
             raise InvariantError(f"{what} contains control character {ord(ch):#x}")
 
 
-def validate(book):
-    """Raise :class:`InvariantError` if the document violates an invariant."""
-    for name, value in (("title", book.meta.title), ("author", book.meta.author),
-                        ("source_id", book.meta.source_id), ("corpus", book.meta.corpus)):
+def _validate_meta(meta, phases):
+    for name, value in (("title", meta.title), ("author", meta.author),
+                        ("source_id", meta.source_id), ("corpus", meta.corpus)):
         if value:
             _check_text(value, f"meta {name}")
-    for phase in book.phases:
+    for phase in phases:
         if phase not in PHASES:
             raise InvariantError(f"unknown phase stamp: {phase}")
+
+
+def validate(book):
+    """Raise :class:`InvariantError` if the document violates an invariant."""
+    _validate_meta(book.meta, book.phases)
     for block in list(book.front) + list(book.back):
         _check_text(block, "matter block")
 
@@ -392,10 +396,20 @@ _TEXT_ELEMENTS = {
 }
 
 
-class _BookBuilder:
-    """Expat handler assembling an AnnotatedBook and tracking line numbers."""
+class _MetaRead(Exception):
+    """Raised by a head-only builder once ``</meta>`` has been checked."""
 
-    def __init__(self):
+
+class _BookBuilder:
+    """Expat handler assembling an AnnotatedBook and tracking line numbers.
+
+    With ``head_only`` the builder stops at the end of ``<meta>`` by
+    raising :class:`_MetaRead`; everything before that point gets the
+    same checks as a full parse.
+    """
+
+    def __init__(self, head_only=False):
+        self.head_only = head_only
         self.parser = expat.ParserCreate("UTF-8")
         self.parser.buffer_text = True
         self.parser.StartElementHandler = self._start
@@ -409,16 +423,23 @@ class _BookBuilder:
         self._paragraph = None
         self._sentence = None
         self._p_is_raw = False
+        self._seen_meta = False
         self._attrs = {}
+
+    def feed(self, data, final):
+        try:
+            self.parser.Parse(data, final)
+        except expat.ExpatError as exc:
+            raise ParseError(f"malformed XML: {expat.errors.messages[exc.code]}",
+                             line=exc.lineno) from exc
 
     def parse(self, data):
         if isinstance(data, str):
             data = data.encode("utf-8")
-        try:
-            self.parser.Parse(data, True)
-        except expat.ExpatError as exc:
-            raise ParseError(f"malformed XML: {expat.errors.messages[exc.code]}",
-                             line=exc.lineno) from exc
+        self.feed(data, True)
+        return self.result()
+
+    def result(self):
         if self.book is None:
             raise ParseError("document has no <book> root")
         return self.book
@@ -444,6 +465,10 @@ class _BookBuilder:
         self._attrs = attrs
         if name == "book":
             self.book = AnnotatedBook()
+        elif name == "meta":
+            if self._seen_meta:
+                self._fail("duplicate <meta>")
+            self._seen_meta = True
         elif name == "character":
             self._character = CharacterRecord(
                 id=self._int(attrs, "id"),
@@ -497,6 +522,13 @@ class _BookBuilder:
         elif name == "s":
             self._paragraph.sentences.append(self._sentence)
             self._sentence = None
+        elif name == "meta":
+            try:
+                _validate_meta(self.book.meta, self.book.phases)
+            except InvariantError as exc:
+                self._fail(str(exc))
+            if self.head_only:
+                raise _MetaRead
         elif name == "book":
             try:
                 validate(self.book)
@@ -542,7 +574,7 @@ class _BookBuilder:
                 self._fail(f"bad mention index list: {text!r}")
         elif name == "header":
             kind = self._req(attrs, "kind")
-            number = int(attrs["n"]) if "n" in attrs else None
+            number = self._int(attrs, "n") if "n" in attrs else None
             self._section.header = Header(kind=kind, number=number, text=text)
         elif name == "p":
             self._paragraph.raw = text
@@ -554,8 +586,8 @@ class _BookBuilder:
                 pos=attrs.get("pos"),
                 lemma=attrs.get("lemma"),
                 ner=attrs.get("ner"),
-                character_id=int(attrs["char"]) if "char" in attrs else None,
-                quote_id=int(attrs["q"]) if "q" in attrs else None,
+                character_id=self._int(attrs, "char") if "char" in attrs else None,
+                quote_id=self._int(attrs, "q") if "q" in attrs else None,
             )
             self._sentence.tokens.append(token)
 
@@ -580,6 +612,31 @@ def parse(text):
 def load(path):
     with open(path, "rb") as fh:
         return parse(fh.read())
+
+
+_HEAD_CHUNK = 1 << 16
+
+
+def load_head(path):
+    """The ``(BookMeta, phases)`` of a stored book, parsed up to ``</meta>``.
+
+    Canonical files put ``<meta>`` first, so this reads one chunk where
+    :func:`load` reads the whole file. The part read gets the same checks
+    as a full parse; the body after ``</meta>`` is not checked. A file
+    whose ``<meta>`` comes late, or is missing, is read until the answer
+    is known. No :class:`AnnotatedBook` is returned, so a book with an
+    unread body cannot be serialized over the real one.
+    """
+    builder = _BookBuilder(head_only=True)
+    with open(path, "rb") as fh:
+        try:
+            while chunk := fh.read(_HEAD_CHUNK):
+                builder.feed(chunk, False)
+            builder.feed(b"", True)
+        except _MetaRead:
+            pass
+    book = builder.result()
+    return book.meta, book.phases
 
 
 def dump(book, path):

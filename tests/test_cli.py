@@ -1,12 +1,18 @@
 import json
+import logging
 import os
 import shutil
+import traceback
+from collections import Counter
 
 import pytest
 
+from bindery import pipeline, xml_model
 from bindery.cli import main
 from bindery.config import Config
 from conftest import BOOKS
+
+PHASES = ("ingest", "dedup", "annotate", "analyze", "corpus-stats", "report")
 
 
 @pytest.fixture
@@ -32,6 +38,50 @@ def smoke_config(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def progress_lines(store):
+    path = store / "_corpus" / "progress.jsonl"
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.fixture(scope="module")
+def phased_store(tmp_path_factory):
+    """The five fixture books run one phase at a time.
+
+    Returns the config, the store, and for every book after every phase
+    its ``(meta, phases)`` as read by ``load_head`` and by ``load``.
+    """
+    root = tmp_path_factory.mktemp("phased")
+    config = root / "bindery.conf"
+    config.write_text("embed_min_count = 2\nembed_dim = 32\nembed_epochs = 5\n",
+                      encoding="utf-8")
+    store = root / "store"
+    heads = []
+    for phase in PHASES:
+        argv = ["--in", str(BOOKS)] if phase == "ingest" else []
+        assert run("--config", str(config), phase, *argv,
+                   "--out", str(store)) == 0
+        for path in sorted(store.glob("*/book.xml")):
+            book = xml_model.load(path)
+            heads.append((phase, path.parent.name, xml_model.load_head(path),
+                          (book.meta, book.phases)))
+    return config, store, heads
+
+
+@pytest.fixture
+def fixture_store(phased_store, tmp_path):
+    """A private copy of the finished fixture store, without progress log."""
+    config, store, _ = phased_store
+    copy = tmp_path / "store"
+    shutil.copytree(store, copy)
+    (copy / "_corpus" / "progress.jsonl").unlink()
+    return config, copy
+
+
+def rerun_all(config, store, *flags):
+    return run("--config", str(config), *flags, "all", "--in", str(BOOKS),
+               "--out", str(store))
 
 
 def test_config_file_and_env_override(tmp_path, monkeypatch):
@@ -210,3 +260,81 @@ def test_hathi_pagewise_source(smoke_config, tmp_path):
     assert payload["meta"]["title"] == "The Marsh Lantern"
     assert payload["meta"]["year"] == 1871
     assert payload["meta"]["corpus"] == "hathi"
+
+
+def test_load_head_matches_load_after_every_phase(phased_store):
+    _, _, heads = phased_store
+    assert len(heads) == len(PHASES) * 5
+    for phase, book_id, head, full in heads:
+        assert head == full, (phase, book_id)
+
+
+def test_noop_all_full_parses_only_in_dedup_corpus_stats_report(
+        fixture_store, monkeypatch):
+    config, store = fixture_store
+    callers = Counter()
+    real_parse = xml_model.parse
+
+    def counting_parse(text):
+        runners = [frame.name for frame in traceback.extract_stack()
+                   if frame.name.startswith("run_")
+                   and frame.filename == pipeline.__file__]
+        callers[runners[-1]] += 1
+        return real_parse(text)
+
+    monkeypatch.setattr(xml_model, "parse", counting_parse)
+    assert rerun_all(config, store) == 0
+    kept = len(pipeline.kept_book_ids(store))
+    assert callers == {"run_dedup": 5, "run_corpus_stats": kept,
+                       "run_report": kept}
+
+
+def test_noop_parallel_all_starts_no_pool(fixture_store, monkeypatch):
+    config, store = fixture_store
+    pools = []
+
+    def no_pool(*args, **kwargs):
+        pools.append(kwargs)
+        raise RuntimeError("a no-op run started a process pool")
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    assert rerun_all(config, store, "--jobs", "2") == 0
+    assert pools == []
+
+
+def test_progress_log_has_one_line_per_book_per_phase(raw_dir, smoke_config,
+                                                      tmp_path, caplog):
+    store = tmp_path / "store"
+    caplog.set_level(logging.INFO)
+    books = {"pg730", "pg1001", "pg1002"}
+    expected = Counter((book, phase) for book in books for phase in PHASES)
+    for _ in range(2):  # cold, then every book skipped as up to date
+        caplog.clear()
+        assert run("--config", str(smoke_config), "all",
+                   "--in", str(raw_dir), "--out", str(store)) == 0
+        lines = progress_lines(store)
+        (store / "_corpus" / "progress.jsonl").unlink()
+        assert Counter((l["book"], l["phase"]) for l in lines) == expected
+        assert all(l == {"book": l["book"], "phase": l["phase"],
+                         "status": "ok", "error": None} for l in lines)
+        assert "all: 3 book(s) ok, 0 failed" in caplog.messages
+
+
+def test_corrupt_body_is_reported_by_first_full_parse(fixture_store, caplog):
+    caplog.set_level(logging.INFO)
+    config, store = fixture_store
+    path = store / "pg1001" / "book.xml"
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace('<t i="0" o="', '<t i="0" o="x', 1),
+                    encoding="utf-8")
+    assert rerun_all(config, store) == 1
+    lines = progress_lines(store)
+    statuses = {(l["book"], l["phase"]): l["status"] for l in lines}
+    assert len(statuses) == len(lines) == len(PHASES) * 5
+    errors = [l for l in lines if l["status"] == "error"]
+    assert [(l["book"], l["phase"]) for l in errors] == [
+        ("pg1001", "dedup"), ("pg1001", "corpus-stats"), ("pg1001", "report")]
+    assert "line" in errors[0]["error"]
+    assert "all: 4 book(s) ok, 1 failed" in caplog.messages
+    for book_id in ("pg730", "pg1002", "pg1003", "pg1004"):
+        assert (store / book_id / "index.html").exists()

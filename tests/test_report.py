@@ -1,6 +1,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +252,27 @@ def test_write_if_changed_preserves_timestamps(tmp_path):
     assert write_if_changed(path, "same") is False
     assert path.stat().st_mtime_ns == stamp
     assert write_if_changed(path, "different") is True
+
+
+def test_write_if_changed_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "book.xml"
+    write_if_changed(path, "old bytes")
+    plain = tmp_path / "plain.xml"
+    plain.write_bytes(b"x")
+    assert path.stat().st_mode == plain.stat().st_mode
+
+    real_write = Path.write_bytes
+
+    def dies_halfway(self, data):
+        real_write(self, data[:len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", dies_halfway)
+    with pytest.raises(OSError):
+        write_if_changed(path, "new bytes, longer than the old ones")
+    assert path.read_text() == "old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["book.xml",
+                                                          "plain.xml"]
 
 
 # -- schema validator ------------------------------------------------------------

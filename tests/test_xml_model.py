@@ -5,7 +5,8 @@ import pytest
 from bindery.errors import InvariantError, ParseError
 from bindery.xml_model import (AnnotatedBook, BookMeta, CharacterRecord,
                                Header, Paragraph, Section, Sentence, Token,
-                               parse, query, serialize, validate)
+                               load, load_head, parse, query, serialize,
+                               validate)
 from generators import random_book
 
 
@@ -156,3 +157,83 @@ def test_random_books_roundtrip():
         again = parse(text)
         assert again == book
         assert serialize(again) == text
+
+
+@pytest.mark.parametrize("old, new", [
+    ('n="1"', 'n="one"'),
+    ('o="0">Hi', 'o="0" char="x">Hi'),
+    ('o="0">Hi', 'o="0" q="1.5">Hi'),
+])
+def test_non_integer_attribute_is_a_parse_error(old, new):
+    text = serialize(minimal_book()).replace(old, new)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line is not None
+
+
+def _head_of(book):
+    return book.meta, book.phases
+
+
+def test_load_head_matches_load_on_random_books(tmp_path):
+    rnd = random.Random(4242)
+    path = tmp_path / "book.xml"
+    for _ in range(200):
+        book = random_book(rnd)
+        path.write_text(serialize(book), encoding="utf-8")
+        assert load_head(path) == _head_of(load(path)) == _head_of(book)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("<year>", "<year>x"),
+    ("<phases>ingest", "<phases>ingested"),
+    ("<corpus>", "<corpus>\x01"),
+    ("<corpus>gutenberg</corpus>", "<corpus>gutenberg</corpus><bogus/>"),
+    ("<corpus>gutenberg</corpus>", "<corpus>gutenberg</corpus>stray text"),
+    ("</meta>", "</mata>"),
+])
+def test_malformed_meta_is_a_parse_error_with_line(tmp_path, old, new):
+    book = minimal_book()
+    book.meta.year = 1838
+    text = serialize(book)
+    assert old in text
+    path = tmp_path / "book.xml"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    for reader in (load_head, load):
+        with pytest.raises(ParseError) as err:
+            reader(path)
+        assert err.value.line is not None
+
+
+def test_duplicate_meta_rejected():
+    # A later <meta> would change what the first one says, which a head
+    # read stopping at the first </meta> could not see.
+    text = serialize(minimal_book()).replace("</meta>", "</meta>\n<meta/>")
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert "duplicate <meta>" in str(err.value)
+
+
+def test_load_head_does_not_read_the_body(tmp_path):
+    text = serialize(minimal_book()).replace('i="1"', 'i="zero"')
+    path = tmp_path / "book.xml"
+    path.write_text(text, encoding="utf-8")
+    assert load_head(path) == _head_of(minimal_book())
+    with pytest.raises(ParseError):
+        load(path)
+
+
+def test_load_head_reads_on_when_meta_is_late_or_missing(tmp_path):
+    text = serialize(minimal_book())
+    start, end = text.index("  <meta>"), text.index("</meta>\n") + 8
+    meta = text[start:end]
+    late = text[:start] + text[end:].replace("</book>", meta + "</book>")
+    missing = text[:start] + text[end:]
+    path = tmp_path / "book.xml"
+    for variant in (late, missing):
+        path.write_text(variant, encoding="utf-8")
+        assert load_head(path) == _head_of(load(path))
+    assert load_head(path) == (BookMeta(), [])
+    path.write_text(missing.replace('i="1"', 'i="0"'), encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_head(path)
