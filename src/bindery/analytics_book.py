@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import lexicons
-from .errors import AnalyticsError
-from .linguistic import count_syllables
+from .errors import AnalyticsError, ParseError
+from .linguistic import count_syllables, strip_possessive
 from .report import write_if_changed
 from .xml_model import ANALYZED_POS
 
@@ -27,16 +27,8 @@ READABILITY_METRICS = (
 )
 
 
-def _strip_possessive(text):
-    if text.endswith(("'s", "’s")):
-        return text[:-2]
-    if text.endswith(("'", "’")):
-        return text[:-1]
-    return text
-
-
 def _word_core(text):
-    return "".join(ch for ch in _strip_possessive(text).lower() if ch.isalpha())
+    return "".join(ch for ch in strip_possessive(text).lower() if ch.isalpha())
 
 
 @dataclass
@@ -134,13 +126,19 @@ def _linsear_write(stats, window=100):
 # -- representative vocabulary ------------------------------------------------
 
 
+def lemma_sequence(book):
+    """The book's lemmas in token order: every non-punctuation token's lemma.
+
+    This is the one lemma rule; :func:`lemma_counts` and
+    :func:`lemma_stream` are views of it, and the per-book lemma file in
+    the store holds exactly this list.
+    """
+    return [t.lemma for t in book.iter_tokens() if t.pos != "PUNCT" and t.lemma]
+
+
 def lemma_counts(book):
     """Counter of lemmas over non-punctuation tokens."""
-    counts = Counter()
-    for token in book.iter_tokens():
-        if token.pos != "PUNCT" and token.lemma:
-            counts[token.lemma] += 1
-    return counts
+    return Counter(lemma_sequence(book))
 
 
 @dataclass
@@ -203,9 +201,13 @@ def pos_distribution(book):
 
 def lemma_stream(book, lexicon_dir=""):
     """Stop-word-stripped lemma sequence for embedding training."""
+    return strip_stopwords(lemma_sequence(book), lexicon_dir=lexicon_dir)
+
+
+def strip_stopwords(lemmas, lexicon_dir=""):
+    """``lemmas`` without the stop words of the lexicon."""
     stop = lexicons.stopwords(lexicon_dir)
-    return [t.lemma for t in book.iter_tokens()
-            if t.pos != "PUNCT" and t.lemma and t.lemma not in stop]
+    return [lemma for lemma in lemmas if lemma not in stop]
 
 
 @dataclass
@@ -234,17 +236,31 @@ class VectorStore:
 
     @classmethod
     def load(cls, path):
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != b"BPV1":
-                raise ValueError(f"not a vector store file: {path}")
-            dim, count = struct.unpack("<II", fh.read(8))
+        """Read a saved store; a damaged file raises :class:`ParseError`."""
+        data = Path(path).read_bytes()
+        if data[:4] != b"BPV1":
+            raise ParseError(f"not a vector store file: {path}")
+        try:
+            dim, count = struct.unpack_from("<II", data, 4)
+            offset = 12
+            # Each entry takes at least its length prefix and its row; check
+            # before allocating so a damaged count cannot ask for huge memory.
+            if count * (2 + 4 * dim) > len(data) - offset:
+                raise ParseError(f"truncated vector store file: {path}")
             ids = []
             rows = np.empty((count, dim), dtype=np.float32)
             for i in range(count):
-                (id_len,) = struct.unpack("<H", fh.read(2))
-                ids.append(fh.read(id_len).decode("utf-8"))
-                rows[i] = struct.unpack(f"<{dim}f", fh.read(4 * dim))
+                (id_len,) = struct.unpack_from("<H", data, offset)
+                offset += 2
+                ids.append(data[offset:offset + id_len].decode("utf-8"))
+                offset += id_len
+                rows[i] = struct.unpack_from(f"<{dim}f", data, offset)
+                offset += 4 * dim
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise ParseError(f"damaged vector store file {path}: {exc}") from exc
+        if offset != len(data):
+            raise ParseError(f"damaged vector store file {path}: "
+                             f"{len(data) - offset} trailing bytes")
         return cls(ids=ids, vectors=rows)
 
 

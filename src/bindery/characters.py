@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from . import lexicons
 from .linguistic import (AUXILIARIES, CONJUNCTIONS, DETERMINERS, INTERJECTIONS,
-                         PREPOSITIONS, PRONOUNS)
+                         PREPOSITIONS, PRONOUNS, strip_possessive)
 from .xml_model import CharacterRecord
 
 log = logging.getLogger(__name__)
@@ -72,14 +72,6 @@ def _token_table(book):
     return tokens, sentence_index
 
 
-def _strip_possessive(text):
-    if text.endswith(("'s", "’s")):
-        return text[:-2]
-    if text.endswith(("'", "’")):
-        return text[:-1]
-    return text
-
-
 def _name_like(text):
     return (text[:1].isupper() and text[:1].isalpha()
             and any(ch.islower() for ch in text))
@@ -113,21 +105,21 @@ def detect_person_mentions(book, lexicon_dir=""):
     for sentence in book.iter_sentences():
         for position, token in enumerate(sentence.tokens):
             if position > 0 and _name_like(token.text):
-                lower = _strip_possessive(token.text).lower()
+                lower = strip_possessive(token.text).lower()
                 if lower not in _NAME_STOPWORDS and lower not in honorific_table:
-                    seen_non_initial.add(_strip_possessive(token.text))
+                    seen_non_initial.add(strip_possessive(token.text))
 
     for sentence in book.iter_sentences():
         run = []
         for position, token in enumerate(sentence.tokens):
             ok = _name_like(token.text)
             if ok:
-                lower = _strip_possessive(token.text).lower()
+                lower = strip_possessive(token.text).lower()
                 clean = lower.rstrip(".")
                 if lower in _NAME_STOPWORDS or clean in honorific_table:
                     ok = False
                 elif position == 0:
-                    ok = _strip_possessive(token.text) in seen_non_initial
+                    ok = strip_possessive(token.text) in seen_non_initial
             if ok:
                 run.append(token)
             else:
@@ -174,7 +166,7 @@ def _resolve_name_parts(candidates, lexicon_dir=""):
         for word in candidate.surface.split(" "):
             if not parts and word.lower().rstrip(".") in honorific_table:
                 continue
-            parts.append(_strip_possessive(word))
+            parts.append(strip_possessive(word))
         candidate.name_parts = parts
         if candidate.honorific is not None:
             vote = honorific_table[candidate.honorific]

@@ -80,7 +80,11 @@ def main(argv=None):
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
-    config = _configure(args)
+    try:
+        config = _configure(args)
+    except (KeyError, ValueError, OSError) as exc:
+        log.error("bad config: %s", exc)
+        return 2
 
     if args.command == "fetch":
         mirror = args.mirror or config.mirror_base

@@ -30,7 +30,7 @@ class InvariantError(BinderyError):
 
 
 class ParseError(BinderyError):
-    """Raised for malformed or non-conforming annotation XML."""
+    """Raised for malformed or non-conforming annotation XML or store files."""
 
     def __init__(self, message, line=None):
         if line is not None:

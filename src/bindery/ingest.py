@@ -74,6 +74,13 @@ _META_LINE = re.compile(
     re.IGNORECASE)
 
 
+def gutenberg_id(path):
+    """Source id of a Gutenberg text file: ``pg`` plus its number or stem."""
+    stem = Path(path).stem
+    match = re.fullmatch(r"(?:pg)?(\d+)", stem)
+    return f"pg{match.group(1) if match else stem}"
+
+
 def read_gutenberg(path):
     """Read a single Gutenberg-style text file into a RawBook."""
     path = Path(path)
@@ -95,10 +102,8 @@ def read_gutenberg(path):
             year = re.search(r"\b(1[0-9]{3}|20[0-9]{2})\b", value)
             if year:
                 metadata["year"] = int(year.group(1))
-    match = re.fullmatch(r"(?:pg)?(\d+)", path.stem)
-    stem = match.group(1) if match else path.stem
     return RawBook(
-        source_id=f"pg{stem}",
+        source_id=gutenberg_id(path),
         source_kind=SourceKind.GUTENBERG_TEXT,
         pages=[text],
         metadata=metadata,

@@ -213,6 +213,15 @@ def _undouble(stem):
     return stem
 
 
+def strip_possessive(text):
+    """``text`` without a trailing possessive ``'s`` or bare apostrophe."""
+    if text.endswith(("'s", "’s")):
+        return text[:-2]
+    if text.endswith(("'", "’")):
+        return text[:-1]
+    return text
+
+
 # -- syllables ----------------------------------------------------------------
 
 _VOWEL_GROUP = re.compile(r"[aeiouy]+")

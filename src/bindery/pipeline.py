@@ -1,16 +1,19 @@
 """Pipeline orchestration over an on-disk store.
 
-Store layout: ``store/<book_id>/{book.xml, book.json, index.html}`` with
-corpus-level artifacts under ``store/_corpus/``. Phase stamps inside each
-book's XML enforce ordering and make re-runs incremental: a book whose
-stamps are current is skipped unless forced, and files are only rewritten
-when their bytes change. Stamp checks read only a book's ``<meta>``
-(:func:`xml_model.load_head`), so skipping a book costs no full parse.
+Store layout: ``store/<book_id>/{book.xml, book.json, lemmas.json,
+index.html}`` with corpus-level artifacts under ``store/_corpus/``. Phase
+stamps inside each book's XML enforce ordering and make re-runs
+incremental: a book whose stamps are current is skipped unless forced, and
+files are only rewritten when their bytes change. Stamp checks read only a
+book's ``<meta>`` (:func:`xml_model.load_head`), so skipping a book costs no
+full parse. After analyze, a book's lemma sequence is read from its
+``lemmas.json`` while the digest recorded there matches ``book.xml``, so
+corpus-stats and report parse only books whose XML changed since.
 """
 
+import hashlib
 import json
 import logging
-import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,14 +22,15 @@ from pathlib import Path
 from . import analytics_book, analytics_corpus, characters, dedup, ingest
 from . import linguistic, report, segmentation
 from . import xml_model
-from .errors import AnalyticsError, BinderyError, MissingPhaseError, TooShortError
+from .errors import (AnalyticsError, BinderyError, MissingPhaseError, ParseError,
+                     TooShortError)
 from .xml_model import AnnotatedBook, BookMeta, GENDERS
 
 log = logging.getLogger(__name__)
 
 CORPUS_DIR = "_corpus"
 INDEX_FILE = "index.jsonl"
-STATS_FILE = "stats.json"
+# The corpus lemma model under _corpus/; a book's lemma sequence in its dir.
 LEMMAS_FILE = "lemmas.json"
 VECTORS_FILE = "vectors.bin"
 PROGRESS_FILE = "progress.jsonl"
@@ -46,17 +50,12 @@ def discover_sources(in_dir):
     sources = []
     for entry in sorted(in_dir.iterdir()):
         if entry.is_file() and entry.suffix == ".txt":
-            sources.append((_gutenberg_id(entry), entry,
+            sources.append((ingest.gutenberg_id(entry), entry,
                             ingest.SourceKind.GUTENBERG_TEXT))
         elif entry.is_dir() and any(p.suffix == ".txt" for p in entry.iterdir()):
             sources.append((f"ht{entry.name}", entry,
                             ingest.SourceKind.HATHI_PAGEWISE))
     return sources
-
-
-def _gutenberg_id(path):
-    match = re.fullmatch(r"(?:pg)?(\d+)", path.stem)
-    return f"pg{match.group(1)}" if match else f"pg{path.stem}"
 
 
 # -- per-book construction --------------------------------------------------------
@@ -398,13 +397,16 @@ def build_corpus_stats(payloads, lemma_totals, config):
     }
 
 
-def enrich_book_payload(payload, book, stats, lemma_model, vectors, config):
-    """Fill corpus-relative sections: vocabulary, similar books, placement."""
+def enrich_book_payload(payload, lemma_counts, stats, lemma_model, vectors,
+                        config):
+    """Fill corpus-relative sections: vocabulary, similar books, placement.
+
+    ``lemma_counts`` is the book's lemma :class:`Counter`.
+    """
     if lemma_model and lemma_model.get("total", 0) > 0:
-        counts = analytics_book.lemma_counts(book)
         try:
             vocab = analytics_book.representative_vocabulary(
-                counts, Counter(lemma_model["common"]),
+                lemma_counts, Counter(lemma_model["common"]),
                 top_common=config.vocab_top_common,
                 list_len=config.vocab_list_len)
             payload["vocabulary"] = {
@@ -495,6 +497,58 @@ def kept_book_ids(store):
     index = dedup.CorpusIndex.load(index_path)
     duplicates = {e.book_id for e in index.entries if e.is_duplicate}
     return [book_id for book_id in ids if book_id not in duplicates]
+
+
+def _read_json(path):
+    """A JSON store file; a truncated or malformed one raises ParseError."""
+    try:
+        return json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise ParseError(f"{path}: malformed JSON: {exc}") from exc
+
+
+def _sidecar_lemmas(path, xml_sha256):
+    """The lemmas in a book's lemma file if it is for ``xml_sha256``, else None.
+
+    A missing, unreadable, malformed or stale file gives None.
+    """
+    try:
+        sidecar = json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(sidecar, dict) or sidecar.get("xml_sha256") != xml_sha256:
+        return None
+    lemmas = sidecar.get("lemmas")
+    if not isinstance(lemmas, list) or not all(isinstance(w, str) for w in lemmas):
+        return None
+    return lemmas
+
+
+def _book_lemmas(store, book_id, phase):
+    """The lemma sequence of an analyzed book (see ``lemma_sequence``).
+
+    Taken from the book's lemma file when the digest there matches the
+    current ``book.xml`` bytes. Otherwise those bytes are parsed and must
+    carry the ``analytics`` stamp, so a corrupt or edited book fails
+    ``phase`` just as a full parse does.
+    """
+    data = _xml_path(store, book_id).read_bytes()
+    lemmas = _sidecar_lemmas(_book_dir(store, book_id) / LEMMAS_FILE,
+                             hashlib.sha256(data).hexdigest())
+    if lemmas is not None:
+        return lemmas
+    book = xml_model.parse(data)
+    _require(book, phase, "analytics")
+    return analytics_book.lemma_sequence(book)
+
+
+def _analyzed_book(store, book_id, phase):
+    """``(payload, lemmas)`` of an analyzed book: its book.json and lemmas."""
+    json_path = _book_dir(store, book_id) / "book.json"
+    if not json_path.exists():
+        raise MissingPhaseError(phase, "analytics")
+    lemmas = _book_lemmas(store, book_id, phase)
+    return _read_json(json_path), lemmas
 
 
 def _stamped(store, book_id, phase):
@@ -588,8 +642,11 @@ def _analyze_one(args):
         payload = build_book_payload(book, config)
         report.dump_json(payload, _book_dir(store, book_id) / "book.json")
         book.add_phase("analytics")
-        report.write_if_changed(_xml_path(store, book_id),
-                                xml_model.serialize(book))
+        data = xml_model.serialize(book).encode("utf-8")
+        report.write_if_changed(_xml_path(store, book_id), data)
+        report.dump_json({"xml_sha256": hashlib.sha256(data).hexdigest(),
+                          "lemmas": analytics_book.lemma_sequence(book)},
+                         _book_dir(store, book_id) / LEMMAS_FILE)
         return PhaseResult(book_id, "analyze", True)
     except BinderyError as exc:
         return _failed(book_id, "analyze", exc)
@@ -643,15 +700,11 @@ def run_corpus_stats(store, config, force=False):
     results = []
     for book_id in kept_book_ids(store):
         try:
-            json_path = _book_dir(store, book_id) / "book.json"
-            if not json_path.exists():
-                raise MissingPhaseError("corpus-stats", "analytics")
-            book = xml_model.load(_xml_path(store, book_id))
-            _require(book, "corpus-stats", "analytics")
-            payloads.append(json.loads(json_path.read_text(encoding="utf-8")))
-            lemma_counter.update(analytics_book.lemma_counts(book))
-            streams[book_id] = analytics_book.lemma_stream(
-                book, lexicon_dir=config.lexicon_dir)
+            payload, lemmas = _analyzed_book(store, book_id, "corpus-stats")
+            payloads.append(payload)
+            lemma_counter.update(lemmas)
+            streams[book_id] = analytics_book.strip_stopwords(
+                lemmas, lexicon_dir=config.lexicon_dir)
             results.append(PhaseResult(book_id, "corpus-stats", True))
         except BinderyError as exc:
             results.append(_failed(book_id, "corpus-stats", exc))
@@ -661,7 +714,7 @@ def run_corpus_stats(store, config, force=False):
     stats = build_corpus_stats(payloads, lemma_counter, config)
     corpus_dir = _corpus_path(store, "")
     corpus_dir.mkdir(parents=True, exist_ok=True)
-    report.dump_json(stats, _corpus_path(store, STATS_FILE))
+    report.dump_json(stats, _corpus_path(store, report.CORPUS_JSON))
 
     common = sorted(lemma_counter,
                     key=lambda w: (-lemma_counter[w], w))[:config.vocab_top_common]
@@ -688,13 +741,12 @@ def run_corpus_stats(store, config, force=False):
 
 def run_report(store, config, force=False):
     del force
-    stats_path = _corpus_path(store, STATS_FILE)
+    stats_path = _corpus_path(store, report.CORPUS_JSON)
     if not stats_path.exists():
         raise MissingPhaseError("report", "analytics")
-    stats = json.loads(stats_path.read_text(encoding="utf-8"))
+    stats = _read_json(stats_path)
     lemmas_path = _corpus_path(store, LEMMAS_FILE)
-    lemma_model = (json.loads(lemmas_path.read_text(encoding="utf-8"))
-                   if lemmas_path.exists() else None)
+    lemma_model = _read_json(lemmas_path) if lemmas_path.exists() else None
     vectors_path = _corpus_path(store, VECTORS_FILE)
     vectors = (analytics_book.VectorStore.load(vectors_path)
                if vectors_path.exists() else None)
@@ -702,13 +754,9 @@ def run_report(store, config, force=False):
     results = []
     for book_id in kept_book_ids(store):
         try:
-            json_path = _book_dir(store, book_id) / "book.json"
-            if not json_path.exists():
-                raise MissingPhaseError("report", "analytics")
-            payload = json.loads(json_path.read_text(encoding="utf-8"))
-            book = xml_model.load(_xml_path(store, book_id))
-            enrich_book_payload(payload, book, stats, lemma_model, vectors,
-                                config)
+            payload, lemmas = _analyzed_book(store, book_id, "report")
+            enrich_book_payload(payload, Counter(lemmas), stats, lemma_model,
+                                vectors, config)
             report.emit_book_report(payload, _book_dir(store, book_id))
             results.append(PhaseResult(book_id, "report", True))
         except BinderyError as exc:

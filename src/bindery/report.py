@@ -28,6 +28,9 @@ PALETTE = ("#4878b0", "#d65f5f", "#6aa84f", "#e69138", "#8e63ce",
            "#45818e", "#a64d79", "#7f7f7f", "#c27ba0", "#674ea7")
 GENDER_COLORS = {"male": "#4878b0", "female": "#e78ac3", "unknown": "#9e9e9e"}
 
+# Written by corpus-stats, read by report, and re-emitted unchanged here.
+CORPUS_JSON = "corpus.json"
+
 
 def _fmt(value):
     return f"{value:.3f}"
@@ -496,7 +499,7 @@ def emit_corpus_report(stats, out_dir):
     """Write corpus.json, corpus.html, and author/subject index pages."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / "corpus.json"
+    json_path = out_dir / CORPUS_JSON
     dump_json(stats, json_path)
 
     parts = ["<h1>Corpus overview</h1>",

@@ -4,12 +4,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from bindery.analytics_book import (VectorStore, lemma_counts, lemma_stream,
-                                    most_similar, pos_distribution,
-                                    readability_suite,
-                                    representative_vocabulary,
+from bindery import lexicons
+from bindery.analytics_book import (VectorStore, lemma_counts, lemma_sequence,
+                                    lemma_stream, most_similar,
+                                    pos_distribution, readability_suite,
+                                    representative_vocabulary, strip_stopwords,
                                     train_embeddings)
-from bindery.errors import AnalyticsError
+from bindery.config import Config
+from bindery.errors import AnalyticsError, ParseError
+from bindery.ingest import read_gutenberg
+from bindery.pipeline import annotate_book, ingest_to_book
+from conftest import BOOKS
+from generators import random_book
 from helpers import build_annotated
 
 # Hand-computed oracles. Counts follow the stated rules: words are
@@ -275,6 +281,50 @@ def test_vector_store_roundtrip(tmp_path):
     loaded = VectorStore.load(path)
     assert loaded.ids == store.ids
     assert np.array_equal(loaded.vectors, store.vectors)
+
+
+def test_vector_store_load_rejects_damaged_files(tmp_path):
+    store = VectorStore(ids=["pg1", "pg22"],
+                        vectors=np.arange(6, dtype=np.float32).reshape(2, 3))
+    good = tmp_path / "good.bin"
+    store.save(good)
+    data = good.read_bytes()
+    damaged = [data[:n] for n in range(len(data))]  # every truncation
+    damaged.append(data + b"\0")  # a trailing byte
+    damaged.append(b"XPV1" + data[4:])  # bad magic
+    damaged.append(data[:8] + b"\xff\xff\xff\xff" + data[12:])  # huge count
+    damaged.append(data.replace(b"pg22", b"pg\xff2"))  # id not UTF-8
+    path = tmp_path / "vectors.bin"
+    for blob in damaged:
+        path.write_bytes(blob)
+        with pytest.raises(ParseError):
+            VectorStore.load(path)
+
+
+def _oracle_lemma_counts(book):
+    counts = Counter()
+    for token in book.iter_tokens():
+        if token.pos != "PUNCT" and token.lemma:
+            counts[token.lemma] += 1
+    return counts
+
+
+def _oracle_lemma_stream(book):
+    stop = lexicons.stopwords("")
+    return [t.lemma for t in book.iter_tokens()
+            if t.pos != "PUNCT" and t.lemma and t.lemma not in stop]
+
+
+def test_lemma_sequence_views_match_token_loop_oracle():
+    config = Config()
+    fixtures = [annotate_book(ingest_to_book(read_gutenberg(path), config),
+                              config)
+                for path in sorted(BOOKS.glob("pg*.txt"))]
+    for book in fixtures + [random_book(seed=seed) for seed in range(200)]:
+        sequence = lemma_sequence(book)
+        assert Counter(sequence) == lemma_counts(book) == _oracle_lemma_counts(book)
+        assert (strip_stopwords(sequence) == lemma_stream(book)
+                == _oracle_lemma_stream(book))
 
 
 def test_lemma_stream_strips_stopwords():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -7,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from bindery import pipeline, xml_model
+from bindery import analytics_book, pipeline, xml_model
 from bindery.cli import main
 from bindery.config import Config
 from conftest import BOOKS
@@ -269,9 +270,9 @@ def test_load_head_matches_load_after_every_phase(phased_store):
         assert head == full, (phase, book_id)
 
 
-def test_noop_all_full_parses_only_in_dedup_corpus_stats_report(
-        fixture_store, monkeypatch):
-    config, store = fixture_store
+@pytest.fixture
+def parse_callers(monkeypatch):
+    """Counts full parses by the pipeline runner that asked for them."""
     callers = Counter()
     real_parse = xml_model.parse
 
@@ -283,10 +284,121 @@ def test_noop_all_full_parses_only_in_dedup_corpus_stats_report(
         return real_parse(text)
 
     monkeypatch.setattr(xml_model, "parse", counting_parse)
+    return callers
+
+
+def test_noop_all_full_parses_only_in_dedup(fixture_store, parse_callers):
+    config, store = fixture_store
     assert rerun_all(config, store) == 0
-    kept = len(pipeline.kept_book_ids(store))
-    assert callers == {"run_dedup": 5, "run_corpus_stats": kept,
-                       "run_report": kept}
+    assert parse_callers == {"run_dedup": 5}
+
+
+def test_every_kept_book_has_lemma_file_matching_its_xml(fixture_store):
+    _, store = fixture_store
+    kept = pipeline.kept_book_ids(store)
+    assert kept
+    for book_id in kept:
+        data = (store / book_id / "book.xml").read_bytes()
+        sidecar = json.loads((store / book_id / "lemmas.json").read_bytes())
+        assert sidecar == {
+            "xml_sha256": hashlib.sha256(data).hexdigest(),
+            "lemmas": analytics_book.lemma_sequence(xml_model.parse(data))}
+
+
+def _report_outputs(store):
+    """Bytes of every book.json and index.html and the corpus outputs."""
+    paths = [*store.glob("*/book.json"), *store.glob("*/index.html"),
+             *(store / "_corpus" / name
+               for name in ("corpus.json", "lemmas.json", "vectors.bin"))]
+    return {str(p.relative_to(store)): p.read_bytes() for p in paths}
+
+
+def _delete(path):
+    path.unlink()
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:100])
+
+
+def _stale(path):
+    sidecar = json.loads(path.read_bytes())
+    sidecar["xml_sha256"] = hashlib.sha256(b"another book").hexdigest()
+    sidecar["lemmas"] = ["stale"] * len(sidecar["lemmas"])
+    path.write_text(json.dumps(sidecar), encoding="utf-8")
+
+
+def _edit_xml(path):
+    xml = path.with_name("book.xml")
+    xml.write_text(xml.read_text(encoding="utf-8").replace(
+        "  <body>\n", "  <body>\n<!-- edited by hand -->\n", 1),
+        encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", [_delete, _truncate, _stale, _edit_xml])
+def test_unusable_lemma_file_falls_back_to_parsing(fixture_store, damage,
+                                                   parse_callers):
+    config, store = fixture_store
+    fresh = _report_outputs(store)
+    damage(store / "pg730" / "lemmas.json")
+    assert rerun_all(config, store) == 0
+    assert _report_outputs(store) == fresh
+    assert parse_callers == {"run_dedup": 5, "run_corpus_stats": 1,
+                             "run_report": 1}
+
+
+def test_edited_lemmas_in_xml_win_over_lemma_file(fixture_store, tmp_path):
+    config, store = fixture_store
+    unsidecared = tmp_path / "without_lemma_files"
+    shutil.copytree(store, unsidecared)
+    for root in (store, unsidecared):
+        xml = root / "pg730" / "book.xml"
+        xml.write_text(xml.read_text(encoding="utf-8").replace(
+            'lemma="workhouse"', 'lemma="poorhouse"'), encoding="utf-8")
+    for path in unsidecared.glob("*/lemmas.json"):
+        path.unlink()
+    assert rerun_all(config, store) == 0
+    assert rerun_all(config, unsidecared) == 0
+    edited = _report_outputs(store)
+    assert b'"poorhouse"' in edited["_corpus/lemmas.json"]
+    assert edited == _report_outputs(unsidecared)
+
+
+@pytest.mark.parametrize("phase", ["corpus-stats", "report"])
+def test_truncated_book_json_fails_only_that_book(fixture_store, phase):
+    config, store = fixture_store
+    path = store / "pg1001" / "book.json"
+    path.write_bytes(path.read_bytes()[:50])
+    assert run("--config", str(config), phase, "--out", str(store)) == 1
+    lines = progress_lines(store)
+    assert {l["book"]: l["status"] for l in lines} == {
+        "pg730": "ok", "pg1001": "error", "pg1002": "ok", "pg1003": "ok",
+        "pg1004": "ok"}
+    errors = [l["error"] for l in lines if l["status"] == "error"]
+    assert len(errors) == 1 and "malformed JSON" in errors[0]
+
+
+def test_truncated_vectors_fail_report_cleanly(fixture_store, caplog):
+    config, store = fixture_store
+    path = store / "_corpus" / "vectors.bin"
+    path.write_bytes(path.read_bytes()[:40])
+    assert run("--config", str(config), "report", "--out", str(store)) == 1
+    assert any(r.levelno == logging.ERROR and "report failed" in r.message
+               and "vector store" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("content", [
+    "nonsense = 1\n", "seed = many\n", "no equals sign\n", None])
+def test_bad_config_is_one_error_line_and_exit_2(tmp_path, caplog, content):
+    path = tmp_path / "bad.conf"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    caplog.set_level(logging.INFO)
+    assert run("--config", str(path), "dedup",
+               "--out", str(tmp_path / "store")) == 2
+    assert [r.levelno for r in caplog.records] == [logging.ERROR]
+    assert caplog.records[0].message.startswith("bad config: ")
+    assert not (tmp_path / "store").exists()
 
 
 def test_noop_parallel_all_starts_no_pool(fixture_store, monkeypatch):
