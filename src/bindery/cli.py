@@ -102,7 +102,8 @@ def main(argv=None):
     runners = {
         "ingest": lambda: pipeline.run_ingest(args.in_dir, store, config,
                                               force=args.force),
-        "dedup": lambda: pipeline.run_dedup(store, config),
+        "dedup": lambda: pipeline.run_dedup(store, config,
+                                            force=args.force),
         "annotate": lambda: pipeline.run_annotate(store, config,
                                                   force=args.force),
         "analyze": lambda: pipeline.run_analyze(store, config,

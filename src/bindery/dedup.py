@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TooShortError
+from .errors import ParseError, TooShortError
 from .ingest import strip_diacritics
 from .report import write_if_changed
 
@@ -83,8 +83,10 @@ def fingerprint(text, title="", author="", num_hashes=NUM_HASHES,
 
     Each signature position is the minimum of an independent 64-bit
     multiply-shift hash over the shingle set; all hash functions derive
-    from the fixed base seed, so identical texts always produce identical
-    signatures.
+    from ``seed``, so identical texts under one seed always produce
+    identical signatures. ``BASE_SEED`` is the library default; the
+    pipeline passes the run seed (``config.seed``), so ``--seed`` changes
+    the signatures, and the dedup memo key in the index records it.
     """
     shingles = shingle_set(text, shingle_size=shingle_size)
     base = _base_hashes(shingles)
@@ -124,6 +126,9 @@ class CorpusEntry:
     text_length: int = 0
     fingerprint: BookFingerprint | None = None
     representative_of: str | None = None
+    # Memo key: the ingest body digest and (hashes, shingle size, seed).
+    body_sha256: str | None = None
+    minhash: tuple | None = None
 
     @property
     def is_duplicate(self):
@@ -133,15 +138,6 @@ class CorpusEntry:
 @dataclass
 class CorpusIndex:
     entries: list = field(default_factory=list)
-
-    def by_id(self, book_id):
-        for entry in self.entries:
-            if entry.book_id == book_id:
-                return entry
-        raise KeyError(book_id)
-
-    def kept(self):
-        return [e for e in self.entries if not e.is_duplicate]
 
     def save(self, path):
         path = Path(path)
@@ -160,35 +156,59 @@ class CorpusIndex:
                 record["normalized_title"] = entry.fingerprint.normalized_title
                 record["normalized_author"] = entry.fingerprint.normalized_author
                 record["signature"] = list(entry.fingerprint.signature)
+            if entry.body_sha256 is not None:
+                record["body_sha256"] = entry.body_sha256
+                record["minhash"] = list(entry.minhash)
             lines.append(json.dumps(record, sort_keys=True))
         write_if_changed(path, "\n".join(lines) + "\n" if lines else "")
         return path
 
     @classmethod
     def load(cls, path):
+        """Read an index; a malformed line or record raises ParseError."""
         index = cls()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for number, line in enumerate(Path(path).read_bytes().splitlines(),
+                                      start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            fp = None
-            if "signature" in record:
-                fp = BookFingerprint(
-                    normalized_title=record["normalized_title"],
-                    normalized_author=record["normalized_author"],
-                    signature=tuple(record["signature"]),
-                )
-            index.entries.append(CorpusEntry(
-                book_id=record["id"],
-                title=record.get("title", ""),
-                author=record.get("author", ""),
-                year=record.get("year"),
-                corpus=record.get("corpus", ""),
-                text_length=record.get("text_length", 0),
-                fingerprint=fp,
-                representative_of=record.get("representative_of"),
-            ))
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ParseError(f"{path}: malformed JSON: {exc}",
+                                 line=number) from exc
+            if (not isinstance(record, dict)
+                    or not isinstance(record.get("id"), str)):
+                raise ParseError(f"{path}: record is not an object with a "
+                                 "string id", line=number)
+            try:
+                index.entries.append(_entry_from_record(record))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{path}: bad record for {record['id']}: "
+                                 f"{exc!r}", line=number) from exc
         return index
+
+
+def _entry_from_record(record):
+    fp = None
+    if "signature" in record:
+        fp = BookFingerprint(
+            normalized_title=record["normalized_title"],
+            normalized_author=record["normalized_author"],
+            signature=tuple(record["signature"]),
+        )
+    minhash = record.get("minhash")
+    return CorpusEntry(
+        book_id=record["id"],
+        title=record.get("title", ""),
+        author=record.get("author", ""),
+        year=record.get("year"),
+        corpus=record.get("corpus", ""),
+        text_length=record.get("text_length", 0),
+        fingerprint=fp,
+        representative_of=record.get("representative_of"),
+        body_sha256=record.get("body_sha256"),
+        minhash=tuple(minhash) if minhash is not None else None,
+    )
 
 
 class _UnionFind:

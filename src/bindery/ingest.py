@@ -10,8 +10,6 @@ original is always reconstructable from the spans plus the body remainder.
 import logging
 import re
 import unicodedata
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -396,6 +394,11 @@ def fetch_gutenberg(book_id, mirror_base, dest, timeout=30):
     if target.exists() and target.stat().st_size > 0:
         log.info("pg%s already present, skipping fetch", book_id)
         return target
+    # Imported here: urllib.request pulls in ssl and http.client, which no
+    # other command needs.
+    import urllib.error
+    import urllib.request
+
     url = f"{mirror_base.rstrip('/')}/{book_id}/pg{book_id}.txt"
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:

@@ -6,9 +6,11 @@ stamps inside each book's XML enforce ordering and make re-runs
 incremental: a book whose stamps are current is skipped unless forced, and
 files are only rewritten when their bytes change. Stamp checks read only a
 book's ``<meta>`` (:func:`xml_model.load_head`), so skipping a book costs no
-full parse. After analyze, a book's lemma sequence is read from its
-``lemmas.json`` while the digest recorded there matches ``book.xml``, so
-corpus-stats and report parse only books whose XML changed since.
+full parse. Dedup reuses a book's fingerprint while the ingest body digest
+in its ``<meta>`` matches the one in the previous index. After analyze, a
+book's lemma sequence is read from its ``lemmas.json`` while the digest
+recorded there matches ``book.xml``, so corpus-stats and report parse only
+books whose XML changed since.
 """
 
 import hashlib
@@ -120,6 +122,7 @@ def ingest_to_book(raw, config):
                       str(raw.metadata.get("subjects", "")).split(";")
                       if s.strip()],
             encoding=raw.metadata.get("encoding"),
+            body_sha256=hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         ),
         front=front,
         back=back,
@@ -542,13 +545,21 @@ def _book_lemmas(store, book_id, phase):
     return analytics_book.lemma_sequence(book)
 
 
-def _analyzed_book(store, book_id, phase):
-    """``(payload, lemmas)`` of an analyzed book: its book.json and lemmas."""
+def _analyzed_book(store, book_id, phase, book_schema):
+    """``(payload, lemmas)`` of an analyzed book: its book.json and lemmas.
+
+    A book.json that does not match ``book_schema`` raises ParseError.
+    """
     json_path = _book_dir(store, book_id) / "book.json"
     if not json_path.exists():
         raise MissingPhaseError(phase, "analytics")
     lemmas = _book_lemmas(store, book_id, phase)
-    return _read_json(json_path), lemmas
+    payload = _read_json(json_path)
+    errors = report.validate_schema(payload, book_schema)
+    if errors:
+        raise ParseError(f"{json_path}: not a bindery.book/1 document: "
+                         + "; ".join(errors[:3]))
+    return payload, lemmas
 
 
 def _stamped(store, book_id, phase):
@@ -580,33 +591,95 @@ def run_ingest(in_dir, store, config, force=False):
     return results
 
 
-def run_dedup(store, config):
+def _previous_index(store):
+    """The last dedup index by book id; empty when missing or unreadable."""
+    try:
+        index = dedup.CorpusIndex.load(_corpus_path(store, INDEX_FILE))
+    except FileNotFoundError:
+        return {}
+    except (OSError, ParseError) as exc:
+        log.warning("dedup: previous index unusable, fingerprinting every "
+                    "book: %s", exc)
+        return {}
+    return {entry.book_id: entry for entry in index.entries}
+
+
+def _memoized_entry(store, book_id, record, minhash):
+    """``book_id``'s dedup entry rebuilt from its last index record, or None.
+
+    The record is reused when it was fingerprinted with the ``minhash``
+    parameters from the body whose ingest digest the book's ``<meta>``
+    still carries; only that ``<meta>`` is read.
+    """
+    if (record is None or record.body_sha256 is None
+            or record.minhash != minhash
+            or (record.fingerprint is not None
+                and len(record.fingerprint.signature) != minhash[0])):
+        return None
+    meta, _ = xml_model.load_head(_xml_path(store, book_id))
+    if meta.body_sha256 != record.body_sha256:
+        return None
+    fp = None
+    if record.fingerprint is not None:
+        fp = dedup.BookFingerprint(
+            normalized_title=dedup.normalize_name(meta.title),
+            normalized_author=dedup.normalize_name(meta.author),
+            signature=record.fingerprint.signature)
+    return _dedup_entry(book_id, meta, record.text_length, fp, minhash)
+
+
+def _fingerprinted_entry(store, book_id, config, minhash):
+    """``book_id``'s dedup entry from a full parse of its body."""
+    book = xml_model.load(_xml_path(store, book_id))
+    body = body_text_of(book)
+    try:
+        fp = dedup.fingerprint(
+            body, title=book.meta.title or "", author=book.meta.author or "",
+            num_hashes=config.minhash_hashes, shingle_size=config.shingle_size,
+            seed=config.seed)
+    except TooShortError:
+        fp = None
+    return _dedup_entry(book_id, book.meta, len(body), fp, minhash)
+
+
+def _dedup_entry(book_id, meta, text_length, fp, minhash):
+    return dedup.CorpusEntry(
+        book_id=book_id,
+        title=meta.title or "",
+        author=meta.author or "",
+        year=meta.year,
+        corpus=meta.corpus or "",
+        text_length=text_length,
+        fingerprint=fp,
+        body_sha256=meta.body_sha256,
+        minhash=minhash if meta.body_sha256 is not None else None)
+
+
+def run_dedup(store, config, force=False):
+    """Fingerprint every stored book and mark duplicates in the index.
+
+    Unless forced, a book whose record in the previous index is still
+    current (see ``_memoized_entry``) reuses that fingerprint, so an
+    unchanged store is deduplicated from ``<meta>`` reads alone.
+    """
+    minhash = (config.minhash_hashes, config.shingle_size, config.seed)
+    memo = {} if force else _previous_index(store)
     index = dedup.CorpusIndex()
     results = []
+    reused = 0
     for book_id in store_book_ids(store):
         try:
-            book = xml_model.load(_xml_path(store, book_id))
-            body = body_text_of(book)
-            try:
-                fp = dedup.fingerprint(
-                    body, title=book.meta.title or "",
-                    author=book.meta.author or "",
-                    num_hashes=config.minhash_hashes,
-                    shingle_size=config.shingle_size,
-                    seed=config.seed)
-            except TooShortError:
-                fp = None
-            index.entries.append(dedup.CorpusEntry(
-                book_id=book_id,
-                title=book.meta.title or "",
-                author=book.meta.author or "",
-                year=book.meta.year,
-                corpus=book.meta.corpus or "",
-                text_length=len(body),
-                fingerprint=fp))
+            entry = _memoized_entry(store, book_id, memo.get(book_id), minhash)
+            if entry is None:
+                entry = _fingerprinted_entry(store, book_id, config, minhash)
+            else:
+                reused += 1
+            index.entries.append(entry)
             results.append(PhaseResult(book_id, "dedup", True))
         except BinderyError as exc:
             results.append(_failed(book_id, "dedup", exc))
+    log.debug("dedup: %d fingerprint(s) reused, %d computed", reused,
+              len(index.entries) - reused)
     dedup.dedup_corpus(index,
                        title_author_match=config.dedup_title_author,
                        content_threshold=config.dedup_content_threshold)
@@ -698,9 +771,11 @@ def run_corpus_stats(store, config, force=False):
     lemma_counter = Counter()
     streams = {}
     results = []
+    book_schema = report.load_schema("book.schema.json")
     for book_id in kept_book_ids(store):
         try:
-            payload, lemmas = _analyzed_book(store, book_id, "corpus-stats")
+            payload, lemmas = _analyzed_book(store, book_id, "corpus-stats",
+                                             book_schema)
             payloads.append(payload)
             lemma_counter.update(lemmas)
             streams[book_id] = analytics_book.strip_stopwords(
@@ -752,9 +827,11 @@ def run_report(store, config, force=False):
                if vectors_path.exists() else None)
 
     results = []
+    book_schema = report.load_schema("book.schema.json")
     for book_id in kept_book_ids(store):
         try:
-            payload, lemmas = _analyzed_book(store, book_id, "report")
+            payload, lemmas = _analyzed_book(store, book_id, "report",
+                                             book_schema)
             enrich_book_payload(payload, Counter(lemmas), stats, lemma_model,
                                 vectors, config)
             report.emit_book_report(payload, _book_dir(store, book_id))
@@ -767,7 +844,7 @@ def run_report(store, config, force=False):
 
 def run_all(in_dir, store, config, force=False):
     results = run_ingest(in_dir, store, config, force=force)
-    results.extend(run_dedup(store, config))
+    results.extend(run_dedup(store, config, force=force))
     for runner in (run_annotate, run_analyze, run_corpus_stats, run_report):
         results.extend(runner(store, config, force=force))
     return results

@@ -12,6 +12,7 @@ and ``serialize(parse(text)) == text`` byte-for-byte for canonically
 serialized files.
 """
 
+import re
 from dataclasses import dataclass, field
 from xml.parsers import expat
 
@@ -100,6 +101,8 @@ class BookMeta:
     corpus: str | None = None
     subjects: list[str] = field(default_factory=list)
     encoding: str | None = None
+    # Hex SHA-256 of the canonical body as ingested; later phases keep it.
+    body_sha256: str | None = None
 
 
 @dataclass
@@ -170,6 +173,7 @@ def query(book, selector, arg=None):
 # -- validation -------------------------------------------------------------
 
 _LEGAL_CTRL = {"\n", "\t", "\r"}
+_SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 def _check_text(value, what):
@@ -183,6 +187,10 @@ def _validate_meta(meta, phases):
                         ("source_id", meta.source_id), ("corpus", meta.corpus)):
         if value:
             _check_text(value, f"meta {name}")
+    if (meta.body_sha256 is not None
+            and not _SHA256_HEX.fullmatch(meta.body_sha256)):
+        raise InvariantError("body_sha256 is not 64 lowercase hex digits: "
+                             f"{meta.body_sha256!r}")
     for phase in phases:
         if phase not in PHASES:
             raise InvariantError(f"unknown phase stamp: {phase}")
@@ -306,6 +314,8 @@ def _write_meta(out, book):
         out.append(f"    <subject>{_esc_text(subject)}</subject>\n")
     if meta.encoding is not None:
         out.append(f"    <encoding>{_esc_text(meta.encoding)}</encoding>\n")
+    if meta.body_sha256 is not None:
+        out.append(f"    <body_sha256>{meta.body_sha256}</body_sha256>\n")
     if book.phases:
         out.append(f"    <phases>{' '.join(book.phases)}</phases>\n")
     out.append("  </meta>\n")
@@ -379,7 +389,7 @@ def _token_line(token):
 _STRUCTURAL_CHILDREN = {
     "book": {"meta", "front", "back", "characters", "body"},
     "meta": {"title", "author", "year", "source_id", "corpus",
-             "subject", "encoding", "phases"},
+             "subject", "encoding", "body_sha256", "phases"},
     "front": {"block"},
     "back": {"block"},
     "characters": {"character"},
@@ -392,7 +402,7 @@ _STRUCTURAL_CHILDREN = {
 
 _TEXT_ELEMENTS = {
     "title", "author", "year", "source_id", "corpus", "subject", "encoding",
-    "phases", "block", "name", "mentions", "header", "t",
+    "body_sha256", "phases", "block", "name", "mentions", "header", "t",
 }
 
 
@@ -555,6 +565,8 @@ class _BookBuilder:
             meta.subjects.append(text)
         elif name == "encoding":
             meta.encoding = text
+        elif name == "body_sha256":
+            meta.body_sha256 = text
         elif name == "phases":
             self.book.phases = text.split()
         elif name == "block":

@@ -89,7 +89,7 @@ def random_book(rnd=None, seed=None):
         body.append(Section(header=header, paragraphs=paragraphs))
 
     phases = list(PHASES[:rnd.randint(0, len(PHASES))])
-    return AnnotatedBook(
+    book = AnnotatedBook(
         meta=BookMeta(
             title=rnd.choice([None, "The Glass Orchard", "A & B <novel>",
                               "Nørth of the Weir", 'He said "go"']),
@@ -107,3 +107,6 @@ def random_book(rnd=None, seed=None):
         characters=characters,
         phases=phases,
     )
+    if rnd.random() < 0.7:
+        book.meta.body_sha256 = f"{rnd.getrandbits(256):064x}"
+    return book

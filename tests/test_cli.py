@@ -2,16 +2,21 @@ import hashlib
 import json
 import logging
 import os
+import re
 import shutil
+import subprocess
+import sys
 import traceback
 from collections import Counter
 
 import pytest
 
-from bindery import analytics_book, pipeline, xml_model
+from bindery import analytics_book, dedup, pipeline, xml_model
 from bindery.cli import main
 from bindery.config import Config
+from bindery.errors import TooShortError
 from conftest import BOOKS
+from generators import random_book
 
 PHASES = ("ingest", "dedup", "annotate", "analyze", "corpus-stats", "report")
 
@@ -287,10 +292,10 @@ def parse_callers(monkeypatch):
     return callers
 
 
-def test_noop_all_full_parses_only_in_dedup(fixture_store, parse_callers):
+def test_noop_all_full_parses_no_book(fixture_store, parse_callers):
     config, store = fixture_store
     assert rerun_all(config, store) == 0
-    assert parse_callers == {"run_dedup": 5}
+    assert parse_callers == {}
 
 
 def test_every_kept_book_has_lemma_file_matching_its_xml(fixture_store):
@@ -343,8 +348,7 @@ def test_unusable_lemma_file_falls_back_to_parsing(fixture_store, damage,
     damage(store / "pg730" / "lemmas.json")
     assert rerun_all(config, store) == 0
     assert _report_outputs(store) == fresh
-    assert parse_callers == {"run_dedup": 5, "run_corpus_stats": 1,
-                             "run_report": 1}
+    assert parse_callers == {"run_corpus_stats": 1, "run_report": 1}
 
 
 def test_edited_lemmas_in_xml_win_over_lemma_file(fixture_store, tmp_path):
@@ -364,18 +368,33 @@ def test_edited_lemmas_in_xml_win_over_lemma_file(fixture_store, tmp_path):
     assert edited == _report_outputs(unsidecared)
 
 
-@pytest.mark.parametrize("phase", ["corpus-stats", "report"])
-def test_truncated_book_json_fails_only_that_book(fixture_store, phase):
-    config, store = fixture_store
-    path = store / "pg1001" / "book.json"
-    path.write_bytes(path.read_bytes()[:50])
+def _only_pg1001_fails(config, store, phase):
+    """Runs ``phase`` and returns the one error, which must be pg1001's."""
     assert run("--config", str(config), phase, "--out", str(store)) == 1
     lines = progress_lines(store)
     assert {l["book"]: l["status"] for l in lines} == {
         "pg730": "ok", "pg1001": "error", "pg1002": "ok", "pg1003": "ok",
         "pg1004": "ok"}
     errors = [l["error"] for l in lines if l["status"] == "error"]
-    assert len(errors) == 1 and "malformed JSON" in errors[0]
+    assert len(errors) == 1
+    return errors[0]
+
+
+@pytest.mark.parametrize("phase", ["corpus-stats", "report"])
+def test_truncated_book_json_fails_only_that_book(fixture_store, phase):
+    config, store = fixture_store
+    path = store / "pg1001" / "book.json"
+    path.write_bytes(path.read_bytes()[:50])
+    assert "malformed JSON" in _only_pg1001_fails(config, store, phase)
+
+
+@pytest.mark.parametrize("phase", ["corpus-stats", "report"])
+def test_wrong_shape_book_json_fails_only_that_book(fixture_store, phase):
+    config, store = fixture_store
+    (store / "pg1001" / "book.json").write_text("{}", encoding="utf-8")
+    error = _only_pg1001_fails(config, store, phase)
+    assert "not a bindery.book/1 document" in error
+    assert "missing required key 'id'" in error
 
 
 def test_truncated_vectors_fail_report_cleanly(fixture_store, caplog):
@@ -445,8 +464,182 @@ def test_corrupt_body_is_reported_by_first_full_parse(fixture_store, caplog):
     assert len(statuses) == len(lines) == len(PHASES) * 5
     errors = [l for l in lines if l["status"] == "error"]
     assert [(l["book"], l["phase"]) for l in errors] == [
-        ("pg1001", "dedup"), ("pg1001", "corpus-stats"), ("pg1001", "report")]
+        ("pg1001", "corpus-stats"), ("pg1001", "report")]
     assert "line" in errors[0]["error"]
     assert "all: 4 book(s) ok, 1 failed" in caplog.messages
     for book_id in ("pg730", "pg1002", "pg1003", "pg1004"):
         assert (store / book_id / "index.html").exists()
+
+
+# -- dedup memo ---------------------------------------------------------------
+
+
+def _index_bytes(store):
+    return (store / "_corpus" / "index.jsonl").read_bytes()
+
+
+def _dedup(config, store, *flags):
+    return run("--config", str(config), *flags, "dedup", "--out", str(store))
+
+
+def _assert_memo_matches_full_builds(config, store, parse_callers, *flags):
+    """A memo run writes the index that --force and a fresh build write."""
+    memo = _index_bytes(store)
+    parse_callers.clear()
+    assert _dedup(config, store, "--force", *flags) == 0
+    assert parse_callers["run_dedup"] == len(pipeline.store_book_ids(store))
+    assert _index_bytes(store) == memo
+    (store / "_corpus" / "index.jsonl").unlink()
+    assert _dedup(config, store, *flags) == 0
+    assert _index_bytes(store) == memo
+
+
+def test_memo_index_equals_forced_and_fresh_index(fixture_store, parse_callers,
+                                                  caplog):
+    config, store = fixture_store
+    cold = _index_bytes(store)  # written while the books were ingest-stage
+    records = [json.loads(line) for line in cold.splitlines()]
+    assert all(r["minhash"] == [128, 5, 13] for r in records)
+    assert all(re.fullmatch("[0-9a-f]{64}", r["body_sha256"]) for r in records)
+    caplog.set_level(logging.DEBUG)
+    assert _dedup(config, store, "-v") == 0
+    assert parse_callers == {}
+    assert "dedup: 5 fingerprint(s) reused, 0 computed" in caplog.messages
+    assert _index_bytes(store) == cold
+    _assert_memo_matches_full_builds(config, store, parse_callers)
+
+
+def test_memo_index_equals_full_builds_on_generated_books(tmp_path,
+                                                          parse_callers):
+    store = tmp_path / "store"
+    short = 0
+    for seed in range(40):
+        book = random_book(seed=seed)
+        path = store / f"pg{seed}" / "book.xml"
+        path.parent.mkdir(parents=True)
+        path.write_text(xml_model.serialize(book), encoding="utf-8")
+        try:
+            dedup.shingle_set(pipeline.body_text_of(book))
+        except TooShortError:
+            short += 1
+    assert 0 < short < 40
+    config_path = tmp_path / "empty.conf"
+    config_path.write_text("", encoding="utf-8")
+    assert _dedup(config_path, store) == 0
+    undigested = sum(b"body_sha256" not in line
+                     for line in _index_bytes(store).splitlines())
+    assert 0 < undigested < 40
+    parse_callers.clear()
+    assert _dedup(config_path, store) == 0
+    assert parse_callers == {"run_dedup": undigested}
+    _assert_memo_matches_full_builds(config_path, store, parse_callers)
+
+
+@pytest.mark.parametrize("setting", ["--seed=99", "minhash_hashes = 64",
+                                     "shingle_size = 4"])
+def test_changed_minhash_parameters_refingerprint_every_book(
+        fixture_store, parse_callers, setting):
+    config, store = fixture_store
+    flags = []
+    if setting.startswith("--"):
+        flags.append(setting)
+    else:
+        changed = store.parent / "changed.conf"
+        changed.write_text(config.read_text(encoding="utf-8") + setting + "\n",
+                           encoding="utf-8")
+        config = changed
+    assert _dedup(config, store, *flags) == 0
+    assert parse_callers == {"run_dedup": 5}
+    parse_callers.clear()
+    assert _dedup(config, store, *flags) == 0
+    assert parse_callers == {}
+    _assert_memo_matches_full_builds(config, store, parse_callers, *flags)
+
+
+def test_reingested_source_is_the_only_book_refingerprinted(
+        fixture_store, parse_callers, tmp_path):
+    config, store = fixture_store
+    raw = tmp_path / "raw"
+    shutil.copytree(BOOKS, raw)
+    source = raw / "pg1002.txt"
+    source.write_text(source.read_text(encoding="utf-8").replace(
+        "\nTHE END\n",
+        "\nA paragraph the first ingest never saw.\n\nTHE END\n"),
+        encoding="utf-8")
+    before = {r["id"]: r for r in map(json.loads,
+                                       _index_bytes(store).splitlines())}
+    assert run("--config", str(config), "--force", "ingest", "--in", str(raw),
+               "--out", str(store)) == 0
+    assert _dedup(config, store) == 0
+    assert parse_callers == {"run_dedup": 1}
+    after = {r["id"]: r for r in map(json.loads,
+                                      _index_bytes(store).splitlines())}
+    assert [b for b in before if before[b] != after[b]] == ["pg1002"]
+    assert after["pg1002"]["text_length"] > before["pg1002"]["text_length"]
+    _assert_memo_matches_full_builds(config, store, parse_callers)
+
+
+@pytest.mark.parametrize("edit", [
+    {"signature": list(range(64))},
+    {"body_sha256": "0" * 64},
+    {"minhash": [128, 5, 14]},
+])
+def test_edited_memo_record_refingerprints_only_its_book(
+        fixture_store, parse_callers, edit):
+    config, store = fixture_store
+    index = store / "_corpus" / "index.jsonl"
+    good = index.read_bytes()
+    records = [json.loads(line) for line in good.splitlines()]
+    for record in records:
+        if record["id"] == "pg730":
+            record.update(edit)
+    index.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert _dedup(config, store) == 0
+    assert parse_callers == {"run_dedup": 1}
+    assert index.read_bytes() == good
+
+
+def test_store_without_body_digests_is_fingerprinted_as_before(
+        fixture_store, parse_callers):
+    config, store = fixture_store
+    for path in store.glob("*/book.xml"):
+        text = path.read_text(encoding="utf-8")
+        path.write_text(re.sub(r"    <body_sha256>\w+</body_sha256>\n", "",
+                               text), encoding="utf-8")
+    index = store / "_corpus" / "index.jsonl"
+    records = [json.loads(line) for line in index.read_text().splitlines()]
+    index.write_text("".join(
+        json.dumps({k: v for k, v in r.items()
+                    if k not in ("body_sha256", "minhash")},
+                   sort_keys=True) + "\n" for r in records))
+    old = index.read_bytes()
+    for _ in range(2):
+        parse_callers.clear()
+        assert _dedup(config, store) == 0
+        assert parse_callers == {"run_dedup": 5}
+        assert index.read_bytes() == old
+
+
+def test_truncated_index_fails_cleanly_and_dedup_rewrites_it(fixture_store,
+                                                             caplog):
+    config, store = fixture_store
+    index = store / "_corpus" / "index.jsonl"
+    good = index.read_bytes()
+    index.write_bytes(good[:200])
+    assert run("--config", str(config), "annotate", "--out", str(store)) == 1
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert errors[0].message.startswith("annotate failed: ")
+    assert "index.jsonl" in errors[0].message and "line 1" in errors[0].message
+    assert _dedup(config, store) == 0
+    assert index.read_bytes() == good
+    assert run("--config", str(config), "annotate", "--out", str(store)) == 0
+
+
+def test_cli_import_leaves_out_urllib():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bindery.cli; print('urllib.request' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from bindery.dedup import (BookFingerprint, CorpusEntry, CorpusIndex,
                            dedup_corpus, estimate_similarity, fingerprint,
                            normalize_name, shingle_set)
-from bindery.errors import TooShortError
+from bindery.errors import ParseError, TooShortError
 
 
 def words(n, seed=0, prefix="w"):
@@ -85,9 +86,10 @@ def test_exact_copies_collapse():
     text = words(400, seed=10)
     index = CorpusIndex(entries=[_entry("pgA", text), _entry("pgB", text)])
     dedup_corpus(index)
-    kept = [e.book_id for e in index.kept()]
+    kept = [e.book_id for e in index.entries if not e.is_duplicate]
     assert kept == ["pgA"]  # tie on length -> smaller id
-    assert index.by_id("pgB").representative_of == "pgA"
+    assert [e.representative_of for e in index.entries
+            if e.book_id == "pgB"] == ["pgA"]
 
 
 def test_same_title_different_authors_kept():
@@ -98,7 +100,7 @@ def test_same_title_different_authors_kept():
                title="Collected Tales", author="Thomas Hale"),
     ])
     dedup_corpus(index)
-    assert len(index.kept()) == 2
+    assert sum(not e.is_duplicate for e in index.entries) == 2
 
 
 def test_title_author_match_collapses_regardless_of_content():
@@ -109,7 +111,7 @@ def test_title_author_match_collapses_regardless_of_content():
                title="The Weir", author="Thomas Hale"),
     ])
     dedup_corpus(index)
-    assert len(index.kept()) == 1
+    assert sum(not e.is_duplicate for e in index.entries) == 1
 
 
 def test_ninety_percent_overlap_variant_grouped():
@@ -120,7 +122,8 @@ def test_ninety_percent_overlap_variant_grouped():
     index = CorpusIndex(entries=[_entry("pgA", original),
                                  _entry("pgB", variant)])
     dedup_corpus(index, content_threshold=0.8)
-    assert index.by_id("pgB").representative_of == "pgA"
+    assert [e.representative_of for e in index.entries
+            if e.book_id == "pgB"] == ["pgA"]
 
 
 def test_transitive_chains_group_together():
@@ -158,7 +161,8 @@ def test_longest_text_wins_representative():
     index = CorpusIndex(entries=[_entry("pgSHORT", short_text),
                                  _entry("pgLONG", long_text)])
     dedup_corpus(index, content_threshold=0.5)
-    assert index.by_id("pgSHORT").representative_of == "pgLONG"
+    assert [e.representative_of for e in index.entries
+            if e.book_id == "pgSHORT"] == ["pgLONG"]
 
 
 def test_index_jsonl_roundtrip(tmp_path):
@@ -168,8 +172,37 @@ def test_index_jsonl_roundtrip(tmp_path):
         CorpusEntry(book_id="pgNOFP", title="Short", text_length=3),
     ])
     index.entries[0].year = 1890
+    index.entries[0].body_sha256 = "ab" * 32
+    index.entries[0].minhash = (128, 5, 7)
     dedup_corpus(index)
     path = tmp_path / "index.jsonl"
     index.save(path)
     loaded = CorpusIndex.load(path)
     assert loaded == index
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert records[0]["body_sha256"] == "ab" * 32
+    assert records[0]["minhash"] == [128, 5, 7]
+    assert "body_sha256" not in records[1] and "minhash" not in records[1]
+
+
+@pytest.mark.parametrize("bad_line", [
+    '{"id": "pgB", "title": "cut o',
+    '["pgB"]',
+    '{"title": "no id"}',
+    '{"id": 7}',
+    '{"id": "pgB", "signature": [1, "x"], "normalized_title": "",'
+    ' "normalized_author": ""}',
+    '{"id": "pgB", "signature": [1, 2]}',
+    '{"id": "pgB", "minhash": 5}',
+    b'{"id": "pg\xff"}',
+])
+def test_malformed_index_line_is_a_parse_error_naming_it(tmp_path, bad_line):
+    path = tmp_path / "index.jsonl"
+    good = '{"id": "pgA", "text_length": 3}\n'
+    if isinstance(bad_line, str):
+        bad_line = bad_line.encode("utf-8")
+    path.write_bytes(good.encode("utf-8") + b"\n" + bad_line + b"\n")
+    with pytest.raises(ParseError) as err:
+        CorpusIndex.load(path)
+    assert err.value.line == 3
+    assert str(path) in str(err.value)

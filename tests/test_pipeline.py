@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from bindery.config import Config
@@ -36,6 +38,12 @@ def test_offset_integrity_against_canonical_body(annotated_fixtures):
                 assert rebuilt[i].isspace(), (book_id, i)
             else:
                 assert rebuilt[i] == ch, (book_id, i)
+
+
+def test_ingest_records_the_digest_of_its_body(annotated_fixtures):
+    for book_id, (book, raw_body) in annotated_fixtures.items():
+        assert book.meta.body_sha256 == hashlib.sha256(
+            raw_body.encode("utf-8")).hexdigest(), book_id
 
 
 def test_token_indices_and_offsets_increase(annotated_fixtures):

@@ -184,6 +184,30 @@ def test_load_head_matches_load_on_random_books(tmp_path):
         assert load_head(path) == _head_of(load(path)) == _head_of(book)
 
 
+DIGEST = "0123456789abcdef" * 4
+
+
+def test_body_digest_sits_between_encoding_and_phases():
+    book = minimal_book()
+    book.meta.encoding = "utf-8"
+    book.meta.body_sha256 = DIGEST
+    text = serialize(book)
+    assert ("    <encoding>utf-8</encoding>\n"
+            f"    <body_sha256>{DIGEST}</body_sha256>\n"
+            "    <phases>ingest segment</phases>\n") in text
+    assert parse(text) == book
+    assert serialize(parse(text)) == text
+
+
+@pytest.mark.parametrize("digest", [DIGEST.upper(), DIGEST[1:],
+                                    "g" + DIGEST[1:], ""])
+def test_bad_body_digest_is_not_serialized(digest):
+    book = minimal_book()
+    book.meta.body_sha256 = digest
+    with pytest.raises(InvariantError):
+        serialize(book)
+
+
 @pytest.mark.parametrize("old, new", [
     ("<year>", "<year>x"),
     ("<phases>ingest", "<phases>ingested"),
@@ -191,10 +215,15 @@ def test_load_head_matches_load_on_random_books(tmp_path):
     ("<corpus>gutenberg</corpus>", "<corpus>gutenberg</corpus><bogus/>"),
     ("<corpus>gutenberg</corpus>", "<corpus>gutenberg</corpus>stray text"),
     ("</meta>", "</mata>"),
+    ("<body_sha256>0", "<body_sha256>A"),
+    ("<body_sha256>0", "<body_sha256>"),
+    ("<body_sha256>0", "<body_sha256>g"),
+    (f"<body_sha256>{DIGEST}", "<body_sha256>"),
 ])
 def test_malformed_meta_is_a_parse_error_with_line(tmp_path, old, new):
     book = minimal_book()
     book.meta.year = 1838
+    book.meta.body_sha256 = DIGEST
     text = serialize(book)
     assert old in text
     path = tmp_path / "book.xml"
