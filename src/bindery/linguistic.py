@@ -144,7 +144,7 @@ _CLOSED_CLASSES = (
 def pos_tag(tokens):
     """Assign a coarse POS tag to every token of one sentence, in place."""
     prev_lower = None
-    for position, token in enumerate(tokens):
+    for token in tokens:
         text = token.text
         lower = text.lower()
         if _PUNCT_RE.match(text):
@@ -159,13 +159,13 @@ def pos_tag(tokens):
                     tag = class_tag
                     break
             if tag is None:
-                tag = _open_class_tag(text, lower, position, prev_lower)
+                tag = _open_class_tag(lower, prev_lower)
         token.pos = tag
         prev_lower = lower
     return [t.pos for t in tokens]
 
 
-def _open_class_tag(text, lower, position, prev_lower):
+def _open_class_tag(lower, prev_lower):
     core = lower[:-2] if lower.endswith(("'s", "’s")) else lower
     if core.endswith("ly") and len(core) > 3:
         return "ADV"
@@ -174,8 +174,6 @@ def _open_class_tag(text, lower, position, prev_lower):
     if (core.endswith(("ed", "ing")) and len(core) > 4
             and prev_lower in AUXILIARIES):
         return "VERB"
-    if position > 0 and text[:1].isupper():
-        return "NOUN"
     return "NOUN"
 
 

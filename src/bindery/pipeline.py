@@ -6,8 +6,9 @@ stamps inside each book's XML enforce ordering and make re-runs
 incremental: a book whose stamps are current is skipped unless forced, and
 files are only rewritten when their bytes change. Stamp checks read only a
 book's ``<meta>`` (:func:`xml_model.load_head`), so skipping a book costs no
-full parse. Dedup reuses a book's fingerprint while the ingest body digest
-in its ``<meta>`` matches the one in the previous index. After analyze, a
+full parse. Annotate and analyze share one parse and one ``book.xml``
+write per book. Dedup reuses a book's fingerprint while the ingest body
+digest in its ``<meta>`` matches the one in the previous index. After analyze, a
 book's lemma sequence is read from its ``lemmas.json`` while the digest
 recorded there matches ``book.xml``, so corpus-stats and report parse only
 books whose XML changed since.
@@ -16,6 +17,7 @@ books whose XML changed since.
 import hashlib
 import json
 import logging
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -468,7 +470,6 @@ class PhaseResult:
 
 
 def _failed(book_id, phase, exc):
-    log.error("%s: %s failed: %s", book_id, phase, exc)
     return PhaseResult(book_id, phase, False, str(exc))
 
 
@@ -562,19 +563,13 @@ def _analyzed_book(store, book_id, phase, book_schema):
     return payload, lemmas
 
 
-def _stamped(store, book_id, phase):
-    """Whether the stored book carries ``phase``; reads only its ``<meta>``."""
-    _, phases = xml_model.load_head(_xml_path(store, book_id))
-    return phase in phases
-
-
 def run_ingest(in_dir, store, config, force=False):
     results = []
     for book_id, path, kind in discover_sources(in_dir):
         xml_path = _xml_path(store, book_id)
         try:
             if (not force and xml_path.exists()
-                    and _stamped(store, book_id, "ingest")):
+                    and "ingest" in xml_model.load_head(xml_path)[1]):
                 results.append(PhaseResult(book_id, "ingest", True))
                 continue
             if kind == ingest.SourceKind.GUTENBERG_TEXT:
@@ -693,36 +688,78 @@ def run_dedup(store, config, force=False):
     return results
 
 
-def _annotate_one(args):
-    store, book_id, config, force = args
-    try:
-        book = xml_model.load(_xml_path(store, book_id))
-        if force and book.has_phase("segment"):
-            to_raw_stage(book)
-        if not book.has_phase("characters"):
-            annotate_book(book, config)
-            report.write_if_changed(_xml_path(store, book_id),
-                                    xml_model.serialize(book))
-        return PhaseResult(book_id, "annotate", True)
-    except BinderyError as exc:
-        return _failed(book_id, "annotate", exc)
+# The stamp that marks each of these phases done on a book.
+PHASE_STAMPS = {"annotate": "characters", "analyze": "analytics"}
 
 
-def _analyze_one(args):
-    store, book_id, config, _ = args
+def _annotate(book, config, force):
+    """Annotate ``book`` in place as the annotate phase does.
+
+    Returns whether the book changed. The book is validated as a
+    standalone annotate's serialize would, so an invariant broken by the
+    annotation fails annotate, not a later phase.
+    """
+    if force and book.has_phase("segment"):
+        to_raw_stage(book)
+    if book.has_phase("characters"):
+        return False
+    annotate_book(book, config)
+    xml_model.validate(book)
+    return True
+
+
+def _analyze(store, book_id, book, config):
+    """Write an annotated book's book.json, stamped book.xml and lemma file.
+
+    Everything is computed before the first write, so a failure writes
+    nothing. Only the serialize comes after ``book`` gets the ``analytics``
+    stamp, and it cannot fail on a book that ``_annotate`` validated.
+    """
+    payload = build_book_payload(book, config)
+    lemmas = analytics_book.lemma_sequence(book)
+    book.add_phase("analytics")
+    data = xml_model.serialize(book).encode("utf-8")
+    report.dump_json(payload, _book_dir(store, book_id) / "book.json")
+    report.write_if_changed(_xml_path(store, book_id), data)
+    report.dump_json({"xml_sha256": hashlib.sha256(data).hexdigest(),
+                      "lemmas": lemmas},
+                     _book_dir(store, book_id) / LEMMAS_FILE)
+
+
+def _annotate_analyze_one(args):
+    """Run ``phases``, annotate and/or analyze in that order, on one book.
+
+    The book is parsed once and its book.xml written once. The results
+    are those of running the phases one after another: a failed load
+    fails every phase; after a failed annotate, analyze runs on the
+    book.xml still on disk; after a failed analyze, the annotation is
+    still written.
+    """
+    store, book_id, config, phases, force = args
+    path = _xml_path(store, book_id)
     try:
-        book = xml_model.load(_xml_path(store, book_id))
-        payload = build_book_payload(book, config)
-        report.dump_json(payload, _book_dir(store, book_id) / "book.json")
-        book.add_phase("analytics")
-        data = xml_model.serialize(book).encode("utf-8")
-        report.write_if_changed(_xml_path(store, book_id), data)
-        report.dump_json({"xml_sha256": hashlib.sha256(data).hexdigest(),
-                          "lemmas": analytics_book.lemma_sequence(book)},
-                         _book_dir(store, book_id) / LEMMAS_FILE)
-        return PhaseResult(book_id, "analyze", True)
+        book = xml_model.load(path)
     except BinderyError as exc:
-        return _failed(book_id, "analyze", exc)
+        return [_failed(book_id, phase, exc) for phase in phases]
+    errors = {}
+    unwritten = False  # book holds an annotation that book.xml lacks
+    if "annotate" in phases:
+        try:
+            unwritten = _annotate(book, config, force)
+        except BinderyError as exc:
+            errors["annotate"] = exc
+    if "analyze" in phases:
+        try:
+            if "annotate" in errors:
+                book = xml_model.load(path)
+            _analyze(store, book_id, book, config)
+            unwritten = False
+        except BinderyError as exc:
+            errors["analyze"] = exc
+    if unwritten:
+        report.write_if_changed(path, xml_model.serialize(book))
+    return [_failed(book_id, phase, errors[phase]) if phase in errors
+            else PhaseResult(book_id, phase, True) for phase in phases]
 
 
 def _pool_map(worker, args_list, jobs):
@@ -732,37 +769,43 @@ def _pool_map(worker, args_list, jobs):
         return list(pool.map(worker, args_list))
 
 
-def _run_stale(phase, stamp, worker, store, config, force):
-    """Run ``worker`` over the kept books that lack ``stamp`` (all if forced).
+def _run_stale(phases, store, config, force):
+    """Run ``phases`` (annotate and/or analyze) over the kept books.
 
-    Up-to-date books are answered here from their ``<meta>``, so they are
-    neither fully parsed nor sent to a worker, and a run with nothing
-    pending starts no pool.
+    Unless forced, one ``<meta>`` read per book finds the phases whose
+    stamps it lacks (see ``PHASE_STAMPS``); only such a book goes to a
+    worker, for those phases. Up-to-date books are neither fully parsed
+    nor sent, and a run with nothing pending starts no pool. Returns one
+    result per book per phase, phase by phase.
     """
     book_ids = kept_book_ids(store)
     results = {}
-    if not force:
-        for book_id in book_ids:
+    stale = []
+    for book_id in book_ids:
+        todo = phases
+        if not force:
             try:
-                if _stamped(store, book_id, stamp):
-                    results[book_id] = PhaseResult(book_id, phase, True)
+                _, stamps = xml_model.load_head(_xml_path(store, book_id))
             except BinderyError as exc:
-                results[book_id] = _failed(book_id, phase, exc)
-    stale = [(store, book_id, config, force) for book_id in book_ids
-             if book_id not in results]
-    for result in _pool_map(worker, stale, config.jobs):
-        results[result.book_id] = result
-    return [results[book_id] for book_id in book_ids]
+                results.update(((book_id, phase), _failed(book_id, phase, exc))
+                               for phase in phases)
+                continue
+            todo = tuple(phase for phase in phases
+                         if PHASE_STAMPS[phase] not in stamps)
+        if todo:
+            stale.append((store, book_id, config, todo, force))
+    for book_results in _pool_map(_annotate_analyze_one, stale, config.jobs):
+        results.update(((r.book_id, r.phase), r) for r in book_results)
+    return [results.get((book_id, phase)) or PhaseResult(book_id, phase, True)
+            for phase in phases for book_id in book_ids]
 
 
 def run_annotate(store, config, force=False):
-    return _run_stale("annotate", "characters", _annotate_one, store, config,
-                      force)
+    return _run_stale(("annotate",), store, config, force)
 
 
 def run_analyze(store, config, force=False):
-    return _run_stale("analyze", "analytics", _analyze_one, store, config,
-                      force)
+    return _run_stale(("analyze",), store, config, force)
 
 
 def run_corpus_stats(store, config, force=False):
@@ -843,8 +886,23 @@ def run_report(store, config, force=False):
 
 
 def run_all(in_dir, store, config, force=False):
-    results = run_ingest(in_dir, store, config, force=force)
-    results.extend(run_dedup(store, config, force=force))
-    for runner in (run_annotate, run_analyze, run_corpus_stats, run_report):
-        results.extend(runner(store, config, force=force))
+    """Every phase in order; annotate and analyze share one pass per book.
+
+    Logs each phase runner's wall time and book count at DEBUG.
+    """
+    runners = (
+        ("ingest", lambda: run_ingest(in_dir, store, config, force=force)),
+        ("dedup", lambda: run_dedup(store, config, force=force)),
+        ("annotate+analyze",
+         lambda: _run_stale(("annotate", "analyze"), store, config, force)),
+        ("corpus-stats", lambda: run_corpus_stats(store, config, force=force)),
+        ("report", lambda: run_report(store, config, force=force)),
+    )
+    results = []
+    for name, runner in runners:
+        start = time.perf_counter()
+        phase_results = runner()
+        log.debug("%s: %.3f s, %d book(s)", name, time.perf_counter() - start,
+                  len({r.book_id for r in phase_results}))
+        results.extend(phase_results)
     return results

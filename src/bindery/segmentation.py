@@ -15,12 +15,10 @@ import logging
 import re
 
 from . import lexicons
+from .config import Config
 from .xml_model import Header, Paragraph, Section
 
 log = logging.getLogger(__name__)
-
-MAX_HEADER_LEN = 60
-GAP_TOLERANCE = 1
 
 # -- number words -------------------------------------------------------------
 
@@ -151,7 +149,7 @@ _BARE_SPELLED = re.compile(r"^(?:the\s+)?([A-Za-z]+(?:[-\s][A-Za-z]+)?)\s*\.?$",
                            re.IGNORECASE)
 
 
-def detect_headers(body_lines, max_len=MAX_HEADER_LEN, lexicon_dir=""):
+def detect_headers(body_lines, max_len=Config.header_max_len, lexicon_dir=""):
     """Scan lines for section header candidates.
 
     Returns ``[(line_index, Header), ...]`` in document order. A candidate
@@ -198,7 +196,8 @@ def _match_header(stripped, keywords, keyword_re):
 # -- numbering consistency --------------------------------------------------------
 
 
-def enforce_numbering_consistency(candidates, gap_tolerance=GAP_TOLERANCE):
+def enforce_numbering_consistency(
+        candidates, gap_tolerance=Config.numbering_gap_tolerance):
     """Keep, per keyword kind, the longest run of numbers counting up from 1.
 
     ``candidates`` is the document-ordered output of :func:`detect_headers`.
@@ -270,8 +269,8 @@ def _longest_run(numbers, gap_tolerance):
 # -- section assembly --------------------------------------------------------------
 
 
-def segment(body_text, max_len=MAX_HEADER_LEN, gap_tolerance=GAP_TOLERANCE,
-            lexicon_dir=""):
+def segment(body_text, max_len=Config.header_max_len,
+            gap_tolerance=Config.numbering_gap_tolerance, lexicon_dir=""):
     """Split cleaned body text into sections of raw paragraphs.
 
     Every body line lands in exactly one section; the text before the first

@@ -8,13 +8,14 @@ import subprocess
 import sys
 import traceback
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from bindery import analytics_book, dedup, pipeline, xml_model
 from bindery.cli import main
 from bindery.config import Config
-from bindery.errors import TooShortError
+from bindery.errors import BinderyError, TooShortError
 from conftest import BOOKS
 from generators import random_book
 
@@ -175,25 +176,132 @@ def test_progress_log_lines(raw_dir, smoke_config, tmp_path):
     assert all(l["phase"] == "ingest" and l["status"] == "ok" for l in lines)
 
 
-def test_phase_sequence_matches_all(raw_dir, smoke_config, tmp_path):
+def _store_files(store):
+    return {str(p.relative_to(store)): p.read_bytes()
+            for p in sorted(store.rglob("*")) if p.is_file()}
+
+
+def _inject_pg1001_failure(monkeypatch, failure):
+    """Make pg1001 fail at ``failure``.
+
+    "load" fails every read of pg1001's book.xml, full or ``<meta>`` only;
+    "annotate" fails after segmentation and tagging changed the book;
+    "invariant" lets annotate leave a book that cannot be serialized;
+    "analyze" fails while building the book's payload.
+    """
+    def failing(real, hits_pg1001):
+        def wrapper(*args, **kwargs):
+            if hits_pg1001(args[0]):
+                raise BinderyError(f"injected {failure} failure")
+            return real(*args, **kwargs)
+        return wrapper
+
+    def mistagging(book, config):
+        real_characters_book(book, config)
+        if book.meta.source_id == "pg1001":
+            next(book.iter_tokens()).pos = "BAD"
+        return book
+
+    if failure == "load":
+        for name in ("load", "load_head"):
+            monkeypatch.setattr(xml_model, name, failing(
+                getattr(xml_model, name),
+                lambda path: Path(path).parent.name == "pg1001"))
+    elif failure == "invariant":
+        real_characters_book = pipeline.characters_book
+        monkeypatch.setattr(pipeline, "characters_book", mistagging)
+    else:
+        name = {"annotate": "characters_book",
+                "analyze": "build_book_payload"}[failure]
+        monkeypatch.setattr(pipeline, name, failing(
+            getattr(pipeline, name),
+            lambda book: book.meta.source_id == "pg1001"))
+
+
+def _assert_all_matches_steps(raw_dir, config, tmp_path, monkeypatch,
+                              flags=(), failure=None):
+    """``all`` leaves the store and progress log the phases one by one do.
+
+    Under ``--force`` both runs start from the same finished store.
+    Returns the progress lines of the ``all`` run.
+    """
     store_all = tmp_path / "store_all"
-    run("--config", str(smoke_config), "all",
-        "--in", str(raw_dir), "--out", str(store_all))
     store_steps = tmp_path / "store_steps"
-    for argv in (["ingest", "--in", str(raw_dir), "--out", str(store_steps)],
-                 ["dedup", "--out", str(store_steps)],
-                 ["annotate", "--out", str(store_steps)],
-                 ["analyze", "--out", str(store_steps)],
-                 ["corpus-stats", "--out", str(store_steps)],
-                 ["report", "--out", str(store_steps)]):
-        assert run("--config", str(smoke_config), *argv) == 0
-    for book_id in ("pg730", "pg1001", "pg1002"):
-        a = (store_all / book_id / "book.json").read_bytes()
-        b = (store_steps / book_id / "book.json").read_bytes()
-        assert a == b
-        a = (store_all / book_id / "book.xml").read_bytes()
-        b = (store_steps / book_id / "book.xml").read_bytes()
-        assert a == b
+    if "--force" in flags:
+        assert run("--config", str(config), "all", "--in", str(raw_dir),
+                   "--out", str(store_all)) == 0
+        shutil.copytree(store_all, store_steps)
+    if failure is not None:
+        _inject_pg1001_failure(monkeypatch, failure)
+    status_all = run("--config", str(config), *flags, "all",
+                     "--in", str(raw_dir), "--out", str(store_all))
+    status_steps = 0
+    for phase in PHASES:
+        argv = ["--in", str(raw_dir)] if phase == "ingest" else []
+        status_steps |= run("--config", str(config), *flags, phase, *argv,
+                            "--out", str(store_steps))
+    assert status_all == status_steps == (failure is not None)
+    assert _store_files(store_all) == _store_files(store_steps)
+    return progress_lines(store_all)
+
+
+def test_phase_sequence_matches_all(raw_dir, smoke_config, tmp_path,
+                                    monkeypatch):
+    lines = _assert_all_matches_steps(raw_dir, smoke_config, tmp_path,
+                                      monkeypatch)
+    assert all(l["status"] == "ok" for l in lines)
+
+
+# Failures are injected only into in-process runs: a monkeypatch reaches
+# pool workers only where they are forked.
+@pytest.mark.parametrize("flags, failure", [
+    pytest.param(flags, failure, id=f"{name}-{failure or 'ok'}")
+    for name, flags, failures in (
+        ("plain", (), ("load", "annotate", "invariant", "analyze")),
+        ("jobs2", ("--jobs", "2"), (None,)),
+        ("force", ("--force",), (None, "load", "annotate", "invariant",
+                                 "analyze")))
+    for failure in failures])
+def test_phase_sequence_matches_all_under(raw_dir, smoke_config, tmp_path,
+                                          monkeypatch, flags, failure):
+    lines = _assert_all_matches_steps(raw_dir, smoke_config, tmp_path,
+                                      monkeypatch, flags, failure)
+    pg1001 = {l["phase"]: l["error"] for l in lines if l["book"] == "pg1001"
+              and l["phase"] in ("annotate", "analyze")}
+    xml_path = tmp_path / "store_all" / "pg1001" / "book.xml"
+    if failure == "load":
+        assert pg1001["annotate"] == pg1001["analyze"] == (
+            "injected load failure")
+    elif failure in ("annotate", "invariant"):
+        assert pg1001["annotate"] == (
+            "injected annotate failure" if failure == "annotate"
+            else "token 0: bad pos 'BAD'")
+        # Analyze reads what is on disk: the ingest stage, also under
+        # --force, where ingest has just rewritten it.
+        assert "'characters'" in pg1001["analyze"]
+    elif failure == "analyze":
+        assert pg1001 == {"annotate": None,
+                          "analyze": "injected analyze failure"}
+        assert xml_model.load_head(xml_path)[1] == [
+            "ingest", "segment", "linguistic", "characters"]
+    else:
+        assert all(l["status"] == "ok" for l in lines)
+
+
+def test_failed_forced_annotate_leaves_analyze_the_earlier_annotation(
+        fixture_store, tmp_path, monkeypatch):
+    config_path, store = fixture_store
+    config = Config.load(config_path)
+    steps = tmp_path / "steps"
+    shutil.copytree(store, steps)
+    _inject_pg1001_failure(monkeypatch, "annotate")
+    together = pipeline._run_stale(("annotate", "analyze"), store, config, True)
+    one_by_one = (pipeline.run_annotate(steps, config, force=True)
+                  + pipeline.run_analyze(steps, config, force=True))
+    assert together == one_by_one
+    assert [(r.book_id, r.phase) for r in together if not r.ok] == [
+        ("pg1001", "annotate")]
+    assert _store_files(store) == _store_files(steps)
 
 
 def test_force_rerun_reproduces_identical_store(raw_dir, smoke_config,
@@ -296,6 +404,15 @@ def test_noop_all_full_parses_no_book(fixture_store, parse_callers):
     config, store = fixture_store
     assert rerun_all(config, store) == 0
     assert parse_callers == {}
+
+
+def test_forced_all_full_parses_each_kept_book_once_after_dedup(
+        fixture_store, parse_callers):
+    config, store = fixture_store
+    assert rerun_all(config, store, "--force") == 0
+    # Dedup fingerprints every book; annotate and analyze share one parse
+    # per kept book, under run_all; corpus-stats and report parse none.
+    assert parse_callers == {"run_dedup": 5, "run_all": 5}
 
 
 def test_every_kept_book_has_lemma_file_matching_its_xml(fixture_store):
@@ -469,6 +586,32 @@ def test_corrupt_body_is_reported_by_first_full_parse(fixture_store, caplog):
     assert "all: 4 book(s) ok, 1 failed" in caplog.messages
     for book_id in ("pg730", "pg1002", "pg1003", "pg1004"):
         assert (store / book_id / "index.html").exists()
+
+
+@pytest.mark.parametrize("command", ["annotate", "all"])
+def test_each_failed_book_phase_is_logged_once(fixture_store, caplog, command):
+    config, store = fixture_store
+    (store / "pg1001" / "book.xml").write_text("garbage", encoding="utf-8")
+    argv = ["--in", str(BOOKS)] if command == "all" else []
+    assert run("--config", str(config), command, *argv,
+               "--out", str(store)) == 1
+    failed = [l for l in progress_lines(store) if l["status"] == "error"]
+    assert {l["book"] for l in failed} == {"pg1001"}
+    assert len(failed) == (1 if command == "annotate" else len(PHASES))
+    assert [r.message for r in caplog.records
+            if r.levelno == logging.ERROR] == [
+        f"pg1001: {l['phase']}: {l['error']}" for l in failed]
+
+
+def test_all_logs_each_phase_runner_time_at_debug(fixture_store, caplog):
+    caplog.set_level(logging.DEBUG)
+    config, store = fixture_store
+    assert rerun_all(config, store, "-v") == 0
+    timings = [re.fullmatch(r"(\S+): \d+\.\d{3} s, (\d+) book\(s\)", r.message)
+               for r in caplog.records if r.name == "bindery.pipeline"]
+    assert [(m[1], m[2]) for m in timings if m] == [
+        ("ingest", "5"), ("dedup", "5"), ("annotate+analyze", "5"),
+        ("corpus-stats", "5"), ("report", "5")]
 
 
 # -- dedup memo ---------------------------------------------------------------
