@@ -6,14 +6,15 @@ counts produced by the baseline linguistic pass (words exclude punctuation
 tokens; syllables come from the vowel-group rule; familiar-word lists are
 the bundled data files). Book vectors are trained with
 distributed-bag-of-words paragraph vectors and negative sampling.
+
+numpy is imported inside the functions that compute with it, so importing
+this module, as every CLI run does, does not load it.
 """
 
 import struct
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import lexicons
 from .errors import AnalyticsError, ParseError
@@ -213,7 +214,7 @@ def strip_stopwords(lemmas, lexicon_dir=""):
 @dataclass
 class VectorStore:
     ids: list
-    vectors: np.ndarray  # float32, unit rows, one per id
+    vectors: "numpy.ndarray"  # float32, unit rows, one per id
 
     def vector(self, book_id):
         try:
@@ -237,6 +238,8 @@ class VectorStore:
     @classmethod
     def load(cls, path):
         """Read a saved store; a damaged file raises :class:`ParseError`."""
+        import numpy as np
+
         data = Path(path).read_bytes()
         if data[:4] != b"BPV1":
             raise ParseError(f"not a vector store file: {path}")
@@ -265,10 +268,12 @@ class VectorStore:
 
 
 def _sigmoid(x):
+    import numpy as np
+
     return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
 
 
-def train_embeddings(streams, dim=100, window=5, epochs=10, min_count=100,
+def train_embeddings(streams, dim=100, epochs=10, min_count=100,
                      vocab_max=200000, negatives=5, learning_rate=0.025,
                      seed=13, batch=64):
     """Train distributed-bag-of-words book vectors with negative sampling.
@@ -280,12 +285,11 @@ def train_embeddings(streams, dim=100, window=5, epochs=10, min_count=100,
     over the scheduled updates. Training order is fixed (sorted book ids),
     so results are deterministic given the seed and independent of the
     input dictionary order. Output vectors are unit-normalized.
-
-    ``window`` is recorded for config compatibility; bag-of-words training
-    predicts every token of a document from its vector, so no context
-    window applies.
+    Bag-of-words training predicts every token of a document from its
+    vector, so no context window applies.
     """
-    del window
+    import numpy as np
+
     ids = sorted(streams)
     if not ids:
         raise AnalyticsError("no books to train on")

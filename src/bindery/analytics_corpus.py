@@ -3,12 +3,11 @@
 Rank-share curves with Benford/Zipf reference distributions, the top-2
 mention ratio distribution with outliers, protagonist gender over
 publication time, pairwise POS correlations, and percentile placement of a
-book within a population.
+book within a population. numpy is imported only by the functions that
+use it.
 """
 
 import math
-
-import numpy as np
 
 from .errors import AnalyticsError
 from .xml_model import ANALYZED_POS
@@ -65,6 +64,8 @@ def top2_ratio_distribution(items, threshold=10.0, bins=20):
     if lo == hi:
         histogram = [{"lo": lo, "hi": hi, "count": len(ratios)}]
         return {"histogram": histogram, "outliers": outliers}
+    import numpy as np
+
     edges = np.logspace(math.log10(lo), math.log10(hi), bins + 1)
     edges[0], edges[-1] = lo, hi
     counts = [0] * bins
@@ -120,6 +121,8 @@ def pos_correlations(per_book_percentages):
     """
     if len(per_book_percentages) < 3:
         raise AnalyticsError("need at least 3 books for POS correlations")
+    import numpy as np
+
     data = np.array([[row[tag] for tag in ANALYZED_POS]
                      for row in per_book_percentages], dtype=np.float64)
     centered = data - data.mean(axis=0)

@@ -46,7 +46,6 @@ class Config:
     vocab_top_common: int = 10000
     vocab_list_len: int = 20
     embed_dim: int = 100
-    embed_window: int = 5
     embed_epochs: int = 10
     embed_min_count: int = 100
     embed_vocab_max: int = 200000

@@ -5,7 +5,8 @@ Books are fingerprinted with normalized title/author strings plus a
 entries are duplicates when title and author both match or when the
 estimated content similarity reaches the configured threshold; duplicate
 groups are closed transitively (union-find) and one representative is kept
-per group.
+per group. numpy is imported only by the functions that hash, so a run
+that reuses every fingerprint does not load it.
 """
 
 import hashlib
@@ -14,8 +15,6 @@ import random
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ParseError, TooShortError
 from .ingest import strip_diacritics
@@ -61,6 +60,8 @@ class BookFingerprint:
 
 
 def _hash_params(num_hashes, seed):
+    import numpy as np
+
     rnd = random.Random(seed)
     a = np.array([rnd.getrandbits(64) | 1 for _ in range(num_hashes)],
                  dtype=np.uint64)
@@ -70,6 +71,8 @@ def _hash_params(num_hashes, seed):
 
 
 def _base_hashes(shingles):
+    import numpy as np
+
     values = np.empty(len(shingles), dtype=np.uint64)
     for i, shingle in enumerate(sorted(shingles)):
         digest = hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest()
@@ -88,6 +91,8 @@ def fingerprint(text, title="", author="", num_hashes=NUM_HASHES,
     pipeline passes the run seed (``config.seed``), so ``--seed`` changes
     the signatures, and the dedup memo key in the index records it.
     """
+    import numpy as np
+
     shingles = shingle_set(text, shingle_size=shingle_size)
     base = _base_hashes(shingles)
     a, b = _hash_params(num_hashes, seed)

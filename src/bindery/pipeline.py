@@ -11,7 +11,9 @@ write per book. Dedup reuses a book's fingerprint while the ingest body
 digest in its ``<meta>`` matches the one in the previous index. After analyze, a
 book's lemma sequence is read from its ``lemmas.json`` while the digest
 recorded there matches ``book.xml``, so corpus-stats and report parse only
-books whose XML changed since.
+books whose XML changed since. Corpus-stats and report skip work whose
+recorded input digests still match (see "memos" below), so an unchanged
+store is re-run without importing numpy.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ import logging
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import analytics_book, analytics_corpus, characters, dedup, ingest
@@ -38,6 +40,21 @@ INDEX_FILE = "index.jsonl"
 LEMMAS_FILE = "lemmas.json"
 VECTORS_FILE = "vectors.bin"
 PROGRESS_FILE = "progress.jsonl"
+# What corpus-stats writes under _corpus/, and what every report page reads.
+CORPUS_OUTPUTS = (report.CORPUS_JSON, LEMMAS_FILE, VECTORS_FILE)
+CORPUS_STATS_MEMO = "corpus-stats.memo"
+REPORT_MEMO = "report.memo"
+# What report writes per book (book.json enriched) and for the corpus.
+BOOK_PAGES = ("book.json", "index.html")
+CORPUS_PAGES = ("corpus.html", "authors.html", "subjects.html")
+# The book.json fields that report fills in; analyze writes them null.
+ENRICHED_FIELDS = ("vocabulary", "similar", "placement")
+LEMMA_MODEL_SCHEMA = {
+    "type": "object", "required": ["total", "common"],
+    "properties": {
+        "total": {"type": "integer"},
+        "common": {"type": "object",
+                   "additionalProperties": {"type": "integer"}}}}
 
 
 # -- source discovery -----------------------------------------------------------
@@ -503,12 +520,30 @@ def kept_book_ids(store):
     return [book_id for book_id in ids if book_id not in duplicates]
 
 
-def _read_json(path):
-    """A JSON store file; a truncated or malformed one raises ParseError."""
+def _read_json(path, schema, kind):
+    """A JSON store file that matches ``schema``, a ``kind`` document.
+
+    A truncated or malformed file, or one of the wrong shape, raises
+    ParseError.
+    """
     try:
-        return json.loads(path.read_bytes())
+        payload = json.loads(path.read_bytes())
     except ValueError as exc:
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
+    errors = report.validate_schema(payload, schema)
+    if errors:
+        raise ParseError(f"{path}: not a {kind} document: "
+                         + "; ".join(errors[:3]))
+    return payload
+
+
+def _json_object(path):
+    """A JSON file's object; {} if it is missing, malformed or not one."""
+    try:
+        payload = json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return {}
+    return payload if isinstance(payload, dict) else {}
 
 
 def _sidecar_lemmas(path, xml_sha256):
@@ -516,14 +551,10 @@ def _sidecar_lemmas(path, xml_sha256):
 
     A missing, unreadable, malformed or stale file gives None.
     """
-    try:
-        sidecar = json.loads(path.read_bytes())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(sidecar, dict) or sidecar.get("xml_sha256") != xml_sha256:
-        return None
+    sidecar = _json_object(path)
     lemmas = sidecar.get("lemmas")
-    if not isinstance(lemmas, list) or not all(isinstance(w, str) for w in lemmas):
+    if (sidecar.get("xml_sha256") != xml_sha256 or not isinstance(lemmas, list)
+            or not all(isinstance(w, str) for w in lemmas)):
         return None
     return lemmas
 
@@ -536,12 +567,12 @@ def _book_lemmas(store, book_id, phase):
     carry the ``analytics`` stamp, so a corrupt or edited book fails
     ``phase`` just as a full parse does.
     """
-    data = _xml_path(store, book_id).read_bytes()
+    path = _xml_path(store, book_id)
     lemmas = _sidecar_lemmas(_book_dir(store, book_id) / LEMMAS_FILE,
-                             hashlib.sha256(data).hexdigest())
+                             _file_digest(path))
     if lemmas is not None:
         return lemmas
-    book = xml_model.parse(data)
+    book = xml_model.load(path)
     _require(book, phase, "analytics")
     return analytics_book.lemma_sequence(book)
 
@@ -555,12 +586,77 @@ def _analyzed_book(store, book_id, phase, book_schema):
     if not json_path.exists():
         raise MissingPhaseError(phase, "analytics")
     lemmas = _book_lemmas(store, book_id, phase)
-    payload = _read_json(json_path)
-    errors = report.validate_schema(payload, book_schema)
-    if errors:
-        raise ParseError(f"{json_path}: not a bindery.book/1 document: "
-                         + "; ".join(errors[:3]))
-    return payload, lemmas
+    return _read_json(json_path, book_schema, "bindery.book/1"), lemmas
+
+
+# -- memos ---------------------------------------------------------------------
+# An output is current iff the digest of its inputs, recorded beside it when
+# it was written, still matches: the "verifying traces" of Mokhov, Mitchell
+# and Peyton Jones, "Build Systems a la Carte" (ICFP 2018). --force reads no
+# memo and records the one a cold run records.
+
+
+def _file_digest(path):
+    """SHA-256 of a file's bytes; None when it is missing or unreadable."""
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        return None
+
+
+def _parts_digest(parts):
+    """SHA-256 of a list of strings and Nones."""
+    return hashlib.sha256(json.dumps(parts).encode("utf-8")).hexdigest()
+
+
+def _config_digest(config):
+    """Digest of every config key but ``jobs``, and of the bindery version."""
+    from . import __version__  # looked up per call, not frozen at import
+    settings = asdict(config)
+    del settings["jobs"]
+    return _parts_digest([__version__, json.dumps(settings, sort_keys=True)])
+
+
+def _bare_digest(path):
+    """Digest of a book.json with its ``ENRICHED_FIELDS`` set to null.
+
+    This is the same after analyze writes the file and after report
+    rewrites it. None when the file holds no JSON object, or an empty one.
+    """
+    payload = _json_object(path)
+    if not payload:
+        return None
+    payload.update(dict.fromkeys(ENRICHED_FIELDS))
+    return _parts_digest([json.dumps(payload, sort_keys=True)])
+
+
+def _corpus_outputs(store):
+    return [_file_digest(_corpus_path(store, name)) for name in CORPUS_OUTPUTS]
+
+
+def _lemma_sources(store, book_id):
+    """Digests of a book's book.xml and lemmas.json, its lemmas' sources."""
+    book_dir = _book_dir(store, book_id)
+    return [_file_digest(book_dir / "book.xml"),
+            _file_digest(book_dir / LEMMAS_FILE)]
+
+
+def _corpus_stats_inputs(store, book_ids, config):
+    """Digest of everything corpus-stats reads for the kept ``book_ids``."""
+    parts = [_config_digest(config)]
+    for book_id in book_ids:
+        parts += [book_id, *_lemma_sources(store, book_id),
+                  _bare_digest(_book_dir(store, book_id) / "book.json")]
+    return _parts_digest(parts)
+
+
+def _pages_digest(inputs, directory, names):
+    """Digest of ``inputs`` and of the pages ``names`` in ``directory``."""
+    return _parts_digest(inputs + [_file_digest(directory / name)
+                                   for name in names])
+
+
+# -- phase runners ----------------------------------------------------------------
 
 
 def run_ingest(in_dir, store, config, force=False):
@@ -809,13 +905,27 @@ def run_analyze(store, config, force=False):
 
 
 def run_corpus_stats(store, config, force=False):
-    del force  # corpus stats are cheap; always recomputed
+    """Write corpus.json, the corpus lemma model and the book vectors.
+
+    Unless forced, nothing is read, trained or written while the memo's
+    digests of the inputs (``_corpus_stats_inputs``) and of the outputs
+    both match. The memo is recorded only when every kept book succeeded.
+    """
+    book_ids = kept_book_ids(store)
+    memo_path = _corpus_path(store, CORPUS_STATS_MEMO)
+    inputs = _corpus_stats_inputs(store, book_ids, config)
+    if not force and _json_object(memo_path) == {
+            "inputs": inputs, "outputs": _corpus_outputs(store)}:
+        log.debug("corpus-stats: inputs unchanged, %d book(s) reused",
+                  len(book_ids))
+        return [PhaseResult(book_id, "corpus-stats", True)
+                for book_id in book_ids]
     payloads = []
     lemma_counter = Counter()
     streams = {}
     results = []
     book_schema = report.load_schema("book.schema.json")
-    for book_id in kept_book_ids(store):
+    for book_id in book_ids:
         try:
             payload, lemmas = _analyzed_book(store, book_id, "corpus-stats",
                                              book_schema)
@@ -844,8 +954,8 @@ def run_corpus_stats(store, config, force=False):
 
     try:
         vectors = analytics_book.train_embeddings(
-            streams, dim=config.embed_dim, window=config.embed_window,
-            epochs=config.embed_epochs, min_count=config.embed_min_count,
+            streams, dim=config.embed_dim, epochs=config.embed_epochs,
+            min_count=config.embed_min_count,
             vocab_max=config.embed_vocab_max, negatives=config.embed_negatives,
             learning_rate=config.embed_learning_rate, seed=config.seed)
         vectors.save(_corpus_path(store, VECTORS_FILE))
@@ -854,34 +964,76 @@ def run_corpus_stats(store, config, force=False):
         vectors_path = _corpus_path(store, VECTORS_FILE)
         if vectors_path.exists():
             vectors_path.unlink()
+    if all(result.ok for result in results):
+        report.dump_json({"inputs": inputs, "outputs": _corpus_outputs(store)},
+                         memo_path)
     return results
 
 
 def run_report(store, config, force=False):
-    del force
+    """Write each kept book's pages and the corpus pages.
+
+    Unless forced, a book keeps its pages while the digest of what they
+    are made from (the corpus-stats outputs and the book's
+    ``_lemma_sources``) and of the pages matches its record in the report
+    memo; the corpus pages are kept likewise under the ``_corpus`` record.
+    corpus.json is read only when some page is stale, and the corpus
+    lemma model and the vectors only when some book's page is.
+    """
     stats_path = _corpus_path(store, report.CORPUS_JSON)
     if not stats_path.exists():
         raise MissingPhaseError("report", "analytics")
-    stats = _read_json(stats_path)
-    lemmas_path = _corpus_path(store, LEMMAS_FILE)
-    lemma_model = _read_json(lemmas_path) if lemmas_path.exists() else None
-    vectors_path = _corpus_path(store, VECTORS_FILE)
-    vectors = (analytics_book.VectorStore.load(vectors_path)
-               if vectors_path.exists() else None)
+    corpus_key = [_config_digest(config), *_corpus_outputs(store)]
+    corpus_dir = _corpus_path(store, "")
+    book_ids = kept_book_ids(store)
+    memo_path = _corpus_path(store, REPORT_MEMO)
+    memo = {} if force else _json_object(memo_path)
+    inputs = {book_id: corpus_key + _lemma_sources(store, book_id)
+              for book_id in book_ids}
+    stale = {book_id for book_id in book_ids if memo.get(book_id)
+             != _pages_digest(inputs[book_id], _book_dir(store, book_id),
+                              BOOK_PAGES)}
+    corpus_current = memo.get(CORPUS_DIR) == _pages_digest(
+        corpus_key, corpus_dir, CORPUS_PAGES)
+    if stale or not corpus_current:
+        stats = _read_json(stats_path,
+                           report.load_schema("corpus.schema.json"),
+                           "bindery.corpus/1")
+    if stale:
+        lemmas_path = _corpus_path(store, LEMMAS_FILE)
+        lemma_model = (_read_json(lemmas_path, LEMMA_MODEL_SCHEMA,
+                                  "corpus lemma model")
+                       if lemmas_path.exists() else None)
+        vectors_path = _corpus_path(store, VECTORS_FILE)
+        vectors = (analytics_book.VectorStore.load(vectors_path)
+                   if vectors_path.exists() else None)
+        book_schema = report.load_schema("book.schema.json")
 
     results = []
-    book_schema = report.load_schema("book.schema.json")
-    for book_id in kept_book_ids(store):
-        try:
-            payload, lemmas = _analyzed_book(store, book_id, "report",
-                                             book_schema)
-            enrich_book_payload(payload, Counter(lemmas), stats, lemma_model,
-                                vectors, config)
-            report.emit_book_report(payload, _book_dir(store, book_id))
-            results.append(PhaseResult(book_id, "report", True))
-        except BinderyError as exc:
-            results.append(_failed(book_id, "report", exc))
-    report.emit_corpus_report(stats, _corpus_path(store, ""))
+    records = {}  # the memo this run leaves: no record for a failed book
+    for book_id in book_ids:
+        if book_id not in stale:
+            records[book_id] = memo[book_id]
+        else:
+            try:
+                payload, lemmas = _analyzed_book(store, book_id, "report",
+                                                 book_schema)
+                enrich_book_payload(payload, Counter(lemmas), stats,
+                                    lemma_model, vectors, config)
+                report.emit_book_report(payload, _book_dir(store, book_id))
+            except BinderyError as exc:
+                results.append(_failed(book_id, "report", exc))
+                continue
+            records[book_id] = _pages_digest(
+                inputs[book_id], _book_dir(store, book_id), BOOK_PAGES)
+        results.append(PhaseResult(book_id, "report", True))
+    reused = len(book_ids) - len(stale)
+    log.debug("report: %d page(s) reused, %d rendered", reused,
+              len(records) - reused)
+    if not corpus_current:
+        report.emit_corpus_report(stats, corpus_dir)
+    records[CORPUS_DIR] = _pages_digest(corpus_key, corpus_dir, CORPUS_PAGES)
+    report.dump_json(records, memo_path)
     return results
 
 

@@ -199,9 +199,8 @@ def test_criterion_08_duplicate_retrieval_across_seeds():
         streams[f"b{b:02d}"] = [rnd.choice(pool) for _ in range(300)]
     streams["b29"] = list(streams["b07"])  # the duplicated book
     for seed in (1, 2, 3):
-        vectors = train_embeddings(streams, dim=100, window=5, epochs=10,
-                                   min_count=1, negatives=5,
-                                   learning_rate=0.025, seed=seed)
+        vectors = train_embeddings(streams, dim=100, epochs=10, min_count=1,
+                                   negatives=5, learning_rate=0.025, seed=seed)
         assert most_similar("b29", vectors, k=1)[0][0] == "b07", f"seed {seed}"
         assert most_similar("b07", vectors, k=1)[0][0] == "b29", f"seed {seed}"
 

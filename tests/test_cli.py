@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import bindery
 from bindery import analytics_book, dedup, pipeline, xml_model
 from bindery.cli import main
 from bindery.config import Config
@@ -523,8 +525,29 @@ def test_truncated_vectors_fail_report_cleanly(fixture_store, caplog):
                and "vector store" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("name, content, kind", [
+    ("corpus.json", "{}", "bindery.corpus/1"),
+    ("corpus.json", "[]", "bindery.corpus/1"),
+    ("lemmas.json", '{"total": 5}', "corpus lemma model"),
+    ("lemmas.json", '{"total": 5, "common": {"the": "5"}}',
+     "corpus lemma model"),
+    ("lemmas.json", "[]", "corpus lemma model"),
+    ("lemmas.json", "{}", "corpus lemma model"),
+])
+def test_wrong_shape_corpus_file_fails_report_cleanly(fixture_store, caplog,
+                                                      name, content, kind):
+    config, store = fixture_store
+    (store / "_corpus" / name).write_text(content, encoding="utf-8")
+    assert run("--config", str(config), "report", "--out", str(store)) == 1
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert errors[0].message.startswith("report failed: ")
+    assert f"not a {kind} document" in errors[0].message
+
+
 @pytest.mark.parametrize("content", [
-    "nonsense = 1\n", "seed = many\n", "no equals sign\n", None])
+    "nonsense = 1\n", "seed = many\n", "no equals sign\n", None,
+    "embed_window = 5\n"])
 def test_bad_config_is_one_error_line_and_exit_2(tmp_path, caplog, content):
     path = tmp_path / "bad.conf"
     if content is not None:
@@ -612,6 +635,8 @@ def test_all_logs_each_phase_runner_time_at_debug(fixture_store, caplog):
     assert [(m[1], m[2]) for m in timings if m] == [
         ("ingest", "5"), ("dedup", "5"), ("annotate+analyze", "5"),
         ("corpus-stats", "5"), ("report", "5")]
+    assert "corpus-stats: inputs unchanged, 5 book(s) reused" in caplog.messages
+    assert "report: 5 page(s) reused, 0 rendered" in caplog.messages
 
 
 # -- dedup memo ---------------------------------------------------------------
@@ -779,6 +804,162 @@ def test_truncated_index_fails_cleanly_and_dedup_rewrites_it(fixture_store,
     assert run("--config", str(config), "annotate", "--out", str(store)) == 0
 
 
+# -- corpus-stats and report memos ---------------------------------------------
+
+
+def _store_bytes(store):
+    return {p.relative_to(store).as_posix(): p.read_bytes()
+            for p in sorted(store.rglob("*"))
+            if p.is_file() and p.name != "progress.jsonl"}
+
+
+def _memo_lines(caplog):
+    return [r.message for r in caplog.records
+            if re.match(r"corpus-stats: inputs|report: \d+ page", r.message)]
+
+
+def _assert_memo_runs_match_forced(config, store, caplog, flags, expected):
+    """corpus-stats and report as a forced run leaves them, with ``expected``
+    memo lines.
+
+    The two phases run on ``store`` with their memos and, with --force, on
+    a copy; exit statuses, progress lines and store bytes must agree.
+    Returns the statuses.
+    """
+    (store / "_corpus" / "progress.jsonl").unlink(missing_ok=True)
+    forced = store.parent / "forced"
+    shutil.copytree(store, forced)
+    caplog.set_level(logging.DEBUG)
+    statuses = []
+    for root, force in ((store, ()), (forced, ("--force",))):
+        caplog.clear()
+        statuses.append([run("--config", str(config), "-v", *flags, *force,
+                             phase, "--out", str(root))
+                         for phase in ("corpus-stats", "report")])
+        if root == store:
+            assert _memo_lines(caplog) == expected
+    assert statuses[0] == statuses[1]
+    logs = [(root / "_corpus" / "progress.jsonl").read_text(
+        encoding="utf-8").replace(str(root), "<store>")
+        for root in (store, forced)]
+    assert logs[0] == logs[1]
+    assert _store_bytes(store) == _store_bytes(forced)
+    shutil.rmtree(forced)
+    return statuses[0]
+
+
+def _edit_bare_field(path):
+    payload = json.loads(path.read_bytes())
+    payload["meta"]["title"] = "A Title Edited by Hand"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def _damage_memos(corpus_dir):
+    (corpus_dir / "corpus-stats.memo").write_text('{"inputs": "', "utf-8")
+    (corpus_dir / "report.memo").write_text("[]", encoding="utf-8")
+
+
+def _delete_memos(corpus_dir):
+    for name in ("corpus-stats.memo", "report.memo"):
+        (corpus_dir / name).unlink()
+
+
+# name -> (change to the store, corpus-stats memo hits, pages re-rendered)
+# A change is applied to a book, to _corpus/, or to the run as flags.
+MEMO_CASES = {
+    "unchanged": (None, True, "none"),
+    "jobs": (["--jobs", "2"], True, "none"),
+    "book.xml edited": (("book", "lemmas.json", _edit_xml), False, "one"),
+    "book.json bare field": (("book", "book.json", _edit_bare_field), False,
+                             "all"),
+    "lemmas.json deleted": (("book", "lemmas.json", _delete), False, "one"),
+    "lemmas.json damaged": (("book", "lemmas.json", _truncate), False, "one"),
+    "index.html deleted": (("book", "index.html", _delete), True, "one"),
+    "corpus.html deleted": (("corpus", "corpus.html", _delete), True, "none"),
+    "corpus.json damaged": (("corpus", "corpus.json", _truncate), False,
+                            "none"),
+    "vectors.bin damaged": (("corpus", "vectors.bin", _truncate), False,
+                            "none"),
+    "seed": (["--seed", "99"], False, "all"),
+    "config key": ("BINDERY_SIMILAR_TOP_K", False, "all"),
+    "version": ("__version__", False, "all"),
+    "memos damaged": (("corpus", "", _damage_memos), False, "all"),
+    "memos deleted": (("corpus", "", _delete_memos), False, "all"),
+    "book fails": (("book", "book.json", lambda p: p.write_text("{}")),
+                   False, "all but one"),
+}
+
+
+def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
+    change, hit, pages = MEMO_CASES[case]
+    flags = []
+    if isinstance(change, list):
+        flags = change
+    elif change == "BINDERY_SIMILAR_TOP_K":
+        monkeypatch.setenv(change, "2")
+    elif change == "__version__":
+        monkeypatch.setattr(bindery, change, bindery.__version__ + "+changed")
+    elif change is not None:
+        where, name, damage = change
+        damage((store / book_id if where == "book" else store / "_corpus")
+               / name)
+    books = len(pipeline.kept_book_ids(store))
+    reused, rendered = {"none": (books, 0), "one": (books - 1, 1),
+                        "all": (0, books), "all but one": (0, books - 1)}[pages]
+    expected = ([f"corpus-stats: inputs unchanged, {books} book(s) reused"]
+                if hit else [])
+    expected.append(f"report: {reused} page(s) reused, {rendered} rendered")
+    statuses = _assert_memo_runs_match_forced(config, store, caplog, flags,
+                                              expected)
+    assert statuses == ([1, 1] if case == "book fails" else [0, 0])
+    if case == "book fails":  # a re-run reports the failures again
+        rerun = [f"report: {books - 1} page(s) reused, 0 rendered"]
+        assert _assert_memo_runs_match_forced(
+            config, store, caplog, flags, rerun) == statuses
+
+
+@pytest.mark.parametrize("case", list(MEMO_CASES))
+def test_memo_runs_match_forced_runs(fixture_store, caplog, monkeypatch, case):
+    config, store = fixture_store
+    _check_memo_case(config, store, "pg730", case, caplog, monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def generated_stores(tmp_path_factory):
+    """Three stores of six random analyzed books, through report."""
+    root = tmp_path_factory.mktemp("generated")
+    config = root / "tiny.conf"
+    config.write_text("embed_min_count = 1\nembed_dim = 8\nembed_epochs = 2\n",
+                      encoding="utf-8")
+    stores = []
+    for seed in range(3):
+        store = root / f"store{seed}"
+        rnd = random.Random(seed)
+        for i in range(6):
+            book = random_book(rnd)
+            book.meta.source_id = f"pg{i}"
+            book.phases = list(xml_model.PHASES[:xml_model.PHASES.index(
+                "characters") + 1])
+            path = store / f"pg{i}" / "book.xml"
+            path.parent.mkdir(parents=True)
+            path.write_text(xml_model.serialize(book), encoding="utf-8")
+        for phase in ("analyze", "corpus-stats", "report"):
+            assert run("--config", str(config), phase, "--out", str(store)) == 0
+        assert (store / "_corpus" / "vectors.bin").exists()
+        stores.append(store)
+    return config, stores
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", list(MEMO_CASES))
+def test_memo_runs_match_forced_runs_on_generated_stores(
+        generated_stores, tmp_path, caplog, monkeypatch, case, seed):
+    config, stores = generated_stores
+    store = tmp_path / "store"
+    shutil.copytree(stores[seed], store)
+    _check_memo_case(config, store, "pg0", case, caplog, monkeypatch)
+
+
 def test_cli_import_leaves_out_urllib():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
@@ -786,3 +967,24 @@ def test_cli_import_leaves_out_urllib():
          "import sys, bindery.cli; print('urllib.request' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_noop_all_leaves_out_numpy(fixture_store, raw_dir, smoke_config,
+                                   tmp_path):
+    """Neither the import nor a no-op all loads numpy; a cold all does."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    script = ("import sys, bindery.cli\n"
+              "print('numpy' in sys.modules)\n"
+              "status = bindery.cli.main(sys.argv[1:])\n"
+              "print(status, 'numpy' in sys.modules)\n")
+
+    def all_in_new_process(config, in_dir, store):
+        return subprocess.run(
+            [sys.executable, "-c", script, "--config", str(config), "all",
+             "--in", str(in_dir), "--out", str(store)],
+            env=env, capture_output=True, text=True, check=True).stdout.split()
+
+    config, store = fixture_store
+    assert all_in_new_process(config, BOOKS, store) == ["False", "0", "False"]
+    cold = all_in_new_process(smoke_config, raw_dir, tmp_path / "cold")
+    assert cold == ["False", "0", "True"]
