@@ -9,9 +9,10 @@ book's ``<meta>`` (:func:`xml_model.load_head`), so skipping a book costs no
 full parse. Annotate and analyze share one parse and one ``book.xml``
 write per book. Dedup reuses a book's fingerprint while the ingest body
 digest in its ``<meta>`` matches the one in the previous index. After analyze, a
-book's lemma sequence is read from its ``lemmas.json`` while the digest
-recorded there matches ``book.xml``, so corpus-stats and report parse only
-books whose XML changed since. Corpus-stats and report skip work whose
+book's bare analytics payload and lemma sequence are read from its
+``lemmas.json`` while the digest recorded there matches ``book.xml``, so
+corpus-stats and report parse only books whose XML changed since; report
+alone writes ``book.json``. Corpus-stats and report skip work whose
 recorded input digests still match (see "memos" below), so an unchanged
 store is re-run without importing numpy.
 """
@@ -36,7 +37,7 @@ log = logging.getLogger(__name__)
 
 CORPUS_DIR = "_corpus"
 INDEX_FILE = "index.jsonl"
-# The corpus lemma model under _corpus/; a book's lemma sequence in its dir.
+# The corpus lemma model under _corpus/; a book's lemma file in its dir.
 LEMMAS_FILE = "lemmas.json"
 VECTORS_FILE = "vectors.bin"
 PROGRESS_FILE = "progress.jsonl"
@@ -44,11 +45,9 @@ PROGRESS_FILE = "progress.jsonl"
 CORPUS_OUTPUTS = (report.CORPUS_JSON, LEMMAS_FILE, VECTORS_FILE)
 CORPUS_STATS_MEMO = "corpus-stats.memo"
 REPORT_MEMO = "report.memo"
-# What report writes per book (book.json enriched) and for the corpus.
+# What report, their one writer, writes per book and for the corpus.
 BOOK_PAGES = ("book.json", "index.html")
 CORPUS_PAGES = ("corpus.html", "authors.html", "subjects.html")
-# The book.json fields that report fills in; analyze writes them null.
-ENRICHED_FIELDS = ("vocabulary", "similar", "placement")
 LEMMA_MODEL_SCHEMA = {
     "type": "object", "required": ["total", "common"],
     "properties": {
@@ -151,70 +150,69 @@ def ingest_to_book(raw, config):
     return book
 
 
+def _offset_blocks(book):
+    """The body's ingest-stage blocks, each as a list of ``(offset, text)``.
+
+    Token offsets index into the canonical body, where header lines are
+    blocks of their own: a header is placed two characters after the
+    furthest text so far, a raw paragraph is one piece, and a tokenized
+    paragraph has one piece per token. Paragraphs without tokens are
+    skipped.
+    """
+    cursor = 0
+    for section in book.body:
+        if section.header is not None:
+            offset = cursor + 2 if cursor > 0 else 0
+            yield [(offset, section.header.text)]
+            cursor = offset + len(section.header.text)
+        for paragraph in section.paragraphs:
+            if paragraph.is_raw:
+                pieces = [(paragraph.offset, paragraph.raw)]
+            else:
+                pieces = [(t.offset, t.text) for s in paragraph.sentences
+                          for t in s.tokens]
+            if pieces:
+                yield pieces
+                cursor = max(cursor, *(o + len(t) for o, t in pieces))
+
+
+def _fill(pieces, start, end):
+    """The text from ``start`` to ``end``: each piece at its offset, later
+    pieces over earlier ones, spaces elsewhere."""
+    buffer = [" "] * (end - start)
+    for offset, text in pieces:
+        buffer[offset - start:offset - start + len(text)] = text
+    return "".join(buffer)
+
+
 def body_text_of(book):
     """Canonical body text reconstructed from raw paragraphs or tokens.
 
-    Token offsets index into the canonical body and header lines are their
-    own blocks there, so the tokenized reconstruction preserves the exact
-    length and word stream of the ingest-stage text (gap characters
+    Raw paragraphs are joined as ingest split them. Otherwise every header
+    and token of ``_offset_blocks`` goes to its offset, which preserves the
+    exact length and word stream of the ingest-stage text (gap characters
     collapse to spaces, which fingerprint normalization ignores anyway).
     """
     raws = [p.raw for p in book.iter_paragraphs() if p.is_raw]
     if raws:
         return "\n\n".join(raws)
-    pieces = []
-    cursor = 0
-    for section in book.body:
-        if section.header is not None:
-            offset = cursor + 2 if cursor > 0 else 0
-            pieces.append((offset, section.header.text))
-            cursor = offset + len(section.header.text)
-        for paragraph in section.paragraphs:
-            for sentence in paragraph.sentences:
-                for token in sentence.tokens:
-                    pieces.append((token.offset, token.text))
-                    cursor = max(cursor, token.offset + len(token.text))
-    if not pieces:
-        return ""
-    buffer = [" "] * cursor
-    for offset, text in pieces:
-        buffer[offset:offset + len(text)] = text
-    return "".join(buffer)
+    pieces = [piece for block in _offset_blocks(book) for piece in block]
+    return _fill(pieces, 0, max((o + len(t) for o, t in pieces), default=0))
 
 
 def to_raw_stage(book):
     """Rebuild the ingest-stage body (raw blocks, one section) in place.
 
-    Token offsets index the canonical body, so each paragraph's exact slice
-    is recoverable (hard-wrap newlines collapse to spaces, preserving every
-    offset); header lines become ordinary blocks again. Used by --force to
-    redo segmentation onward.
+    Each block of ``_offset_blocks`` becomes a raw paragraph again: hard-wrap
+    newlines collapse to spaces, preserving every offset, and header lines
+    become ordinary blocks. Used by --force to redo segmentation onward.
     """
     paragraphs = []
-    cursor = 0
-    for section in book.body:
-        if section.header is not None:
-            offset = cursor + 2 if cursor > 0 else 0
-            paragraphs.append(xml_model.Paragraph(raw=section.header.text,
-                                                  offset=offset))
-            cursor = offset + len(section.header.text)
-        for paragraph in section.paragraphs:
-            if paragraph.is_raw:
-                paragraphs.append(paragraph)
-                cursor = paragraph.offset + len(paragraph.raw)
-                continue
-            tokens = [t for s in paragraph.sentences for t in s.tokens]
-            if not tokens:
-                continue
-            start = tokens[0].offset
-            end = max(t.offset + len(t.text) for t in tokens)
-            buffer = [" "] * (end - start)
-            for token in tokens:
-                rel = token.offset - start
-                buffer[rel:rel + len(token.text)] = token.text
-            paragraphs.append(xml_model.Paragraph(raw="".join(buffer),
-                                                  offset=start))
-            cursor = end
+    for pieces in _offset_blocks(book):
+        start = pieces[0][0]
+        end = max(o + len(t) for o, t in pieces)
+        paragraphs.append(xml_model.Paragraph(raw=_fill(pieces, start, end),
+                                              offset=start))
     book.body = [xml_model.Section(header=None, paragraphs=paragraphs)]
     book.characters = []
     book.phases = [p for p in book.phases if p == "ingest"]
@@ -230,9 +228,8 @@ def segment_book(book, config):
     _require(book, "segment", "ingest")
     if book.has_phase("segment"):
         return book
-    body = "\n\n".join(p.raw for p in book.iter_paragraphs() if p.is_raw)
     book.body = segmentation.segment(
-        body, max_len=config.header_max_len,
+        body_text_of(book), max_len=config.header_max_len,
         gap_tolerance=config.numbering_gap_tolerance,
         lexicon_dir=config.lexicon_dir)
     book.add_phase("segment")
@@ -546,47 +543,31 @@ def _json_object(path):
     return payload if isinstance(payload, dict) else {}
 
 
-def _sidecar_lemmas(path, xml_sha256):
-    """The lemmas in a book's lemma file if it is for ``xml_sha256``, else None.
-
-    A missing, unreadable, malformed or stale file gives None.
-    """
-    sidecar = _json_object(path)
-    lemmas = sidecar.get("lemmas")
-    if (sidecar.get("xml_sha256") != xml_sha256 or not isinstance(lemmas, list)
-            or not all(isinstance(w, str) for w in lemmas)):
-        return None
-    return lemmas
-
-
-def _book_lemmas(store, book_id, phase):
-    """The lemma sequence of an analyzed book (see ``lemma_sequence``).
+def _book_analysis(store, book_id, phase, config, book_schema):
+    """``(payload, lemmas)`` of an analyzed book: bare payload and lemmas.
 
     Taken from the book's lemma file when the digest there matches the
-    current ``book.xml`` bytes. Otherwise those bytes are parsed and must
-    carry the ``analytics`` stamp, so a corrupt or edited book fails
-    ``phase`` just as a full parse does.
+    current ``book.xml`` bytes, ``lemmas`` is a list of strings and
+    ``payload`` matches ``book_schema``. Otherwise those bytes are parsed
+    and must carry the ``analytics`` stamp, so a corrupt or edited book
+    fails ``phase`` just as a full parse does, and both are computed as
+    analyze computes them: a missing, damaged or stale file, or one from
+    an older store, needs no migration.
     """
     path = _xml_path(store, book_id)
-    lemmas = _sidecar_lemmas(_book_dir(store, book_id) / LEMMAS_FILE,
-                             _file_digest(path))
-    if lemmas is not None:
-        return lemmas
+    sidecar = _json_object(_book_dir(store, book_id) / LEMMAS_FILE)
+    payload, lemmas = sidecar.get("payload"), sidecar.get("lemmas")
+    if (sidecar.get("xml_sha256") == _file_digest(path)
+            and isinstance(lemmas, list)
+            and all(isinstance(w, str) for w in lemmas)
+            and not report.validate_schema(payload, book_schema)):
+        return payload, lemmas
     book = xml_model.load(path)
     _require(book, phase, "analytics")
-    return analytics_book.lemma_sequence(book)
-
-
-def _analyzed_book(store, book_id, phase, book_schema):
-    """``(payload, lemmas)`` of an analyzed book: its book.json and lemmas.
-
-    A book.json that does not match ``book_schema`` raises ParseError.
-    """
-    json_path = _book_dir(store, book_id) / "book.json"
-    if not json_path.exists():
-        raise MissingPhaseError(phase, "analytics")
-    lemmas = _book_lemmas(store, book_id, phase)
-    return _read_json(json_path, book_schema, "bindery.book/1"), lemmas
+    # The payload as the lemma file gives it back: canonical JSON, parsed.
+    payload = json.loads(json.dumps(build_book_payload(book, config),
+                                    sort_keys=True))
+    return payload, analytics_book.lemma_sequence(book)
 
 
 # -- memos ---------------------------------------------------------------------
@@ -617,25 +598,13 @@ def _config_digest(config):
     return _parts_digest([__version__, json.dumps(settings, sort_keys=True)])
 
 
-def _bare_digest(path):
-    """Digest of a book.json with its ``ENRICHED_FIELDS`` set to null.
-
-    This is the same after analyze writes the file and after report
-    rewrites it. None when the file holds no JSON object, or an empty one.
-    """
-    payload = _json_object(path)
-    if not payload:
-        return None
-    payload.update(dict.fromkeys(ENRICHED_FIELDS))
-    return _parts_digest([json.dumps(payload, sort_keys=True)])
-
-
 def _corpus_outputs(store):
     return [_file_digest(_corpus_path(store, name)) for name in CORPUS_OUTPUTS]
 
 
-def _lemma_sources(store, book_id):
-    """Digests of a book's book.xml and lemmas.json, its lemmas' sources."""
+def _analysis_sources(store, book_id):
+    """Digests of a book's book.xml and lemmas.json: what ``_book_analysis``
+    reads."""
     book_dir = _book_dir(store, book_id)
     return [_file_digest(book_dir / "book.xml"),
             _file_digest(book_dir / LEMMAS_FILE)]
@@ -645,8 +614,7 @@ def _corpus_stats_inputs(store, book_ids, config):
     """Digest of everything corpus-stats reads for the kept ``book_ids``."""
     parts = [_config_digest(config)]
     for book_id in book_ids:
-        parts += [book_id, *_lemma_sources(store, book_id),
-                  _bare_digest(_book_dir(store, book_id) / "book.json")]
+        parts += [book_id, *_analysis_sources(store, book_id)]
     return _parts_digest(parts)
 
 
@@ -805,7 +773,11 @@ def _annotate(book, config, force):
 
 
 def _analyze(store, book_id, book, config):
-    """Write an annotated book's book.json, stamped book.xml and lemma file.
+    """Write an annotated book's stamped book.xml and its lemma file.
+
+    The lemma file keeps the bare payload (``build_book_payload``) and the
+    lemma sequence for the book.xml bytes written; report makes book.json
+    from them.
 
     Everything is computed before the first write, so a failure writes
     nothing. Only the serialize comes after ``book`` gets the ``analytics``
@@ -815,10 +787,9 @@ def _analyze(store, book_id, book, config):
     lemmas = analytics_book.lemma_sequence(book)
     book.add_phase("analytics")
     data = xml_model.serialize(book).encode("utf-8")
-    report.dump_json(payload, _book_dir(store, book_id) / "book.json")
     report.write_if_changed(_xml_path(store, book_id), data)
     report.dump_json({"xml_sha256": hashlib.sha256(data).hexdigest(),
-                      "lemmas": lemmas},
+                      "lemmas": lemmas, "payload": payload},
                      _book_dir(store, book_id) / LEMMAS_FILE)
 
 
@@ -927,8 +898,8 @@ def run_corpus_stats(store, config, force=False):
     book_schema = report.load_schema("book.schema.json")
     for book_id in book_ids:
         try:
-            payload, lemmas = _analyzed_book(store, book_id, "corpus-stats",
-                                             book_schema)
+            payload, lemmas = _book_analysis(store, book_id, "corpus-stats",
+                                             config, book_schema)
             payloads.append(payload)
             lemma_counter.update(lemmas)
             streams[book_id] = analytics_book.strip_stopwords(
@@ -975,7 +946,7 @@ def run_report(store, config, force=False):
 
     Unless forced, a book keeps its pages while the digest of what they
     are made from (the corpus-stats outputs and the book's
-    ``_lemma_sources``) and of the pages matches its record in the report
+    ``_analysis_sources``) and of the pages matches its record in the report
     memo; the corpus pages are kept likewise under the ``_corpus`` record.
     corpus.json is read only when some page is stale, and the corpus
     lemma model and the vectors only when some book's page is.
@@ -988,7 +959,7 @@ def run_report(store, config, force=False):
     book_ids = kept_book_ids(store)
     memo_path = _corpus_path(store, REPORT_MEMO)
     memo = {} if force else _json_object(memo_path)
-    inputs = {book_id: corpus_key + _lemma_sources(store, book_id)
+    inputs = {book_id: corpus_key + _analysis_sources(store, book_id)
               for book_id in book_ids}
     stale = {book_id for book_id in book_ids if memo.get(book_id)
              != _pages_digest(inputs[book_id], _book_dir(store, book_id),
@@ -1016,8 +987,8 @@ def run_report(store, config, force=False):
             records[book_id] = memo[book_id]
         else:
             try:
-                payload, lemmas = _analyzed_book(store, book_id, "report",
-                                                 book_schema)
+                payload, lemmas = _book_analysis(store, book_id, "report",
+                                                 config, book_schema)
                 enrich_book_payload(payload, Counter(lemmas), stats,
                                     lemma_model, vectors, config)
                 report.emit_book_report(payload, _book_dir(store, book_id))

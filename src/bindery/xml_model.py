@@ -116,9 +116,6 @@ class AnnotatedBook:
 
     # -- traversal ---------------------------------------------------------
 
-    def iter_sections(self):
-        return iter(self.body)
-
     def iter_paragraphs(self):
         for section in self.body:
             yield from section.paragraphs
@@ -134,12 +131,6 @@ class AnnotatedBook:
     def token_count(self):
         return sum(1 for _ in self.iter_tokens())
 
-    def character_by_id(self, character_id):
-        for record in self.characters:
-            if record.id == character_id:
-                return record
-        raise KeyError(f"unknown character id: {character_id}")
-
     def has_phase(self, phase):
         return phase in self.phases
 
@@ -148,26 +139,6 @@ class AnnotatedBook:
             raise ValueError(f"unknown phase: {phase}")
         if phase not in self.phases:
             self.phases.append(phase)
-
-
-def query(book, selector, arg=None):
-    """Document-order traversal for the supported selectors."""
-    if selector == "tokens":
-        return book.iter_tokens()
-    if selector == "sentences":
-        return book.iter_sentences()
-    if selector == "paragraphs":
-        return book.iter_paragraphs()
-    if selector == "sections":
-        return book.iter_sections()
-    if selector == "mentions_of":
-        book.character_by_id(arg)
-        return (t for t in book.iter_tokens() if t.character_id == arg)
-    if selector == "tokens_with_pos":
-        if arg not in POS_TAGS:
-            raise ValueError(f"unknown POS tag: {arg}")
-        return (t for t in book.iter_tokens() if t.pos == arg)
-    raise ValueError(f"unknown selector: {selector}")
 
 
 # -- validation -------------------------------------------------------------
@@ -650,9 +621,3 @@ def load_head(path):
     book = builder.result()
     return book.meta, book.phases
 
-
-def dump(book, path):
-    data = serialize(book).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return path

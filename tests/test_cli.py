@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import bindery
-from bindery import analytics_book, dedup, pipeline, xml_model
+from bindery import analytics_book, dedup, pipeline, report, xml_model
 from bindery.cli import main
 from bindery.config import Config
 from bindery.errors import BinderyError, TooShortError
@@ -306,6 +306,47 @@ def test_failed_forced_annotate_leaves_analyze_the_earlier_annotation(
     assert _store_files(store) == _store_files(steps)
 
 
+@pytest.fixture
+def changed_writes(monkeypatch):
+    """Counts the ``report.write_if_changed`` calls that changed a file."""
+    writes = Counter()
+    real = report.write_if_changed
+
+    def counting(path, content):
+        changed = real(path, content)
+        writes[Path(path)] += changed
+        return changed
+
+    monkeypatch.setattr(report, "write_if_changed", counting)
+    return writes
+
+
+def test_cold_all_writes_each_book_json_once(smoke_config, tmp_path,
+                                             changed_writes):
+    store = tmp_path / "store"
+    assert run("--config", str(smoke_config), "all", "--in", str(BOOKS),
+               "--out", str(store)) == 0
+    assert {path: n for path, n in changed_writes.items()
+            if path.name == "book.json"} == {
+        store / book_id / "book.json": 1
+        for book_id in pipeline.kept_book_ids(store)}
+
+
+def test_analyze_writes_no_book_json(raw_dir, smoke_config, tmp_path,
+                                     changed_writes):
+    store = tmp_path / "store"
+    for phase in ("ingest", "dedup", "annotate", "analyze"):
+        argv = ["--in", str(raw_dir)] if phase == "ingest" else []
+        changed_writes.clear()
+        assert run("--config", str(smoke_config), phase, *argv,
+                   "--out", str(store)) == 0
+    assert sorted(path.relative_to(store).as_posix()
+                  for path in changed_writes) == [
+        f"{book_id}/{name}" for book_id in ("pg1001", "pg1002", "pg730")
+        for name in ("book.xml", "lemmas.json")]
+    assert not list(store.glob("*/book.json"))
+
+
 def test_force_rerun_reproduces_identical_store(raw_dir, smoke_config,
                                                 tmp_path):
     store = tmp_path / "store"
@@ -418,15 +459,22 @@ def test_forced_all_full_parses_each_kept_book_once_after_dedup(
 
 
 def test_every_kept_book_has_lemma_file_matching_its_xml(fixture_store):
-    _, store = fixture_store
+    config, store = fixture_store
     kept = pipeline.kept_book_ids(store)
     assert kept
     for book_id in kept:
         data = (store / book_id / "book.xml").read_bytes()
+        book = xml_model.parse(data)
         sidecar = json.loads((store / book_id / "lemmas.json").read_bytes())
         assert sidecar == {
             "xml_sha256": hashlib.sha256(data).hexdigest(),
-            "lemmas": analytics_book.lemma_sequence(xml_model.parse(data))}
+            "lemmas": analytics_book.lemma_sequence(book),
+            "payload": json.loads(json.dumps(pipeline.build_book_payload(
+                book, Config.load(config))))}
+        # book.json is that payload, enriched by report.
+        enriched = json.loads((store / book_id / "book.json").read_bytes())
+        assert sidecar["payload"] == dict(
+            enriched, vocabulary=None, similar=None, placement=None)
 
 
 def _report_outputs(store):
@@ -459,7 +507,20 @@ def _edit_xml(path):
         encoding="utf-8")
 
 
-@pytest.mark.parametrize("damage", [_delete, _truncate, _stale, _edit_xml])
+def _wrong_shape_payload(path):
+    sidecar = json.loads(path.read_bytes())
+    del sidecar["payload"]["counts"]
+    path.write_text(json.dumps(sidecar), encoding="utf-8")
+
+
+def _no_payload(path):  # as written before the file held the payload
+    sidecar = json.loads(path.read_bytes())
+    del sidecar["payload"]
+    path.write_text(json.dumps(sidecar), encoding="utf-8")
+
+
+@pytest.mark.parametrize("damage", [_delete, _truncate, _stale, _edit_xml,
+                                    _wrong_shape_payload, _no_payload])
 def test_unusable_lemma_file_falls_back_to_parsing(fixture_store, damage,
                                                    parse_callers):
     config, store = fixture_store
@@ -499,21 +560,30 @@ def _only_pg1001_fails(config, store, phase):
     return errors[0]
 
 
+# corpus-stats and report read no book.json: a book's payload comes from
+# its lemma file or, when that is stale, from a parse of its book.xml. So
+# these two fail a book through a damaged book.xml, whose lemma file is
+# then stale, and check that the book.json left from the last run is unread.
+def _damage_pg1001_book_xml(store, content):
+    (store / "pg1001" / "book.json").write_text("{", encoding="utf-8")
+    (store / "pg1001" / "book.xml").write_bytes(content)
+    _stale(store / "pg1001" / "lemmas.json")
+
+
 @pytest.mark.parametrize("phase", ["corpus-stats", "report"])
 def test_truncated_book_json_fails_only_that_book(fixture_store, phase):
     config, store = fixture_store
-    path = store / "pg1001" / "book.json"
-    path.write_bytes(path.read_bytes()[:50])
-    assert "malformed JSON" in _only_pg1001_fails(config, store, phase)
+    path = store / "pg1001" / "book.xml"
+    _damage_pg1001_book_xml(store, path.read_bytes()[:500])
+    assert "malformed XML" in _only_pg1001_fails(config, store, phase)
 
 
 @pytest.mark.parametrize("phase", ["corpus-stats", "report"])
 def test_wrong_shape_book_json_fails_only_that_book(fixture_store, phase):
     config, store = fixture_store
-    (store / "pg1001" / "book.json").write_text("{}", encoding="utf-8")
+    _damage_pg1001_book_xml(store, b"<novel><title>x</title></novel>\n")
     error = _only_pg1001_fails(config, store, phase)
-    assert "not a bindery.book/1 document" in error
-    assert "missing required key 'id'" in error
+    assert "expected <book> root, found <novel>" in error
 
 
 def test_truncated_vectors_fail_report_cleanly(fixture_store, caplog):
@@ -870,8 +940,8 @@ MEMO_CASES = {
     "unchanged": (None, True, "none"),
     "jobs": (["--jobs", "2"], True, "none"),
     "book.xml edited": (("book", "lemmas.json", _edit_xml), False, "one"),
-    "book.json bare field": (("book", "book.json", _edit_bare_field), False,
-                             "all"),
+    "book.json bare field": (("book", "book.json", _edit_bare_field), True,
+                             "one"),
     "lemmas.json deleted": (("book", "lemmas.json", _delete), False, "one"),
     "lemmas.json damaged": (("book", "lemmas.json", _truncate), False, "one"),
     "index.html deleted": (("book", "index.html", _delete), True, "one"),
@@ -885,7 +955,7 @@ MEMO_CASES = {
     "version": ("__version__", False, "all"),
     "memos damaged": (("corpus", "", _damage_memos), False, "all"),
     "memos deleted": (("corpus", "", _delete_memos), False, "all"),
-    "book fails": (("book", "book.json", lambda p: p.write_text("{}")),
+    "book fails": (("book", "book.xml", lambda p: p.write_text("garbage")),
                    False, "all but one"),
 }
 
@@ -948,6 +1018,31 @@ def generated_stores(tmp_path_factory):
         assert (store / "_corpus" / "vectors.bin").exists()
         stores.append(store)
     return config, stores
+
+
+def test_rerun_without_embeddings_leaves_a_cold_store(generated_stores,
+                                                     tmp_path, monkeypatch):
+    """A re-run that trains no embeddings drops the similar-books lists.
+
+    The re-run's store, memos included, must be the one a cold run with
+    its settings leaves, not one that keeps what the first run enriched.
+    """
+    config, _ = generated_stores
+    store, cold = tmp_path / "store", tmp_path / "cold"
+
+    def run_all(root):
+        return run("--config", str(config), "all", "--in", str(BOOKS),
+                   "--out", str(root))
+
+    assert run_all(store) == 0
+    assert (store / "_corpus" / "vectors.bin").exists()
+    monkeypatch.setenv("BINDERY_EMBED_MIN_COUNT", "1000000")
+    assert run_all(store) == 0
+    assert run_all(cold) == 0
+    assert not (cold / "_corpus" / "vectors.bin").exists()
+    assert _store_bytes(store) == _store_bytes(cold)
+    for path in store.glob("*/book.json"):
+        assert json.loads(path.read_bytes())["similar"] is None
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -8,6 +8,8 @@ from bindery.ingest import read_gutenberg
 from bindery.pipeline import (annotate_book, body_text_of, build_book_payload,
                               canonicalize_body, ingest_to_book, to_raw_stage)
 from conftest import BOOKS
+from generators import random_book
+from oracles.body_text import body_text_of as oracle_body_text_of
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +40,22 @@ def test_offset_integrity_against_canonical_body(annotated_fixtures):
                 assert rebuilt[i].isspace(), (book_id, i)
             else:
                 assert rebuilt[i] == ch, (book_id, i)
+
+
+def test_body_text_matches_token_walk_oracle(annotated_fixtures, config):
+    books = [ingest_to_book(read_gutenberg(path), config)
+             for path in sorted(BOOKS.glob("pg*.txt"))]
+    books += [book for book, _ in annotated_fixtures.values()]
+    for seed in range(200):
+        book = random_book(seed=seed)
+        books.append(book)
+        tokenized = random_book(seed=seed)  # the same book, raw blocks dropped
+        for section in tokenized.body:
+            section.paragraphs = [p for p in section.paragraphs if not p.is_raw]
+        books.append(tokenized)
+    assert sum(not any(p.is_raw for p in b.iter_paragraphs()) for b in books) > 200
+    for book in books:
+        assert body_text_of(book) == oracle_body_text_of(book)
 
 
 def test_ingest_records_the_digest_of_its_body(annotated_fixtures):

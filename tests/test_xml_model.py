@@ -5,7 +5,7 @@ import pytest
 from bindery.errors import InvariantError, ParseError
 from bindery.xml_model import (AnnotatedBook, BookMeta, CharacterRecord,
                                Header, Paragraph, Section, Sentence, Token,
-                               load, load_head, parse, query, serialize,
+                               load, load_head, parse, serialize,
                                validate)
 from generators import random_book
 
@@ -127,26 +127,6 @@ def test_escaping_of_special_characters():
     book.body[0].paragraphs[0].sentences[0].tokens[0].text = "<&>"
     book.body[0].paragraphs[0].sentences[0].tokens[0].lemma = 'l"e\nm'
     assert parse(serialize(book)) == book
-
-
-def test_query_tokens_count():
-    assert sum(1 for _ in query(minimal_book(), "tokens")) == 2
-
-
-def test_query_mentions_of_unknown_id_errors():
-    with pytest.raises(KeyError):
-        query(minimal_book(), "mentions_of", 42)
-
-
-def test_query_tokens_with_pos():
-    tokens = list(query(minimal_book(), "tokens_with_pos", "PUNCT"))
-    assert [t.text for t in tokens] == ["."]
-
-
-def test_query_counts_are_consistent():
-    book = random_book(seed=7)
-    total = sum(len(s.tokens) for s in query(book, "sentences"))
-    assert total == sum(1 for _ in query(book, "tokens"))
 
 
 def test_random_books_roundtrip():
