@@ -50,27 +50,35 @@ def _collect_stats(book, lexicon_dir=""):
     dale = lexicons.dale_familiar_words(lexicon_dir)
     spache = lexicons.spache_familiar_words(lexicon_dir)
     stats = _TextStats(word_syllable_counts=[], sentence_last_word=[])
+    # Everything but the proper-noun test depends on the token text alone,
+    # and a novel repeats each text about ten times: each is checked once.
+    by_text = {}
     for sentence in book.iter_sentences():
-        words = [t for t in sentence.tokens if t.pos != "PUNCT"]
+        words = [t.text for t in sentence.tokens if t.pos != "PUNCT"]
         if not words:
             continue
         stats.sentences += 1
-        for position, token in enumerate(words):
+        for position, text in enumerate(words):
+            counts = by_text.get(text)
+            if counts is None:
+                core = _word_core(text)
+                counts = by_text[text] = (
+                    sum(1 for ch in text if ch.isalnum()),
+                    count_syllables(text),
+                    bool(core) and core not in dale,
+                    bool(core) and core not in spache)
+            letters, syllables, dale_difficult, spache_unfamiliar = counts
             stats.words += 1
-            stats.letters += sum(1 for ch in token.text if ch.isalnum())
-            syllables = count_syllables(token.text)
+            stats.letters += letters
             stats.syllables += syllables
             stats.word_syllable_counts.append(syllables)
             if syllables >= 3:
                 stats.polysyllables += 1
-                proper = position > 0 and token.text[:1].isupper()
+                proper = position > 0 and text[:1].isupper()
                 if not proper:
                     stats.complex_words += 1
-            core = _word_core(token.text)
-            if core and core not in dale:
-                stats.dale_difficult += 1
-            if core and core not in spache:
-                stats.spache_unfamiliar += 1
+            stats.dale_difficult += dale_difficult
+            stats.spache_unfamiliar += spache_unfamiliar
         stats.sentence_last_word.append(stats.words - 1)
     return stats
 

@@ -2,8 +2,9 @@
 
 Config files are plain text, one ``key = value`` per line, ``#`` comments.
 Every key can be overridden by an environment variable named
-``BINDERY_<KEY>`` (upper-cased key). Unknown keys in a config file are an
-error so typos do not silently fall back to defaults.
+``BINDERY_<KEY>`` (upper-cased key). Unknown keys in a config file, and
+``BINDERY_*`` variables that name no key, are an error so typos do not
+silently fall back to defaults.
 """
 
 import os
@@ -74,10 +75,12 @@ class Config:
         if path is not None:
             values.update(_read_config_file(path))
         env = os.environ if env is None else env
-        for name in cls.field_names():
-            env_key = ENV_PREFIX + name.upper()
-            if env_key in env:
-                values[name] = env[env_key]
+        names = {ENV_PREFIX + name.upper(): name for name in cls.field_names()}
+        for env_key, raw in env.items():
+            if env_key.startswith(ENV_PREFIX):
+                if env_key not in names:
+                    raise KeyError(f"unknown config variable: {env_key!r}")
+                values[names[env_key]] = raw
         cfg = cls()
         for key, raw in values.items():
             if key not in cls.field_names():

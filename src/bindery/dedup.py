@@ -71,13 +71,14 @@ def _hash_params(num_hashes, seed):
 
 
 def _base_hashes(shingles):
+    """Each shingle's 8-byte BLAKE2b digest as a little-endian uint64, in
+    the set's iteration order: a signature takes minima, which ignore it."""
     import numpy as np
 
-    values = np.empty(len(shingles), dtype=np.uint64)
-    for i, shingle in enumerate(sorted(shingles)):
-        digest = hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest()
-        values[i] = int.from_bytes(digest, "little")
-    return values
+    digests = b"".join(hashlib.blake2b(shingle.encode("utf-8"),
+                                       digest_size=8).digest()
+                       for shingle in shingles)
+    return np.frombuffer(digests, dtype="<u8")
 
 
 def fingerprint(text, title="", author="", num_hashes=NUM_HASHES,

@@ -414,5 +414,7 @@ def fetch_gutenberg(book_id, mirror_base, dest, timeout=30):
 
 
 def strip_diacritics(value):
+    if value.isascii():
+        return value
     decomposed = unicodedata.normalize("NFD", value)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))

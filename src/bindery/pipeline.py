@@ -14,26 +14,57 @@ book's bare analytics payload and lemma sequence are read from its
 corpus-stats and report parse only books whose XML changed since; report
 alone writes ``book.json``. Corpus-stats and report skip work whose
 recorded input digests still match (see "memos" below), so an unchanged
-store is re-run without importing numpy.
+store is re-run without importing numpy. The segmentation, linguistic,
+characters and analytics modules run on first use (``_lazy``) and the
+process pool is imported only when one starts, so such a re-run loads
+neither. Under ``all``, dedup alone reads the dedup index.
 """
 
 import hashlib
+import importlib.util
 import json
 import logging
+import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from . import analytics_book, analytics_corpus, characters, dedup, ingest
-from . import linguistic, report, segmentation
-from . import xml_model
+from . import dedup, ingest, report, xml_model
 from .errors import (AnalyticsError, BinderyError, MissingPhaseError, ParseError,
                      TooShortError)
 from .xml_model import AnnotatedBook, BookMeta, GENDERS
 
 log = logging.getLogger(__name__)
+
+
+def _lazy(name):
+    """The module ``bindery.<name>``, its code run on first attribute access.
+
+    This is the "Implementing lazy imports" recipe of the importlib docs.
+    The module is in ``sys.modules`` and set on the package at once, like
+    an imported one, but a run that never uses it never compiles or runs
+    it. A lazy load is not thread-safe; bindery uses these modules from
+    its main thread only (pool workers are processes).
+    """
+    qualified = f"{__package__}.{name}"
+    if qualified in sys.modules:
+        return sys.modules[qualified]
+    spec = importlib.util.find_spec(qualified)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[qualified] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# The phase modules: a no-op run reaches none of them.
+segmentation = _lazy("segmentation")
+linguistic = _lazy("linguistic")
+characters = _lazy("characters")
+analytics_book = _lazy("analytics_book")
+analytics_corpus = _lazy("analytics_corpus")
 
 CORPUS_DIR = "_corpus"
 INDEX_FILE = "index.jsonl"
@@ -475,12 +506,17 @@ def enrich_book_payload(payload, lemma_counts, stats, lemma_model, vectors,
 
 @dataclass
 class PhaseResult:
-    """Outcome of one phase on one book: one line of the progress log."""
+    """Outcome of one phase on one book: one line of the progress log.
+
+    A dedup result also names the book that this one duplicates, if any;
+    the progress log leaves that out.
+    """
 
     book_id: str
     phase: str
     ok: bool
     error: str | None = None
+    duplicate_of: str | None = None
 
 
 def _failed(book_id, phase, exc):
@@ -745,10 +781,13 @@ def run_dedup(store, config, force=False):
     index_path = _corpus_path(store, INDEX_FILE)
     index_path.parent.mkdir(parents=True, exist_ok=True)
     index.save(index_path)
-    removed = [e for e in index.entries if e.is_duplicate]
+    removed = {e.book_id: e.representative_of for e in index.entries
+               if e.is_duplicate}
+    for result in results:
+        result.duplicate_of = removed.get(result.book_id)
     if removed:
         log.info("dedup: %d duplicate(s): %s", len(removed),
-                 ", ".join(f"{e.book_id}->{e.representative_of}" for e in removed))
+                 ", ".join(f"{b}->{r}" for b, r in removed.items()))
     return results
 
 
@@ -832,20 +871,24 @@ def _annotate_analyze_one(args):
 def _pool_map(worker, args_list, jobs):
     if jobs <= 1 or len(args_list) <= 1:
         return [worker(args) for args in args_list]
+    # Imported here: loading the pool machinery costs a run that starts none.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, args_list))
 
 
-def _run_stale(phases, store, config, force):
+def _run_stale(phases, store, config, force, book_ids=None):
     """Run ``phases`` (annotate and/or analyze) over the kept books.
 
     Unless forced, one ``<meta>`` read per book finds the phases whose
     stamps it lacks (see ``PHASE_STAMPS``); only such a book goes to a
     worker, for those phases. Up-to-date books are neither fully parsed
     nor sent, and a run with nothing pending starts no pool. Returns one
-    result per book per phase, phase by phase.
+    result per book per phase, phase by phase. ``book_ids`` are the kept
+    books, read from the dedup index when None.
     """
-    book_ids = kept_book_ids(store)
+    if book_ids is None:
+        book_ids = kept_book_ids(store)
     results = {}
     stale = []
     for book_id in book_ids:
@@ -875,14 +918,16 @@ def run_analyze(store, config, force=False):
     return _run_stale(("analyze",), store, config, force)
 
 
-def run_corpus_stats(store, config, force=False):
+def run_corpus_stats(store, config, force=False, book_ids=None):
     """Write corpus.json, the corpus lemma model and the book vectors.
 
+    ``book_ids`` are the kept books, read from the dedup index when None.
     Unless forced, nothing is read, trained or written while the memo's
     digests of the inputs (``_corpus_stats_inputs``) and of the outputs
     both match. The memo is recorded only when every kept book succeeded.
     """
-    book_ids = kept_book_ids(store)
+    if book_ids is None:
+        book_ids = kept_book_ids(store)
     memo_path = _corpus_path(store, CORPUS_STATS_MEMO)
     inputs = _corpus_stats_inputs(store, book_ids, config)
     if not force and _json_object(memo_path) == {
@@ -941,9 +986,10 @@ def run_corpus_stats(store, config, force=False):
     return results
 
 
-def run_report(store, config, force=False):
+def run_report(store, config, force=False, book_ids=None):
     """Write each kept book's pages and the corpus pages.
 
+    ``book_ids`` are the kept books, read from the dedup index when None.
     Unless forced, a book keeps its pages while the digest of what they
     are made from (the corpus-stats outputs and the book's
     ``_analysis_sources``) and of the pages matches its record in the report
@@ -956,7 +1002,8 @@ def run_report(store, config, force=False):
         raise MissingPhaseError("report", "analytics")
     corpus_key = [_config_digest(config), *_corpus_outputs(store)]
     corpus_dir = _corpus_path(store, "")
-    book_ids = kept_book_ids(store)
+    if book_ids is None:
+        book_ids = kept_book_ids(store)
     memo_path = _corpus_path(store, REPORT_MEMO)
     memo = {} if force else _json_object(memo_path)
     inputs = {book_id: corpus_key + _analysis_sources(store, book_id)
@@ -1008,24 +1055,32 @@ def run_report(store, config, force=False):
     return results
 
 
+def _timed(name, runner, *args, **kwargs):
+    """``runner(*args, **kwargs)``, logging its wall time and book count at
+    DEBUG."""
+    start = time.perf_counter()
+    results = runner(*args, **kwargs)
+    log.debug("%s: %.3f s, %d book(s)", name, time.perf_counter() - start,
+              len({r.book_id for r in results}))
+    return results
+
+
 def run_all(in_dir, store, config, force=False):
     """Every phase in order; annotate and analyze share one pass per book.
 
-    Logs each phase runner's wall time and book count at DEBUG.
+    The later phases take the kept books from dedup's results, so the
+    index is read only by dedup, for its memo. Logs each phase runner's
+    wall time and book count at DEBUG.
     """
-    runners = (
-        ("ingest", lambda: run_ingest(in_dir, store, config, force=force)),
-        ("dedup", lambda: run_dedup(store, config, force=force)),
-        ("annotate+analyze",
-         lambda: _run_stale(("annotate", "analyze"), store, config, force)),
-        ("corpus-stats", lambda: run_corpus_stats(store, config, force=force)),
-        ("report", lambda: run_report(store, config, force=force)),
-    )
-    results = []
-    for name, runner in runners:
-        start = time.perf_counter()
-        phase_results = runner()
-        log.debug("%s: %.3f s, %d book(s)", name, time.perf_counter() - start,
-                  len({r.book_id for r in phase_results}))
-        results.extend(phase_results)
+    results = _timed("ingest", run_ingest, in_dir, store, config, force=force)
+    dedup_results = _timed("dedup", run_dedup, store, config, force=force)
+    results += dedup_results
+    # ``kept_book_ids``, without reading back the index dedup just wrote.
+    book_ids = [r.book_id for r in dedup_results if r.duplicate_of is None]
+    results += _timed("annotate+analyze", _run_stale, ("annotate", "analyze"),
+                      store, config, force, book_ids)
+    results += _timed("corpus-stats", run_corpus_stats, store, config,
+                      force=force, book_ids=book_ids)
+    results += _timed("report", run_report, store, config, force=force,
+                      book_ids=book_ids)
     return results

@@ -143,14 +143,16 @@ class AnnotatedBook:
 
 # -- validation -------------------------------------------------------------
 
-_LEGAL_CTRL = {"\n", "\t", "\r"}
+# The C0 control characters but tab, newline and carriage return.
+_ILLEGAL_CTRL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 
 
 def _check_text(value, what):
-    for ch in value:
-        if ord(ch) < 0x20 and ch not in _LEGAL_CTRL:
-            raise InvariantError(f"{what} contains control character {ord(ch):#x}")
+    match = _ILLEGAL_CTRL.search(value)
+    if match:
+        raise InvariantError(
+            f"{what} contains control character {ord(match.group()):#x}")
 
 
 def _validate_meta(meta, phases):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from bindery import lexicons
-from bindery.analytics_book import (VectorStore, lemma_counts, lemma_sequence,
+from bindery.analytics_book import (VectorStore, _collect_stats, lemma_counts,
+                                    lemma_sequence,
                                     lemma_stream, most_similar,
                                     pos_distribution, readability_suite,
                                     representative_vocabulary, strip_stopwords,
@@ -17,6 +18,7 @@ from bindery.pipeline import annotate_book, ingest_to_book
 from conftest import BOOKS
 from generators import random_book
 from helpers import build_annotated
+from oracles.readability_stats import collect_stats as oracle_collect_stats
 
 # Hand-computed oracles. Counts follow the stated rules: words are
 # non-punctuation tokens, syllables are vowel groups minus silent final e,
@@ -325,6 +327,17 @@ def test_lemma_sequence_views_match_token_loop_oracle():
         assert Counter(sequence) == lemma_counts(book) == _oracle_lemma_counts(book)
         assert (strip_stopwords(sequence) == lemma_stream(book)
                 == _oracle_lemma_stream(book))
+
+
+def test_readability_stats_match_per_token_oracle():
+    config = Config()
+    fixtures = [annotate_book(ingest_to_book(read_gutenberg(path), config),
+                              config)
+                for path in sorted(BOOKS.glob("pg*.txt"))]
+    books = fixtures + [random_book(seed=seed) for seed in range(200)]
+    assert sum(_collect_stats(book).complex_words for book in books) > 0
+    for book in books:
+        assert _collect_stats(book) == oracle_collect_stats(book)
 
 
 def test_lemma_stream_strips_stopwords():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import logging
@@ -449,6 +450,28 @@ def test_noop_all_full_parses_no_book(fixture_store, parse_callers):
     assert parse_callers == {}
 
 
+def test_all_reads_dedup_index_only_for_dedup_memo(fixture_store, monkeypatch):
+    config, store = fixture_store
+    loads = []
+    real_load = dedup.CorpusIndex.load.__func__
+
+    def counting_load(cls, path):
+        loads.append(Path(path).name)
+        return real_load(cls, path)
+
+    monkeypatch.setattr(dedup.CorpusIndex, "load", classmethod(counting_load))
+    assert rerun_all(config, store) == 0
+    assert loads == ["index.jsonl"]
+    loads.clear()
+    assert rerun_all(config, store, "--force") == 0
+    assert loads == []
+    # A phase run on its own reads the kept books from the index.
+    for phase in ("annotate", "analyze", "corpus-stats", "report"):
+        loads.clear()
+        assert run("--config", str(config), phase, "--out", str(store)) == 0
+        assert loads == ["index.jsonl"], phase
+
+
 def test_forced_all_full_parses_each_kept_book_once_after_dedup(
         fixture_store, parse_callers):
     config, store = fixture_store
@@ -630,6 +653,18 @@ def test_bad_config_is_one_error_line_and_exit_2(tmp_path, caplog, content):
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("variable", [
+    "BINDERY_SEEED", "BINDERY_EMBED_WINDOW", "BINDERY_seed", "BINDERY_"])
+def test_unknown_config_variable_is_one_error_line_and_exit_2(
+        tmp_path, caplog, monkeypatch, variable):
+    monkeypatch.setenv(variable, "3")
+    caplog.set_level(logging.INFO)
+    assert run("dedup", "--out", str(tmp_path / "store")) == 2
+    assert [r.message for r in caplog.records] == [
+        f"bad config: \"unknown config variable: '{variable}'\""]
+    assert not (tmp_path / "store").exists()
+
+
 def test_noop_parallel_all_starts_no_pool(fixture_store, monkeypatch):
     config, store = fixture_store
     pools = []
@@ -638,7 +673,7 @@ def test_noop_parallel_all_starts_no_pool(fixture_store, monkeypatch):
         pools.append(kwargs)
         raise RuntimeError("a no-op run started a process pool")
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert rerun_all(config, store, "--jobs", "2") == 0
     assert pools == []
 
@@ -1083,3 +1118,57 @@ def test_noop_all_leaves_out_numpy(fixture_store, raw_dir, smoke_config,
     assert all_in_new_process(config, BOOKS, store) == ["False", "0", "False"]
     cold = all_in_new_process(smoke_config, raw_dir, tmp_path / "cold")
     assert cold == ["False", "0", "True"]
+
+
+# What a run that finds nothing to do may load: the CLI, the store formats
+# and the ingest/dedup/report code that checks the store.
+NOOP_MODULES = ["bindery", "bindery.cli", "bindery.config", "bindery.dedup",
+                "bindery.errors", "bindery.ingest", "bindery.pipeline",
+                "bindery.report", "bindery.xml_model"]
+PHASE_MODULES = ["bindery.analytics_book", "bindery.analytics_corpus",
+                 "bindery.characters", "bindery.linguistic",
+                 "bindery.segmentation"]
+HEAVY_MODULES = ["bindery.lexicons", "concurrent.futures.process", "numpy"]
+
+
+def modules_run_in_new_process(*argv):
+    """Run the CLI on ``argv`` in a new process.
+
+    Returns its exit status, the bindery modules whose code ran, and which
+    of ``HEAVY_MODULES`` were imported. A lazily bound module is in
+    ``sys.modules`` before its code runs; its ``__dict__`` is read through
+    ``object.__getattribute__`` because ``vars()`` would run it, and it
+    holds ``__builtins__`` only once the code has run.
+    """
+    script = (
+        "import json, sys, bindery.cli\n"
+        "status = bindery.cli.main(sys.argv[1:])\n"
+        "ran = sorted(name for name, module in list(sys.modules.items())\n"
+        "             if name.split('.')[0] == 'bindery' and '__builtins__'\n"
+        "             in object.__getattribute__(module, '__dict__'))\n"
+        f"heavy = [name for name in {HEAVY_MODULES!r} if name in sys.modules]\n"
+        "print(json.dumps([status, ran, heavy]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+@pytest.mark.parametrize("command", ["all", "ingest", "dedup"])
+def test_noop_run_leaves_phase_modules_unrun(fixture_store, command):
+    config, store = fixture_store
+    where = ["--in", BOOKS] if command in ("all", "ingest") else []
+    status, ran, heavy = modules_run_in_new_process(
+        "--config", config, "--jobs", "2", command, *where, "--out", store)
+    assert status == 0
+    assert ran == NOOP_MODULES
+    assert heavy == []
+
+
+def test_cold_all_runs_phase_modules(raw_dir, smoke_config, tmp_path):
+    status, ran, heavy = modules_run_in_new_process(
+        "--config", smoke_config, "all", "--in", raw_dir,
+        "--out", tmp_path / "cold")
+    assert status == 0
+    assert set(PHASE_MODULES) <= set(ran)
+    assert heavy == ["bindery.lexicons", "numpy"]

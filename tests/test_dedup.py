@@ -1,12 +1,14 @@
+import hashlib
 import json
 import random
 
 import pytest
 
 from bindery.dedup import (BookFingerprint, CorpusEntry, CorpusIndex,
-                           dedup_corpus, estimate_similarity, fingerprint,
-                           normalize_name, shingle_set)
+                           _base_hashes, dedup_corpus, estimate_similarity,
+                           fingerprint, normalize_name, shingle_set)
 from bindery.errors import ParseError, TooShortError
+from bindery.ingest import strip_diacritics
 
 
 def words(n, seed=0, prefix="w"):
@@ -23,6 +25,22 @@ def exact_jaccard(a_text, b_text):
 def test_identical_texts_identical_signatures():
     text = words(300, seed=1)
     assert fingerprint(text).signature == fingerprint(text).signature
+
+
+def test_base_hashes_are_the_digests_of_each_shingle():
+    for text in (words(300, seed=2), "Crème brûlée à la naïve façade " * 3):
+        shingles = shingle_set(text)
+        expected = [int.from_bytes(hashlib.blake2b(
+            s.encode("utf-8"), digest_size=8).digest(), "little")
+            for s in shingles]
+        assert _base_hashes(shingles).tolist() == expected
+
+
+def test_strip_diacritics():
+    text = "plain ASCII, kept as is"
+    assert strip_diacritics(text) is text
+    assert strip_diacritics("Crème brûlée à la naïve façade") == (
+        "Creme brulee a la naive facade")
 
 
 def test_four_words_too_short():

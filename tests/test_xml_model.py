@@ -179,6 +179,33 @@ def test_body_digest_sits_between_encoding_and_phases():
     assert serialize(parse(text)) == text
 
 
+LEGAL_CONTROL = "\t\n\r"
+
+
+@pytest.mark.parametrize("code", range(0x20))
+def test_control_characters_in_text_are_rejected_but_tab_and_newlines(code):
+    ch = chr(code)
+    book = minimal_book()
+    book.body[0].header.text = f"CHAPTER{ch}I.{ch}"
+    if ch in LEGAL_CONTROL:
+        validate(book)
+    else:
+        with pytest.raises(InvariantError) as info:
+            validate(book)
+        assert str(info.value) == (
+            f"header text contains control character {code:#x}")
+
+
+def test_control_character_error_names_the_first_one():
+    book = minimal_book()
+    book.front = ["ok\tfine\x1fthen\x00"]
+    with pytest.raises(InvariantError,
+                       match=r"^matter block contains control character 0x1f$"):
+        validate(book)
+    book.front = ["plain\x7f and \x85 are not C0 controls"]
+    validate(book)
+
+
 @pytest.mark.parametrize("digest", [DIGEST.upper(), DIGEST[1:],
                                     "g" + DIGEST[1:], ""])
 def test_bad_body_digest_is_not_serialized(digest):
