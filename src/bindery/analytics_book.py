@@ -12,6 +12,7 @@ this module, as every CLI run does, does not load it.
 """
 
 import struct
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,8 +126,8 @@ def _linsear_write(stats, window=100):
                 hard += 1
             else:
                 easy += 1
-        sentences = sum(1 for end in ends if lo <= end < hi)
-        sentences = max(sentences, 1)
+        # ``ends`` is sorted: the sentences ending inside [lo, hi).
+        sentences = max(bisect_left(ends, hi) - bisect_left(ends, lo), 1)
         r = (easy * 1 + hard * 3) / sentences
         grades.append(r / 2 if r > 20 else (r - 2) / 2)
     return sum(grades) / len(grades)

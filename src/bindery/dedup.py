@@ -26,6 +26,11 @@ SHINGLE_SIZE = 5
 
 _ARTICLES = ("a ", "an ", "the ")
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
+_SPACE = re.compile(r"\s")
+# Characters of body text normalized at a time, and shingles hashed at a
+# time: a fingerprint's scratch memory does not grow with the book.
+_PIECE = 4096
+_BLOCK = 256
 
 
 def normalize_name(value):
@@ -39,14 +44,40 @@ def normalize_name(value):
     return re.sub(r"\s+", " ", collapsed)
 
 
+def _shingle_runs(text, shingle_size):
+    """Every window of ``shingle_size`` consecutive normalized words, repeats
+    included, as one list per piece of text.
+
+    The text is normalized and split a piece at a time, each piece ending
+    at a whitespace character, so no list of every word or shingle of the
+    book is built. Whitespace is a word break before and after
+    normalization, so the words are those of the whole text.
+    """
+    tail = []
+    count = 0
+    start = 0
+    while start < len(text):
+        cut = _SPACE.search(text, start + _PIECE)
+        end = cut.start() if cut else len(text)
+        piece = strip_diacritics(text[start:end]).lower()
+        words = _NON_ALNUM.sub(" ", piece).split()
+        count += len(words)
+        words = tail + words
+        yield [" ".join(words[i:i + shingle_size])
+               for i in range(len(words) - shingle_size + 1)]
+        tail = words[max(0, len(words) - shingle_size + 1):]
+        start = end
+    if count < shingle_size:
+        raise TooShortError(
+            f"text has {count} words, need at least {shingle_size}")
+
+
 def shingle_set(text, shingle_size=SHINGLE_SIZE):
     """Set of consecutive word windows over the normalized text."""
-    words = _NON_ALNUM.sub(" ", strip_diacritics(text).lower()).split()
-    if len(words) < shingle_size:
-        raise TooShortError(
-            f"text has {len(words)} words, need at least {shingle_size}")
-    return {" ".join(words[i:i + shingle_size])
-            for i in range(len(words) - shingle_size + 1)}
+    shingles = set()
+    for run in _shingle_runs(text, shingle_size):
+        shingles.update(run)
+    return shingles
 
 
 @dataclass
@@ -72,7 +103,8 @@ def _hash_params(num_hashes, seed):
 
 def _base_hashes(shingles):
     """Each shingle's 8-byte BLAKE2b digest as a little-endian uint64, in
-    the set's iteration order: a signature takes minima, which ignore it."""
+    the given order: a signature takes minima, which ignore order and
+    repeats."""
     import numpy as np
 
     digests = b"".join(hashlib.blake2b(shingle.encode("utf-8"),
@@ -91,18 +123,23 @@ def fingerprint(text, title="", author="", num_hashes=NUM_HASHES,
     identical signatures. ``BASE_SEED`` is the library default; the
     pipeline passes the run seed (``config.seed``), so ``--seed`` changes
     the signatures, and the dedup memo key in the index records it.
+    Shingles are hashed ``_BLOCK`` at a time into one preallocated
+    ``_BLOCK x num_hashes`` array, so the scratch memory is the same for
+    every book.
     """
     import numpy as np
 
-    shingles = shingle_set(text, shingle_size=shingle_size)
-    base = _base_hashes(shingles)
     a, b = _hash_params(num_hashes, seed)
     signature = np.full(num_hashes, np.iinfo(np.uint64).max, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for lo in range(0, len(base), 4096):
-            chunk = base[lo:lo + 4096]
-            hashed = chunk[:, None] * a[None, :] + b[None, :]
-            signature = np.minimum(signature, hashed.min(axis=0))
+    block = np.empty((_BLOCK, num_hashes), dtype=np.uint64)
+    for run in _shingle_runs(text, shingle_size):
+        base = _base_hashes(run)
+        for lo in range(0, len(base), _BLOCK):
+            chunk = base[lo:lo + _BLOCK]
+            rows = block[:len(chunk)]
+            np.multiply(chunk[:, None], a, out=rows)
+            rows += b
+            np.minimum(signature, rows.min(axis=0), out=signature)
     return BookFingerprint(
         normalized_title=normalize_name(title),
         normalized_author=normalize_name(author),

@@ -9,6 +9,7 @@ CoNLL-style import.
 
 import logging
 import re
+import sys
 from dataclasses import dataclass
 
 from . import lexicons
@@ -50,7 +51,7 @@ def tokenize(text, base_offset=0, start_index=0, lexicon_dir=""):
     tokens = []
     index = start_index
     for match in pattern.finditer(text):
-        tokens.append(Token(text=match.group(0), index=index,
+        tokens.append(Token(text=sys.intern(match.group(0)), index=index,
                             offset=base_offset + match.start()))
         index += 1
     return tokens
@@ -433,7 +434,9 @@ def import_external_annotations(book, conll_path):
 def annotate_paragraph(paragraph, start_index, lexicon_dir=""):
     """Tokenize, sentence-split, tag, and lemmatize one raw paragraph.
 
-    Returns the next free global token index.
+    Token texts and lemmas are interned, so a book stores each distinct
+    one once; the tags are literals and so already shared. Returns the
+    next free global token index.
     """
     tokens = tokenize(paragraph.raw, base_offset=paragraph.offset,
                       start_index=start_index, lexicon_dir=lexicon_dir)
@@ -442,8 +445,8 @@ def annotate_paragraph(paragraph, start_index, lexicon_dir=""):
         pos_tag(sentence.tokens)
         for token in sentence.tokens:
             if token.pos != "PUNCT":
-                token.lemma = lemmatize(token.text, token.pos,
-                                        lexicon_dir=lexicon_dir)
+                token.lemma = sys.intern(lemmatize(
+                    token.text, token.pos, lexicon_dir=lexicon_dir))
     paragraph.sentences = sentences
     paragraph.raw = None
     paragraph.offset = None

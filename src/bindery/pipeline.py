@@ -24,6 +24,7 @@ import hashlib
 import importlib.util
 import json
 import logging
+import resource
 import sys
 import time
 from collections import Counter
@@ -1070,7 +1071,7 @@ def run_all(in_dir, store, config, force=False):
 
     The later phases take the kept books from dedup's results, so the
     index is read only by dedup, for its memo. Logs each phase runner's
-    wall time and book count at DEBUG.
+    wall time and book count, then the process's peak memory, at DEBUG.
     """
     results = _timed("ingest", run_ingest, in_dir, store, config, force=force)
     dedup_results = _timed("dedup", run_dedup, store, config, force=force)
@@ -1083,4 +1084,7 @@ def run_all(in_dir, store, config, force=False):
                       force=force, book_ids=book_ids)
     results += _timed("report", run_report, store, config, force=force,
                       book_ids=book_ids)
+    # ru_maxrss is in KiB on Linux; pool workers are not counted.
+    log.debug("peak memory: %.1f MB",
+              resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     return results

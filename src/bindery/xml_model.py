@@ -13,6 +13,7 @@ serialized files.
 """
 
 import re
+import sys
 from dataclasses import dataclass, field
 from xml.parsers import expat
 
@@ -29,7 +30,11 @@ HEADER_KINDS = ("chapter", "book", "part", "volume", "section", "other")
 PHASES = ("ingest", "segment", "linguistic", "characters", "analytics")
 
 
-@dataclass
+# A novel has about ten tokens per distinct word and tens of thousands of
+# tokens: tokens and sentences are slotted, and the strings of a token are
+# interned where tokens are built (here and in ``linguistic``), so each
+# distinct text, lemma and tag is stored once.
+@dataclass(slots=True)
 class Token:
     text: str
     index: int
@@ -41,7 +46,7 @@ class Token:
     quote_id: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Sentence:
     tokens: list[Token] = field(default_factory=list)
 
@@ -379,6 +384,10 @@ _TEXT_ELEMENTS = {
 }
 
 
+def _interned(value):
+    return None if value is None else sys.intern(value)
+
+
 class _MetaRead(Exception):
     """Raised by a head-only builder once ``</meta>`` has been checked."""
 
@@ -423,6 +432,10 @@ class _BookBuilder:
         return self.result()
 
     def result(self):
+        # The parser's handlers hold this builder: dropping the parser ends
+        # the cycle, so expat's buffers are freed now, not at the next full
+        # garbage collection.
+        self.parser = None
         if self.book is None:
             raise ParseError("document has no <book> root")
         return self.book
@@ -565,12 +578,12 @@ class _BookBuilder:
             self._paragraph.raw = text
         elif name == "t":
             token = Token(
-                text=text,
+                text=sys.intern(text),
                 index=self._int(attrs, "i"),
                 offset=self._int(attrs, "o"),
-                pos=attrs.get("pos"),
-                lemma=attrs.get("lemma"),
-                ner=attrs.get("ner"),
+                pos=_interned(attrs.get("pos")),
+                lemma=_interned(attrs.get("lemma")),
+                ner=_interned(attrs.get("ner")),
                 character_id=self._int(attrs, "char") if "char" in attrs else None,
                 quote_id=self._int(attrs, "q") if "q" in attrs else None,
             )

@@ -1,11 +1,13 @@
 import math
+import random
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from bindery import lexicons
-from bindery.analytics_book import (VectorStore, _collect_stats, lemma_counts,
+from bindery.analytics_book import (VectorStore, _collect_stats,
+                                    _linsear_write, _TextStats, lemma_counts,
                                     lemma_sequence,
                                     lemma_stream, most_similar,
                                     pos_distribution, readability_suite,
@@ -18,6 +20,7 @@ from bindery.pipeline import annotate_book, ingest_to_book
 from conftest import BOOKS
 from generators import random_book
 from helpers import build_annotated
+from oracles.linsear_write import linsear_write as oracle_linsear_write
 from oracles.readability_stats import collect_stats as oracle_collect_stats
 
 # Hand-computed oracles. Counts follow the stated rules: words are
@@ -317,27 +320,53 @@ def _oracle_lemma_stream(book):
             if t.pos != "PUNCT" and t.lemma and t.lemma not in stop]
 
 
-def test_lemma_sequence_views_match_token_loop_oracle():
+@pytest.fixture(scope="module")
+def annotated_fixtures():
     config = Config()
-    fixtures = [annotate_book(ingest_to_book(read_gutenberg(path), config),
-                              config)
-                for path in sorted(BOOKS.glob("pg*.txt"))]
-    for book in fixtures + [random_book(seed=seed) for seed in range(200)]:
+    return [annotate_book(ingest_to_book(read_gutenberg(path), config), config)
+            for path in sorted(BOOKS.glob("pg*.txt"))]
+
+
+def test_lemma_sequence_views_match_token_loop_oracle(annotated_fixtures):
+    for book in annotated_fixtures + [random_book(seed=seed)
+                                      for seed in range(200)]:
         sequence = lemma_sequence(book)
         assert Counter(sequence) == lemma_counts(book) == _oracle_lemma_counts(book)
         assert (strip_stopwords(sequence) == lemma_stream(book)
                 == _oracle_lemma_stream(book))
 
 
-def test_readability_stats_match_per_token_oracle():
-    config = Config()
-    fixtures = [annotate_book(ingest_to_book(read_gutenberg(path), config),
-                              config)
-                for path in sorted(BOOKS.glob("pg*.txt"))]
-    books = fixtures + [random_book(seed=seed) for seed in range(200)]
+def test_readability_stats_match_per_token_oracle(annotated_fixtures):
+    books = annotated_fixtures + [random_book(seed=seed) for seed in range(200)]
     assert sum(_collect_stats(book).complex_words for book in books) > 0
     for book in books:
         assert _collect_stats(book) == oracle_collect_stats(book)
+
+
+def _random_stats(seed):
+    """Counts of a generated book of up to 3000 words: many 100-word
+    windows, sentences of 1 to 60 words, a fifth of words hard."""
+    rnd = random.Random(seed)
+    words = rnd.randrange(3000)
+    ends = []
+    end = -1
+    while end < words - 1:
+        end = min(end + rnd.randint(1, 60), words - 1)
+        ends.append(end)
+    return _TextStats(
+        words=words, sentences=len(ends),
+        word_syllable_counts=[rnd.choice([1, 1, 1, 2, 3, 4])
+                              for _ in range(words)],
+        sentence_last_word=ends)
+
+
+def test_linsear_write_equals_full_scan_oracle(annotated_fixtures):
+    books = annotated_fixtures + [random_book(seed=seed) for seed in range(200)]
+    stats = [_collect_stats(book) for book in books]
+    stats += [_random_stats(seed) for seed in range(200)]
+    assert max(s.words for s in stats) > 1000
+    for item in stats:
+        assert _linsear_write(item) == oracle_linsear_write(item)
 
 
 def test_lemma_stream_strips_stopwords():

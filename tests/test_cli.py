@@ -744,6 +744,19 @@ def test_all_logs_each_phase_runner_time_at_debug(fixture_store, caplog):
     assert "report: 5 page(s) reused, 0 rendered" in caplog.messages
 
 
+def test_all_logs_peak_memory_after_the_runner_lines(fixture_store, caplog):
+    caplog.set_level(logging.DEBUG)
+    config, store = fixture_store
+    assert rerun_all(config, store, "-v") == 0
+    records = [r for r in caplog.records if r.name == "bindery.pipeline"]
+    messages = [r.message for r in records]
+    assert re.fullmatch(r"report: \d+\.\d{3} s, 5 book\(s\)", messages[-2])
+    peak = re.fullmatch(r"peak memory: (\d+\.\d) MB", messages[-1])
+    assert peak and 1.0 < float(peak[1]) < 100_000.0
+    assert records[-1].levelno == logging.DEBUG
+    assert sum(m.startswith("peak memory:") for m in messages) == 1
+
+
 # -- dedup memo ---------------------------------------------------------------
 
 

@@ -1,14 +1,18 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 
+from bindery import dedup, ingest, pipeline
+from bindery.config import Config
 from bindery.dedup import (BookFingerprint, CorpusEntry, CorpusIndex,
                            _base_hashes, dedup_corpus, estimate_similarity,
                            fingerprint, normalize_name, shingle_set)
 from bindery.errors import ParseError, TooShortError
 from bindery.ingest import strip_diacritics
+from oracles import minhash as oracle
 
 
 def words(n, seed=0, prefix="w"):
@@ -46,6 +50,92 @@ def test_strip_diacritics():
 def test_four_words_too_short():
     with pytest.raises(TooShortError):
         fingerprint("only four words here")
+
+
+# -- block MinHash against the whole-set oracle ---------------------------------
+
+# Diacritics, every kind of whitespace, runs of punctuation, digits, and a
+# word longer than a normalization piece.
+_ODD_WORDS = ["Crème", "brûlée", "naïve", "FAÇADE", "don't", "well-known",
+              "2,300", "—", "...", "x", "\u00a0", "Ærø", "ﬁne", "İstanbul",
+              "a" * 5000, "Σοφία", "ΣΑΣ", "\t", "\n\n", "\u2003"]
+
+
+def _odd_text(n, seed):
+    rnd = random.Random(seed)
+    return " ".join(rnd.choice(_ODD_WORDS + [f"w{rnd.randrange(50)}"] * 20)
+                    for _ in range(n))
+
+
+def test_fingerprint_equals_oracle_on_fixture_bodies(fixture_books):
+    for path in fixture_books:
+        body = pipeline.body_text_of(pipeline.ingest_to_book(
+            ingest.read_gutenberg(path), Config()))
+        assert fingerprint(body).signature == oracle.signature(body)
+        assert shingle_set(body) == oracle.shingle_set(body)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fingerprint_equals_oracle_on_generated_texts(seed):
+    rnd = random.Random(seed)
+    n = rnd.choice([5, 40, 900, 3000])
+    text = _odd_text(n, seed) if seed % 2 else words(n, seed=seed)
+    shingle_size = rnd.choice([1, 2, 5, 8])
+    num_hashes = rnd.choice([1, 64, 128, 200])
+    try:
+        expected = oracle.signature(text, num_hashes=num_hashes,
+                                    shingle_size=shingle_size, seed=seed)
+    except TooShortError:
+        with pytest.raises(TooShortError):
+            fingerprint(text, shingle_size=shingle_size)
+        return
+    assert fingerprint(text, num_hashes=num_hashes, shingle_size=shingle_size,
+                       seed=seed).signature == expected
+    assert shingle_set(text, shingle_size) == oracle.shingle_set(
+        text, shingle_size)
+
+
+@pytest.mark.parametrize("shingles", [1, 255, 256, 257, 4095, 4096, 4097])
+@pytest.mark.parametrize("num_hashes", [1, 64, 128, 200])
+def test_fingerprint_equals_oracle_at_block_edges(shingles, num_hashes):
+    # Distinct words, so the shingle count is the distinct-shingle count.
+    text = " ".join(f"w{i}" for i in range(shingles + dedup.SHINGLE_SIZE - 1))
+    assert len(oracle.shingle_set(text)) == shingles
+    sig = fingerprint(text, num_hashes=num_hashes).signature
+    assert len(sig) == num_hashes
+    assert sig == oracle.signature(text, num_hashes=num_hashes)
+
+
+@pytest.mark.parametrize("piece", [1, 3, 17, 200])
+def test_piece_boundaries_do_not_change_the_shingles(monkeypatch, piece):
+    monkeypatch.setattr(dedup, "_PIECE", piece)
+    for seed, text in enumerate((words(700, seed=9), _odd_text(300, 10))):
+        assert shingle_set(text) == oracle.shingle_set(text)
+        assert fingerprint(text, seed=seed).signature == oracle.signature(
+            text, seed=seed)
+
+
+@pytest.mark.parametrize("text", ["", "   \n\t ", "— ... — one, two; three!",
+                                  "a" * 10000 + " b c d"])
+def test_too_short_texts_still_raise(text):
+    with pytest.raises(TooShortError):
+        oracle.shingle_set(text)
+    with pytest.raises(TooShortError):
+        shingle_set(text)
+    with pytest.raises(TooShortError):
+        fingerprint(text)
+
+
+def test_fingerprint_scratch_memory_does_not_grow_with_the_text():
+    text = words(20_000 + dedup.SHINGLE_SIZE - 1, seed=11)
+    fingerprint(words(300, seed=12))  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        fingerprint(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_estimate_tracks_exact_jaccard():

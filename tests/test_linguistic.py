@@ -317,3 +317,22 @@ def test_import_text_mismatch_lists_divergence(tmp_path):
         import_external_annotations(book, path)
     assert "index 1" in str(err.value)
     assert "frowned" in str(err.value)
+
+
+def test_annotate_paragraph_shares_equal_texts_and_lemmas():
+    raws = ["The whale saw the whales, and the whales saw the whale.",
+            "Whales! The whale and the whale-road."]
+    tokens = []
+    index = 0
+    for raw in raws:
+        paragraph = Paragraph(raw=raw, offset=0)
+        index = annotate_paragraph(paragraph, index)
+        tokens += [t for s in paragraph.sentences for t in s.tokens]
+    for field in ("text", "lemma"):
+        values = [getattr(t, field) for t in tokens
+                  if getattr(t, field) is not None]
+        assert len({id(v) for v in values}) == len(set(values)), field
+    whales = [t for t in tokens if t.text == "whales"]
+    assert len(whales) == 2 and whales[0].text is whales[1].text
+    lemmas = [t.lemma for t in tokens if t.lemma == "whale"]
+    assert len(lemmas) == 6 and all(lemma is lemmas[0] for lemma in lemmas)

@@ -273,3 +273,37 @@ def test_load_head_reads_on_when_meta_is_late_or_missing(tmp_path):
     path.write_text(missing.replace('i="1"', 'i="0"'), encoding="utf-8")
     with pytest.raises(ParseError):
         load_head(path)
+
+
+# -- compact token model --------------------------------------------------------
+
+
+def _one_object_per_value(values):
+    values = [v for v in values if v is not None]
+    return len({id(v) for v in values}) == len(set(values))
+
+
+def test_tokens_and_sentences_are_slotted():
+    token = Token(text="Hi", index=0, offset=0)
+    sentence = Sentence(tokens=[token])
+    for value in (token, sentence):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.colour = "red"
+
+
+def test_parse_shares_equal_token_strings():
+    # Token strings built at run time, so equal ones start as distinct objects.
+    words = ["".join(("whal", "e")) for _ in range(4)] + ["".join(("sa", "w"))]
+    book = minimal_book()
+    book.body[0].paragraphs[0].sentences[0].tokens = [
+        Token(text=word, index=i, offset=6 * i, pos="NOUN",
+              lemma=word.upper().lower(), ner="OTHER" if i % 2 else None)
+        for i, word in enumerate(words)]
+    tokens = list(parse(serialize(book)).iter_tokens())
+    assert [t.text for t in tokens] == words
+    for field in ("text", "lemma", "pos", "ner"):
+        values = [getattr(t, field) for t in tokens]
+        assert _one_object_per_value(values), field
+    assert tokens[0].text is tokens[3].text
+    assert tokens[0].lemma is tokens[2].lemma
