@@ -2,22 +2,21 @@
 
 Store layout: ``store/<book_id>/{book.xml, book.json, lemmas.json,
 index.html}`` with corpus-level artifacts under ``store/_corpus/``. Phase
-stamps inside each book's XML enforce ordering and make re-runs
-incremental: a book whose stamps are current is skipped unless forced, and
-files are only rewritten when their bytes change. Stamp checks read only a
-book's ``<meta>`` (:func:`xml_model.load_head`), so skipping a book costs no
-full parse. Annotate and analyze share one parse and one ``book.xml``
-write per book. Dedup reuses a book's fingerprint while the ingest body
-digest in its ``<meta>`` matches the one in the previous index. After analyze, a
-book's bare analytics payload and lemma sequence are read from its
-``lemmas.json`` while the digest recorded there matches ``book.xml``, so
-corpus-stats and report parse only books whose XML changed since; report
-alone writes ``book.json``. Corpus-stats and report skip work whose
-recorded input digests still match (see "memos" below), so an unchanged
-store is re-run without importing numpy. The segmentation, linguistic,
-characters and analytics modules run on first use (``_lazy``) and the
-process pool is imported only when one starts, so such a re-run loads
-neither. Under ``all``, dedup alone reads the dedup index.
+stamps in each book's ``<meta>`` (:func:`xml_model.load_head`, no full
+parse) enforce ordering and let ingest and annotate skip done books unless
+forced; files are only rewritten when their bytes change. Annotate and
+analyze share one parse and one ``book.xml`` write per book. Dedup reuses
+a book's fingerprint while the ingest body digest in its ``<meta>``
+matches the one in the previous index. Analyze alone computes a book's
+bare analytics payload and lemmas, keeps them in ``lemmas.json`` and runs
+again whenever that file is not current (``_analysis``); corpus-stats and
+report only read it, and report alone writes ``book.json``. Corpus-stats
+and report skip work whose recorded input digests still match (see
+"memos" below), so an unchanged store is re-run without importing numpy.
+The segmentation, linguistic, characters and analytics modules run on
+first use (``_lazy``) and the process pool is imported only when one
+starts, so such a re-run loads neither. Under ``all``, dedup alone reads
+the dedup index.
 """
 
 import hashlib
@@ -80,6 +79,9 @@ REPORT_MEMO = "report.memo"
 # What report, their one writer, writes per book and for the corpus.
 BOOK_PAGES = ("book.json", "index.html")
 CORPUS_PAGES = ("corpus.html", "authors.html", "subjects.html")
+# The config keys build_book_payload reads, digested in a book's lemma file.
+ANALYSIS_KEYS = ("lexicon_dir", "timeline_top_k", "interaction_window",
+                 "interaction_min_co")
 LEMMA_MODEL_SCHEMA = {
     "type": "object", "required": ["total", "common"],
     "properties": {
@@ -581,30 +583,20 @@ def _json_object(path):
 
 
 def _book_analysis(store, book_id, phase, config, book_schema):
-    """``(payload, lemmas)`` of an analyzed book: bare payload and lemmas.
-
-    Taken from the book's lemma file when the digest there matches the
-    current ``book.xml`` bytes, ``lemmas`` is a list of strings and
-    ``payload`` matches ``book_schema``. Otherwise those bytes are parsed
-    and must carry the ``analytics`` stamp, so a corrupt or edited book
-    fails ``phase`` just as a full parse does, and both are computed as
-    analyze computes them: a missing, damaged or stale file, or one from
-    an older store, needs no migration.
-    """
-    path = _xml_path(store, book_id)
-    sidecar = _json_object(_book_dir(store, book_id) / LEMMAS_FILE)
-    payload, lemmas = sidecar.get("payload"), sidecar.get("lemmas")
-    if (sidecar.get("xml_sha256") == _file_digest(path)
-            and isinstance(lemmas, list)
-            and all(isinstance(w, str) for w in lemmas)
-            and not report.validate_schema(payload, book_schema)):
-        return payload, lemmas
-    book = xml_model.load(path)
-    _require(book, phase, "analytics")
-    # The payload as the lemma file gives it back: canonical JSON, parsed.
-    payload = json.loads(json.dumps(build_book_payload(book, config),
-                                    sort_keys=True))
-    return payload, analytics_book.lemma_sequence(book)
+    """``(payload, lemmas)`` from a book's lemma file; the book fails
+    ``phase`` while the file is not current or has the wrong shape."""
+    analysis = _analysis(store, book_id, config)
+    if analysis is None:
+        raise MissingPhaseError(phase, "analyze")
+    payload, lemmas = analysis.get("payload"), analysis.get("lemmas")
+    errors = report.validate_schema(payload, book_schema, "$.payload")
+    if not (isinstance(lemmas, list)
+            and all(isinstance(w, str) for w in lemmas)):
+        errors.append("$.lemmas: expected a list of strings")
+    if errors:
+        raise ParseError(f"{_book_dir(store, book_id) / LEMMAS_FILE}: not a "
+                         "book analysis: " + "; ".join(errors[:3]))
+    return payload, lemmas
 
 
 # -- memos ---------------------------------------------------------------------
@@ -623,7 +615,7 @@ def _file_digest(path):
 
 
 def _parts_digest(parts):
-    """SHA-256 of a list of strings and Nones."""
+    """SHA-256 of a list of JSON values."""
     return hashlib.sha256(json.dumps(parts).encode("utf-8")).hexdigest()
 
 
@@ -637,6 +629,22 @@ def _config_digest(config):
 
 def _corpus_outputs(store):
     return [_file_digest(_corpus_path(store, name)) for name in CORPUS_OUTPUTS]
+
+
+def _analysis_config(config):
+    """Digest of the ``ANALYSIS_KEYS`` settings."""
+    return _parts_digest([getattr(config, key) for key in ANALYSIS_KEYS])
+
+
+def _analysis(store, book_id, config):
+    """A book's lemma file while its digests of book.xml and of the
+    ``ANALYSIS_KEYS`` settings still match, else None."""
+    analysis = _json_object(_book_dir(store, book_id) / LEMMAS_FILE)
+    xml_path = _xml_path(store, book_id)
+    if (analysis.get("config") == _analysis_config(config)
+            and analysis.get("xml_sha256") == _file_digest(xml_path)):
+        return analysis
+    return None
 
 
 def _analysis_sources(store, book_id):
@@ -665,8 +673,22 @@ def _pages_digest(inputs, directory, names):
 
 
 def run_ingest(in_dir, store, config, force=False):
-    results = []
+    """Ingest every source of ``in_dir`` into its book's book.xml.
+
+    Sources that map to one book id (``1001.txt`` and ``pg1001.txt``)
+    fail that id with one error naming them all, and none is written.
+    """
+    sources = {}
     for book_id, path, kind in discover_sources(in_dir):
+        sources.setdefault(book_id, []).append((path, kind))
+    results = []
+    for book_id, found in sources.items():
+        if len(found) > 1:
+            results.append(PhaseResult(
+                book_id, "ingest", False, "sources map to the same book id: "
+                + ", ".join(str(path) for path, _ in found)))
+            continue
+        [(path, kind)] = found
         xml_path = _xml_path(store, book_id)
         try:
             if (not force and xml_path.exists()
@@ -792,10 +814,6 @@ def run_dedup(store, config, force=False):
     return results
 
 
-# The stamp that marks each of these phases done on a book.
-PHASE_STAMPS = {"annotate": "characters", "analyze": "analytics"}
-
-
 def _annotate(book, config, force):
     """Annotate ``book`` in place as the annotate phase does.
 
@@ -815,9 +833,9 @@ def _annotate(book, config, force):
 def _analyze(store, book_id, book, config):
     """Write an annotated book's stamped book.xml and its lemma file.
 
-    The lemma file keeps the bare payload (``build_book_payload``) and the
-    lemma sequence for the book.xml bytes written; report makes book.json
-    from them.
+    The lemma file keeps the bare payload (``build_book_payload``), the
+    lemma sequence and what they were made from (``_analysis``); report
+    makes book.json from them.
 
     Everything is computed before the first write, so a failure writes
     nothing. Only the serialize comes after ``book`` gets the ``analytics``
@@ -829,6 +847,7 @@ def _analyze(store, book_id, book, config):
     data = xml_model.serialize(book).encode("utf-8")
     report.write_if_changed(_xml_path(store, book_id), data)
     report.dump_json({"xml_sha256": hashlib.sha256(data).hexdigest(),
+                      "config": _analysis_config(config),
                       "lemmas": lemmas, "payload": payload},
                      _book_dir(store, book_id) / LEMMAS_FILE)
 
@@ -881,12 +900,12 @@ def _pool_map(worker, args_list, jobs):
 def _run_stale(phases, store, config, force, book_ids=None):
     """Run ``phases`` (annotate and/or analyze) over the kept books.
 
-    Unless forced, one ``<meta>`` read per book finds the phases whose
-    stamps it lacks (see ``PHASE_STAMPS``); only such a book goes to a
-    worker, for those phases. Up-to-date books are neither fully parsed
-    nor sent, and a run with nothing pending starts no pool. Returns one
-    result per book per phase, phase by phase. ``book_ids`` are the kept
-    books, read from the dedup index when None.
+    Unless forced, a book goes to analyze exactly when its analysis is not
+    current (``_analysis``), and otherwise one ``<meta>`` read finds
+    whether it lacks annotate's ``characters`` stamp. Up-to-date books are
+    neither fully parsed nor sent, and a run with nothing pending starts no
+    pool. Returns one result per book per phase, phase by phase.
+    ``book_ids`` are the kept books, read from the dedup index when None.
     """
     if book_ids is None:
         book_ids = kept_book_ids(store)
@@ -895,6 +914,8 @@ def _run_stale(phases, store, config, force, book_ids=None):
     for book_id in book_ids:
         todo = phases
         if not force:
+            if "analyze" in phases and _analysis(store, book_id, config):
+                continue
             try:
                 _, stamps = xml_model.load_head(_xml_path(store, book_id))
             except BinderyError as exc:
@@ -902,7 +923,7 @@ def _run_stale(phases, store, config, force, book_ids=None):
                                for phase in phases)
                 continue
             todo = tuple(phase for phase in phases
-                         if PHASE_STAMPS[phase] not in stamps)
+                         if phase == "analyze" or "characters" not in stamps)
         if todo:
             stale.append((store, book_id, config, todo, force))
     for book_results in _pool_map(_annotate_analyze_one, stale, config.jobs):
@@ -1000,7 +1021,7 @@ def run_report(store, config, force=False, book_ids=None):
     """
     stats_path = _corpus_path(store, report.CORPUS_JSON)
     if not stats_path.exists():
-        raise MissingPhaseError("report", "analytics")
+        raise MissingPhaseError("report", "corpus-stats")
     corpus_key = [_config_digest(config), *_corpus_outputs(store)]
     corpus_dir = _corpus_path(store, "")
     if book_ids is None:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import traceback
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -155,6 +156,29 @@ def test_report_before_stats_fails(raw_dir, tmp_path, caplog):
     store = tmp_path / "store"
     assert run("ingest", "--in", str(raw_dir), "--out", str(store)) == 0
     assert run("report", "--out", str(store)) == 1
+    errors = [r.message for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors == [
+        "report failed: phase 'report' requires completed phase "
+        "'corpus-stats'; run the 'corpus-stats' step first (or use --force "
+        "to redo earlier phases)"]
+
+
+def test_sources_with_one_book_id_fail_that_id_and_write_neither(
+        raw_dir, smoke_config, tmp_path, caplog):
+    shutil.copy(BOOKS / "pg1001.txt", raw_dir / "1001.txt")
+    store = tmp_path / "store"
+    caplog.set_level(logging.INFO)
+    assert run("--config", str(smoke_config), "all", "--in", str(raw_dir),
+               "--out", str(store)) == 1
+    failed = [l for l in progress_lines(store) if l["status"] == "error"]
+    assert failed == [{
+        "book": "pg1001", "phase": "ingest", "status": "error",
+        "error": "sources map to the same book id: "
+                 f"{raw_dir / '1001.txt'}, {raw_dir / 'pg1001.txt'}"}]
+    assert not (store / "pg1001").exists()
+    assert pipeline.store_book_ids(store) == ["pg1002", "pg730"]
+    assert (store / "pg730" / "index.html").exists()
+    assert "all: 2 book(s) ok, 1 failed" in caplog.messages
 
 
 def test_per_book_failure_is_not_fatal(raw_dir, smoke_config, tmp_path,
@@ -491,6 +515,7 @@ def test_every_kept_book_has_lemma_file_matching_its_xml(fixture_store):
         sidecar = json.loads((store / book_id / "lemmas.json").read_bytes())
         assert sidecar == {
             "xml_sha256": hashlib.sha256(data).hexdigest(),
+            "config": pipeline._analysis_config(Config.load(config)),
             "lemmas": analytics_book.lemma_sequence(book),
             "payload": json.loads(json.dumps(pipeline.build_book_payload(
                 book, Config.load(config))))}
@@ -530,28 +555,77 @@ def _edit_xml(path):
         encoding="utf-8")
 
 
-def _wrong_shape_payload(path):
+def _edit_sidecar(path, edit):
     sidecar = json.loads(path.read_bytes())
-    del sidecar["payload"]["counts"]
+    edit(sidecar)
     path.write_text(json.dumps(sidecar), encoding="utf-8")
+
+
+def _no_config(path):  # as written before the file held the config digest
+    _edit_sidecar(path, lambda sidecar: sidecar.pop("config"))
 
 
 def _no_payload(path):  # as written before the file held the payload
-    sidecar = json.loads(path.read_bytes())
-    del sidecar["payload"]
-    path.write_text(json.dumps(sidecar), encoding="utf-8")
+    def drop(sidecar):
+        del sidecar["config"], sidecar["payload"]
+    _edit_sidecar(path, drop)
+
+
+def _other_config(path):
+    _edit_sidecar(path, lambda sidecar: sidecar.update(config="0" * 64))
 
 
 @pytest.mark.parametrize("damage", [_delete, _truncate, _stale, _edit_xml,
-                                    _wrong_shape_payload, _no_payload])
+                                    _no_config, _no_payload, _other_config])
 def test_unusable_lemma_file_falls_back_to_parsing(fixture_store, damage,
                                                    parse_callers):
+    """A lemma file that is not current is rewritten by one analyze, which
+    parses book.xml once; corpus-stats and report parse nothing."""
     config, store = fixture_store
-    fresh = _report_outputs(store)
+    fresh = _store_bytes(store)
+    fresh_outputs = _report_outputs(store)
     damage(store / "pg730" / "lemmas.json")
     assert rerun_all(config, store) == 0
-    assert _report_outputs(store) == fresh
-    assert parse_callers == {"run_corpus_stats": 1, "run_report": 1}
+    assert _report_outputs(store) == fresh_outputs
+    assert _store_bytes(store) == fresh
+    assert parse_callers == {"run_all": 1}
+    parse_callers.clear()
+    assert rerun_all(config, store) == 0
+    assert parse_callers == {}
+
+
+def _wrong_shape_payload(path):
+    _edit_sidecar(path, lambda sidecar: sidecar["payload"].pop("counts"))
+
+
+def _current_without_payload(path):
+    _edit_sidecar(path, lambda sidecar: sidecar.pop("payload"))
+
+
+def _wrong_shape_lemmas(path):
+    _edit_sidecar(path, lambda sidecar: sidecar["lemmas"].append(7))
+
+
+WRONG_SHAPES = {
+    _wrong_shape_payload: "$.payload: missing required key 'counts'",
+    _current_without_payload: "$.payload: expected ['object'], got NoneType",
+    _wrong_shape_lemmas: "$.lemmas: expected a list of strings"}
+
+
+@pytest.mark.parametrize("damage", list(WRONG_SHAPES))
+def test_current_lemma_file_of_wrong_shape_fails_only_that_book(
+        fixture_store, damage, parse_callers):
+    config, store = fixture_store
+    path = store / "pg730" / "lemmas.json"
+    damage(path)
+    assert rerun_all(config, store) == 1
+    failed = [l for l in progress_lines(store) if l["status"] == "error"]
+    assert [(l["book"], l["phase"]) for l in failed] == [
+        ("pg730", "corpus-stats"), ("pg730", "report")]
+    for line in failed:
+        assert line["error"] == (f"{path}: not a book analysis: "
+                                 f"{WRONG_SHAPES[damage]}")
+    assert parse_callers == {}
 
 
 def test_edited_lemmas_in_xml_win_over_lemma_file(fixture_store, tmp_path):
@@ -583,30 +657,40 @@ def _only_pg1001_fails(config, store, phase):
     return errors[0]
 
 
-# corpus-stats and report read no book.json: a book's payload comes from
-# its lemma file or, when that is stale, from a parse of its book.xml. So
-# these two fail a book through a damaged book.xml, whose lemma file is
-# then stale, and check that the book.json left from the last run is unread.
+# corpus-stats and report read no book.json and parse no book.xml: a
+# book's payload comes from its lemma file while that is current. So these
+# two fail a book through a damaged book.xml, whose lemma file is then
+# stale, and check that the book.json left from the last run is unread.
 def _damage_pg1001_book_xml(store, content):
     (store / "pg1001" / "book.json").write_text("{", encoding="utf-8")
     (store / "pg1001" / "book.xml").write_bytes(content)
     _stale(store / "pg1001" / "lemmas.json")
 
 
+ANALYZE_NEEDED = ("phase '{}' requires completed phase 'analyze'; run the "
+                  "'analyze' step first (or use --force to redo earlier "
+                  "phases)")
+
+
 @pytest.mark.parametrize("phase", ["corpus-stats", "report"])
-def test_truncated_book_json_fails_only_that_book(fixture_store, phase):
+def test_truncated_book_json_fails_only_that_book(fixture_store, phase,
+                                                  parse_callers):
     config, store = fixture_store
     path = store / "pg1001" / "book.xml"
     _damage_pg1001_book_xml(store, path.read_bytes()[:500])
-    assert "malformed XML" in _only_pg1001_fails(config, store, phase)
+    assert _only_pg1001_fails(config, store, phase) == ANALYZE_NEEDED.format(
+        phase)
+    assert parse_callers == {}
 
 
 @pytest.mark.parametrize("phase", ["corpus-stats", "report"])
-def test_wrong_shape_book_json_fails_only_that_book(fixture_store, phase):
+def test_wrong_shape_book_json_fails_only_that_book(fixture_store, phase,
+                                                    parse_callers):
     config, store = fixture_store
     _damage_pg1001_book_xml(store, b"<novel><title>x</title></novel>\n")
-    error = _only_pg1001_fails(config, store, phase)
-    assert "expected <book> root, found <novel>" in error
+    assert _only_pg1001_fails(config, store, phase) == ANALYZE_NEEDED.format(
+        phase)
+    assert parse_callers == {}
 
 
 def test_truncated_vectors_fail_report_cleanly(fixture_store, caplog):
@@ -709,8 +793,11 @@ def test_corrupt_body_is_reported_by_first_full_parse(fixture_store, caplog):
     assert len(statuses) == len(lines) == len(PHASES) * 5
     errors = [l for l in lines if l["status"] == "error"]
     assert [(l["book"], l["phase"]) for l in errors] == [
-        ("pg1001", "corpus-stats"), ("pg1001", "report")]
+        ("pg1001", "analyze"), ("pg1001", "corpus-stats"),
+        ("pg1001", "report")]
     assert "line" in errors[0]["error"]
+    assert [l["error"] for l in errors[1:]] == [
+        ANALYZE_NEEDED.format(phase) for phase in ("corpus-stats", "report")]
     assert "all: 4 book(s) ok, 1 failed" in caplog.messages
     for book_id in ("pg730", "pg1002", "pg1003", "pg1004"):
         assert (store / book_id / "index.html").exists()
@@ -983,15 +1070,21 @@ def _delete_memos(corpus_dir):
 
 
 # name -> (change to the store, corpus-stats memo hits, pages re-rendered)
-# A change is applied to a book, to _corpus/, or to the run as flags.
+# A change is applied to a book, to _corpus/, to the environment, or to the
+# run as flags. Without analyze, a book whose lemma file is no longer
+# current fails both phases: "all but one" renders every other page, and
+# "every book fails" renders none.
 MEMO_CASES = {
     "unchanged": (None, True, "none"),
     "jobs": (["--jobs", "2"], True, "none"),
-    "book.xml edited": (("book", "lemmas.json", _edit_xml), False, "one"),
+    "book.xml edited": (("book", "lemmas.json", _edit_xml), False,
+                        "all but one"),
     "book.json bare field": (("book", "book.json", _edit_bare_field), True,
                              "one"),
-    "lemmas.json deleted": (("book", "lemmas.json", _delete), False, "one"),
-    "lemmas.json damaged": (("book", "lemmas.json", _truncate), False, "one"),
+    "lemmas.json deleted": (("book", "lemmas.json", _delete), False,
+                            "all but one"),
+    "lemmas.json damaged": (("book", "lemmas.json", _truncate), False,
+                            "all but one"),
     "index.html deleted": (("book", "index.html", _delete), True, "one"),
     "corpus.html deleted": (("corpus", "corpus.html", _delete), True, "none"),
     "corpus.json damaged": (("corpus", "corpus.json", _truncate), False,
@@ -999,7 +1092,9 @@ MEMO_CASES = {
     "vectors.bin damaged": (("corpus", "vectors.bin", _truncate), False,
                             "none"),
     "seed": (["--seed", "99"], False, "all"),
-    "config key": ("BINDERY_SIMILAR_TOP_K", False, "all"),
+    "config key": ({"BINDERY_SIMILAR_TOP_K": "2"}, False, "all"),
+    "analysis key": ({"BINDERY_TIMELINE_TOP_K": "1"}, False,
+                     "every book fails"),
     "version": ("__version__", False, "all"),
     "memos damaged": (("corpus", "", _damage_memos), False, "all"),
     "memos deleted": (("corpus", "", _delete_memos), False, "all"),
@@ -1013,8 +1108,9 @@ def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
     flags = []
     if isinstance(change, list):
         flags = change
-    elif change == "BINDERY_SIMILAR_TOP_K":
-        monkeypatch.setenv(change, "2")
+    elif isinstance(change, dict):
+        for name, value in change.items():
+            monkeypatch.setenv(name, value)
     elif change == "__version__":
         monkeypatch.setattr(bindery, change, bindery.__version__ + "+changed")
     elif change is not None:
@@ -1023,15 +1119,21 @@ def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
                / name)
     books = len(pipeline.kept_book_ids(store))
     reused, rendered = {"none": (books, 0), "one": (books - 1, 1),
-                        "all": (0, books), "all but one": (0, books - 1)}[pages]
+                        "all": (0, books), "all but one": (0, books - 1),
+                        "every book fails": (0, 0)}[pages]
+    fails = pages in ("all but one", "every book fails")
     expected = ([f"corpus-stats: inputs unchanged, {books} book(s) reused"]
                 if hit else [])
     expected.append(f"report: {reused} page(s) reused, {rendered} rendered")
     statuses = _assert_memo_runs_match_forced(config, store, caplog, flags,
                                               expected)
-    assert statuses == ([1, 1] if case == "book fails" else [0, 0])
-    if case == "book fails":  # a re-run reports the failures again
-        rerun = [f"report: {books - 1} page(s) reused, 0 rendered"]
+    assert statuses == ([1, 1] if fails else [0, 0])
+    if pages == "every book fails":
+        assert {(l["phase"], l["error"]) for l in progress_lines(store)} == {
+            (phase, ANALYZE_NEEDED.format(phase))
+            for phase in ("corpus-stats", "report")}
+    if fails:  # a re-run reports the failures again
+        rerun = [f"report: {rendered} page(s) reused, 0 rendered"]
         assert _assert_memo_runs_match_forced(
             config, store, caplog, flags, rerun) == statuses
 
@@ -1040,6 +1142,37 @@ def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
 def test_memo_runs_match_forced_runs(fixture_store, caplog, monkeypatch, case):
     config, store = fixture_store
     _check_memo_case(config, store, "pg730", case, caplog, monkeypatch)
+
+
+def test_changed_analysis_key_leaves_the_store_of_a_cold_run(
+        fixture_store, tmp_path, monkeypatch):
+    config, store = fixture_store
+    pages = json.loads((store / "pg730" / "book.json").read_bytes())
+    assert len(pages["timeline"]["characters"]) > 1
+    monkeypatch.setenv("BINDERY_TIMELINE_TOP_K", "1")
+    assert rerun_all(config, store) == 0
+    assert rerun_all(config, tmp_path / "cold") == 0
+    assert _store_bytes(store) == _store_bytes(tmp_path / "cold")
+    pages = json.loads((store / "pg730" / "book.json").read_bytes())
+    assert len(pages["timeline"]["characters"]) == 1
+
+
+def test_analysis_keys_are_the_config_keys_the_payload_reads(fixture_store):
+    config_path, store = fixture_store
+    names = set(Config.field_names())
+    reads = set()
+
+    class RecordingConfig(Config):
+        def __getattribute__(self, name):
+            if name in names:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    config = RecordingConfig(**asdict(Config.load(config_path)))
+    reads.clear()
+    book = xml_model.load(store / "pg730" / "book.xml")
+    pipeline.build_book_payload(book, config)
+    assert sorted(reads) == sorted(pipeline.ANALYSIS_KEYS)
 
 
 @pytest.fixture(scope="module")
