@@ -232,7 +232,8 @@ class VectorStore:
             raise KeyError(f"unknown book id: {book_id}") from None
         return self.vectors[row]
 
-    def save(self, path):
+    def save(self, path, digests=None):
+        """Write the store to ``path``; ``digests`` as in ``write_if_changed``."""
         path = Path(path)
         parts = [b"BPV1",
                  struct.pack("<II", self.vectors.shape[1], len(self.ids))]
@@ -241,7 +242,7 @@ class VectorStore:
             parts.append(struct.pack("<H", len(encoded)))
             parts.append(encoded)
             parts.append(struct.pack(f"<{row.size}f", *row.tolist()))
-        write_if_changed(path, b"".join(parts))
+        write_if_changed(path, b"".join(parts), digests)
         return path
 
     @classmethod

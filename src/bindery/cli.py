@@ -2,9 +2,9 @@
 
 Subcommands mirror the pipeline phases: fetch, ingest, dedup, annotate,
 analyze, corpus-stats, report, and all. Phase ordering is enforced through
-the stamp list inside each book's XML; completed books are skipped unless
---force. Human logs go to stderr; one JSON line per book per phase goes to
-the progress log under the store.
+the stamp list inside each book's XML; outputs whose recorded traces are
+current are skipped unless --force. Human logs go to stderr; one JSON line
+per book per phase goes to the progress log under the store.
 """
 
 import argparse
@@ -30,7 +30,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, help="override the run seed")
     parser.add_argument("--jobs", type=int, help="parallel workers per phase")
     parser.add_argument("--force", action="store_true",
-                        help="redo phases even when stamps are current")
+                        help="redo phases even when traces are current")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

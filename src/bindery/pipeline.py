@@ -1,39 +1,33 @@
 """Pipeline orchestration over an on-disk store.
 
 Store layout: ``store/<book_id>/{book.xml, book.json, lemmas.json,
-index.html}`` with corpus-level artifacts under ``store/_corpus/``. Phase
-stamps in each book's ``<meta>`` (:func:`xml_model.load_head`, no full
-parse) enforce ordering and let ingest and annotate skip done books unless
-forced; files are only rewritten when their bytes change. Annotate and
-analyze share one parse and one ``book.xml`` write per book. Dedup reuses
-a book's fingerprint while the ingest body digest in its ``<meta>``
-matches the one in the previous index. Analyze alone computes a book's
-bare analytics payload and lemmas, keeps them in ``lemmas.json`` and runs
-again whenever that file is not current (``_analysis``); corpus-stats and
-report only read it, and report alone writes ``book.json``. Corpus-stats
-and report skip work whose recorded input digests still match (see
-"memos" below), so an unchanged store is re-run without importing numpy.
-The segmentation, linguistic, characters and analytics modules run on
-first use (``_lazy``) and the process pool is imported only when one
-starts, so such a re-run loads neither. Under ``all``, dedup alone reads
-the dedup index.
+index.html}`` with corpus-level artifacts under ``store/_corpus/``. One
+rule, ``Traces``, decides every re-run; phase stamps in ``<meta>`` only
+enforce ordering, and files are only rewritten when their bytes change.
+Annotate and analyze share one parse and one ``book.xml`` write per book.
+Analyze alone computes a book's payload and lemmas, and report alone
+writes ``book.json``. The phase modules run on first use (``_lazy``) and
+the process pool is imported only when one starts, so an unchanged store
+is re-run without either, or numpy.
 """
 
 import hashlib
 import importlib.util
 import json
 import logging
+import re
 import resource
 import sys
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import dedup, ingest, report, xml_model
+from .config import Config
 from .errors import (AnalyticsError, BinderyError, MissingPhaseError, ParseError,
                      TooShortError)
-from .xml_model import AnnotatedBook, BookMeta, GENDERS
+from .xml_model import AnnotatedBook, BookMeta
 
 log = logging.getLogger(__name__)
 
@@ -79,9 +73,16 @@ REPORT_MEMO = "report.memo"
 # What report, their one writer, writes per book and for the corpus.
 BOOK_PAGES = ("book.json", "index.html")
 CORPUS_PAGES = ("corpus.html", "authors.html", "subjects.html")
-# The config keys build_book_payload reads, digested in a book's lemma file.
+# The config keys each trace covers: what ingest reads for one book, what
+# annotate_book reads, what build_book_payload reads, and for corpus-stats
+# and report every key but jobs.
+INGEST_KEYS = ("front_window_frac", "front_short_line_len",
+               "front_short_line_ratio", "page_separator")
+ANNOTATE_KEYS = ("header_max_len", "numbering_gap_tolerance", "lexicon_dir",
+                 "min_mentions", "pronoun_sentence_window")
 ANALYSIS_KEYS = ("lexicon_dir", "timeline_top_k", "interaction_window",
                  "interaction_min_co")
+CORPUS_KEYS = tuple(key for key in Config.field_names() if key != "jobs")
 LEMMA_MODEL_SCHEMA = {
     "type": "object", "required": ["total", "common"],
     "properties": {
@@ -117,33 +118,17 @@ def discover_sources(in_dir):
 
 def canonicalize_body(text):
     """Canonical body text: stripped lines, single blank line between blocks."""
-    blocks = []
-    block = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if line:
-            block.append(line)
-        elif block:
-            blocks.append("\n".join(block))
-            block = []
-    if block:
-        blocks.append("\n".join(block))
-    return "\n\n".join(blocks)
+    lines = "\n".join(line.strip() for line in text.split("\n"))
+    return "\n\n".join(re.split(r"\n{2,}", lines.strip("\n")))
 
 
 def ingest_to_book(raw, config):
     """Build the ingest-stage annotated book from a raw source."""
-    text = raw.text
-    front = []
-    back = []
+    fb_source = raw
     if raw.source_kind == ingest.SourceKind.GUTENBERG_TEXT:
-        spans = ingest.annotate_gutenberg_boilerplate(raw)
-        text, _ = ingest.strip_spans(text, spans)
-        fb_source = ingest.RawBook(
-            source_id=raw.source_id, source_kind=raw.source_kind,
-            pages=[text], metadata=raw.metadata)
-    else:
-        fb_source = raw
+        text, _ = ingest.strip_spans(
+            raw.text, ingest.annotate_gutenberg_boilerplate(raw))
+        fb_source = replace(raw, pages=[text])
     fb_spans = ingest.annotate_front_back_matter(
         fb_source,
         window_frac=config.front_window_frac,
@@ -239,7 +224,7 @@ def to_raw_stage(book):
 
     Each block of ``_offset_blocks`` becomes a raw paragraph again: hard-wrap
     newlines collapse to spaces, preserving every offset, and header lines
-    become ordinary blocks. Used by --force to redo segmentation onward.
+    become ordinary blocks. Annotate starts from here.
     """
     paragraphs = []
     for pieces in _offset_blocks(book):
@@ -250,6 +235,7 @@ def to_raw_stage(book):
     book.body = [xml_model.Section(header=None, paragraphs=paragraphs)]
     book.characters = []
     book.phases = [p for p in book.phases if p == "ingest"]
+    book.meta.annotate_trace = None
     return book
 
 
@@ -260,8 +246,6 @@ def _require(book, phase, needed):
 
 def segment_book(book, config):
     _require(book, "segment", "ingest")
-    if book.has_phase("segment"):
-        return book
     book.body = segmentation.segment(
         body_text_of(book), max_len=config.header_max_len,
         gap_tolerance=config.numbering_gap_tolerance,
@@ -272,8 +256,6 @@ def segment_book(book, config):
 
 def linguistic_book(book, config):
     _require(book, "linguistic", "segment")
-    if book.has_phase("linguistic"):
-        return book
     index = 0
     for paragraph in book.iter_paragraphs():
         index = linguistic.annotate_paragraph(paragraph, index,
@@ -284,8 +266,6 @@ def linguistic_book(book, config):
 
 def characters_book(book, config):
     _require(book, "characters", "linguistic")
-    if book.has_phase("characters"):
-        return book
     for token in book.iter_tokens():
         token.character_id = None
         token.quote_id = None
@@ -293,11 +273,9 @@ def characters_book(book, config):
         book, min_mentions=config.min_mentions,
         pronoun_window=config.pronoun_sentence_window,
         lexicon_dir=config.lexicon_dir)
-    paragraphs = list(book.iter_paragraphs())
-    quotes = linguistic.extract_quotes(paragraphs)
-    sentences = list(book.iter_sentences())
-    linguistic.attribute_quotes(quotes, sentences, assignments,
-                                lexicon_dir=config.lexicon_dir)
+    quotes = linguistic.extract_quotes(list(book.iter_paragraphs()))
+    linguistic.attribute_quotes(quotes, list(book.iter_sentences()),
+                                assignments, lexicon_dir=config.lexicon_dir)
     characters.attach_pronoun_counts(book, records, quotes,
                                      mention_spans=assignments,
                                      window=config.pronoun_sentence_window)
@@ -333,8 +311,6 @@ def build_book_payload(book, config):
     network = characters.build_interaction_network(
         book.characters, window=config.interaction_window,
         min_co=config.interaction_min_co)
-    paragraphs = list(book.iter_paragraphs())
-    sentences = list(book.iter_sentences())
     return {
         "schema": "bindery.book/1",
         "id": book.meta.source_id,
@@ -349,8 +325,8 @@ def build_book_payload(book, config):
             [] if book.has_phase("analytics") else ["analytics"]),
         "counts": {
             "sections": len(book.body),
-            "paragraphs": len(paragraphs),
-            "sentences": len(sentences),
+            "paragraphs": sum(1 for _ in book.iter_paragraphs()),
+            "sentences": sum(1 for _ in book.iter_sentences()),
             "tokens": book.token_count(),
         },
         "characters": [{
@@ -539,29 +515,22 @@ def _corpus_path(store, name):
 
 
 def store_book_ids(store):
-    store = Path(store)
-    if not store.exists():
-        return []
-    return sorted(p.parent.name for p in store.glob("*/book.xml"))
+    return sorted(p.parent.name for p in Path(store).glob("*/book.xml"))
 
 
 def kept_book_ids(store):
-    """Book ids that survived dedup (all books when dedup has not run)."""
+    """Book ids that survived dedup (all books when dedup has not run):
+    the books of a runner given ``book_ids=None``."""
     index_path = _corpus_path(store, INDEX_FILE)
-    ids = store_book_ids(store)
-    if not index_path.exists():
-        return ids
-    index = dedup.CorpusIndex.load(index_path)
-    duplicates = {e.book_id for e in index.entries if e.is_duplicate}
-    return [book_id for book_id in ids if book_id not in duplicates]
+    entries = (dedup.CorpusIndex.load(index_path).entries
+               if index_path.exists() else [])
+    duplicates = {e.book_id for e in entries if e.is_duplicate}
+    return [b for b in store_book_ids(store) if b not in duplicates]
 
 
 def _read_json(path, schema, kind):
-    """A JSON store file that matches ``schema``, a ``kind`` document.
-
-    A truncated or malformed file, or one of the wrong shape, raises
-    ParseError.
-    """
+    """A JSON store file that matches ``schema``, a ``kind`` document;
+    ParseError if it is truncated, malformed or of the wrong shape."""
     try:
         payload = json.loads(path.read_bytes())
     except ValueError as exc:
@@ -582,28 +551,7 @@ def _json_object(path):
     return payload if isinstance(payload, dict) else {}
 
 
-def _book_analysis(store, book_id, phase, config, book_schema):
-    """``(payload, lemmas)`` from a book's lemma file; the book fails
-    ``phase`` while the file is not current or has the wrong shape."""
-    analysis = _analysis(store, book_id, config)
-    if analysis is None:
-        raise MissingPhaseError(phase, "analyze")
-    payload, lemmas = analysis.get("payload"), analysis.get("lemmas")
-    errors = report.validate_schema(payload, book_schema, "$.payload")
-    if not (isinstance(lemmas, list)
-            and all(isinstance(w, str) for w in lemmas)):
-        errors.append("$.lemmas: expected a list of strings")
-    if errors:
-        raise ParseError(f"{_book_dir(store, book_id) / LEMMAS_FILE}: not a "
-                         "book analysis: " + "; ".join(errors[:3]))
-    return payload, lemmas
-
-
-# -- memos ---------------------------------------------------------------------
-# An output is current iff the digest of its inputs, recorded beside it when
-# it was written, still matches: the "verifying traces" of Mokhov, Mitchell
-# and Peyton Jones, "Build Systems a la Carte" (ICFP 2018). --force reads no
-# memo and records the one a cold run records.
+# -- traces --------------------------------------------------------------------
 
 
 def _file_digest(path):
@@ -614,70 +562,123 @@ def _file_digest(path):
         return None
 
 
-def _parts_digest(parts):
-    """SHA-256 of a list of JSON values."""
-    return hashlib.sha256(json.dumps(parts).encode("utf-8")).hexdigest()
+class Traces:
+    """The one rule that decides whether an output is current.
+
+    An output is current iff the digest of its named inputs, recorded
+    beside it, still matches: the "verifying traces" of Mokhov, Mitchell
+    and Peyton Jones, "Build Systems a la Carte" (ICFP 2018). The inputs
+    are JSON values and files; a ``Path`` stands for its file's bytes.
+    One instance serves one runner call or one ``run_all``, digests each
+    file and reads each ``<meta>`` at most once (``files``, ``heads``; a
+    write through ``report.write_if_changed(..., traces.files)`` records
+    the digest of what it leaves),
+    and under ``force`` reads no recorded trace, so none is current.
+    """
+
+    def __init__(self, force=False):
+        self.force = force
+        self.files = {}
+        self.heads = {}
+
+    def recorded(self, read, *args):
+        """``read(*args)``, a recorded trace; None, unread, under force."""
+        return None if self.force else read(*args)
+
+    def current(self, recorded, parts):
+        """Whether ``recorded`` is the trace of ``parts``."""
+        return recorded is not None and recorded == self.digest(parts)
+
+    def digest(self, parts):
+        """The trace of ``parts``: the SHA-256 of their JSON text."""
+        values = [self._file(p) if isinstance(p, Path) else p for p in parts]
+        return hashlib.sha256(json.dumps(values).encode("utf-8")).hexdigest()
+
+    def _file(self, path):
+        if path not in self.files:
+            self.files[path] = _file_digest(path)
+        return self.files[path]
+
+    def head(self, xml_path):
+        """The ``<meta>`` of a stored book; None when there is no book."""
+        if xml_path not in self.heads:
+            self.heads[xml_path] = (xml_model.load_head(xml_path)[0]
+                                    if xml_path.exists() else None)
+        return self.heads[xml_path]
+
+    def forget(self, paths):
+        """Drop what was read of ``paths``, which are being rewritten."""
+        for path in paths:
+            self.files.pop(path, None)
+            self.heads.pop(path, None)
 
 
-def _config_digest(config):
-    """Digest of every config key but ``jobs``, and of the bindery version."""
+def _settings(config, keys):
+    """The bindery version and the ``keys`` settings."""
     from . import __version__  # looked up per call, not frozen at import
-    settings = asdict(config)
-    del settings["jobs"]
-    return _parts_digest([__version__, json.dumps(settings, sort_keys=True)])
+    return [__version__, *(getattr(config, key) for key in keys)]
 
 
-def _corpus_outputs(store):
-    return [_file_digest(_corpus_path(store, name)) for name in CORPUS_OUTPUTS]
+def _source_parts(path, kind):
+    """A text source, or each ``.txt`` file of a page-wise one, by name."""
+    if kind == ingest.SourceKind.GUTENBERG_TEXT:
+        return [path]
+    return [part for page in sorted(path.glob("*.txt"))
+            for part in (page.name, page)]
 
 
-def _analysis_config(config):
-    """Digest of the ``ANALYSIS_KEYS`` settings."""
-    return _parts_digest([getattr(config, key) for key in ANALYSIS_KEYS])
+def _annotate_parts(meta, config):
+    return [*_settings(config, ANNOTATE_KEYS), meta.ingest_trace]
 
 
-def _analysis(store, book_id, config):
-    """A book's lemma file while its digests of book.xml and of the
-    ``ANALYSIS_KEYS`` settings still match, else None."""
-    analysis = _json_object(_book_dir(store, book_id) / LEMMAS_FILE)
-    xml_path = _xml_path(store, book_id)
-    if (analysis.get("config") == _analysis_config(config)
-            and analysis.get("xml_sha256") == _file_digest(xml_path)):
-        return analysis
-    return None
+def _analysis_files(store, book_id):
+    """A book's book.xml and lemma file: what ``_book_analysis`` reads."""
+    return [_xml_path(store, book_id), _book_dir(store, book_id) / LEMMAS_FILE]
 
 
-def _analysis_sources(store, book_id):
-    """Digests of a book's book.xml and lemmas.json: what ``_book_analysis``
-    reads."""
-    book_dir = _book_dir(store, book_id)
-    return [_file_digest(book_dir / "book.xml"),
-            _file_digest(book_dir / LEMMAS_FILE)]
+def _analysis_parts(store, book_id, config):
+    # The version reaches it through the traces in book.xml's <meta>.
+    return [*(getattr(config, key) for key in ANALYSIS_KEYS),
+            _xml_path(store, book_id)]
 
 
-def _corpus_stats_inputs(store, book_ids, config):
-    """Digest of everything corpus-stats reads for the kept ``book_ids``."""
-    parts = [_config_digest(config)]
-    for book_id in book_ids:
-        parts += [book_id, *_analysis_sources(store, book_id)]
-    return _parts_digest(parts)
-
-
-def _pages_digest(inputs, directory, names):
-    """Digest of ``inputs`` and of the pages ``names`` in ``directory``."""
-    return _parts_digest(inputs + [_file_digest(directory / name)
-                                   for name in names])
+def _book_analysis(store, book_id, phase, config, book_schema, traces):
+    """``(payload, lemmas)`` from a book's lemma file; the book fails
+    ``phase`` while the file is not current or has the wrong shape."""
+    path = _book_dir(store, book_id) / LEMMAS_FILE
+    analysis = _json_object(path)
+    if not traces.current(analysis.get("trace"),
+                          _analysis_parts(store, book_id, config)):
+        raise MissingPhaseError(phase, "analyze")
+    payload, lemmas = analysis.get("payload"), analysis.get("lemmas")
+    errors = report.validate_schema(payload, book_schema, "$.payload")
+    if not (isinstance(lemmas, list)
+            and all(isinstance(w, str) for w in lemmas)):
+        errors.append("$.lemmas: expected a list of strings")
+    if errors:
+        raise ParseError(f"{path}: not a book analysis: "
+                         + "; ".join(errors[:3]))
+    return payload, lemmas
 
 
 # -- phase runners ----------------------------------------------------------------
 
 
-def run_ingest(in_dir, store, config, force=False):
-    """Ingest every source of ``in_dir`` into its book's book.xml.
+def _read_source(path, kind, config):
+    if kind == ingest.SourceKind.GUTENBERG_TEXT:
+        return ingest.read_gutenberg(path)
+    return ingest.read_hathi_pagewise(path, page_separator=config.page_separator)
 
-    Sources that map to one book id (``1001.txt`` and ``pg1001.txt``)
-    fail that id with one error naming them all, and none is written.
+
+def run_ingest(in_dir, store, config, force=False, traces=None):
+    """Ingest every source of ``in_dir`` whose book's ingest trace is not
+    current into the book's book.xml.
+
+    Sources that map to one book id (``1001.txt`` and ``pg1001.txt``) fail
+    that id with one error naming them all, and none is written. Every
+    runner makes new ``traces`` under ``force`` when given none.
     """
+    traces = traces or Traces(force)
     sources = {}
     for book_id, path, kind in discover_sources(in_dir):
         sources.setdefault(book_id, []).append((path, kind))
@@ -690,19 +691,16 @@ def run_ingest(in_dir, store, config, force=False):
             continue
         [(path, kind)] = found
         xml_path = _xml_path(store, book_id)
+        parts = _settings(config, INGEST_KEYS) + _source_parts(path, kind)
         try:
-            if (not force and xml_path.exists()
-                    and "ingest" in xml_model.load_head(xml_path)[1]):
-                results.append(PhaseResult(book_id, "ingest", True))
-                continue
-            if kind == ingest.SourceKind.GUTENBERG_TEXT:
-                raw = ingest.read_gutenberg(path)
-            else:
-                raw = ingest.read_hathi_pagewise(
-                    path, page_separator=config.page_separator)
-            raw.source_id = book_id
-            book = ingest_to_book(raw, config)
-            report.write_if_changed(xml_path, xml_model.serialize(book))
+            meta = traces.recorded(traces.head, xml_path)
+            if not traces.current(meta and meta.ingest_trace, parts):
+                raw = _read_source(path, kind, config)
+                raw.source_id = book_id
+                book = ingest_to_book(raw, config)
+                book.meta.ingest_trace = traces.digest(parts)
+                traces.forget([xml_path])
+                report.write_if_changed(xml_path, xml_model.serialize(book))
             results.append(PhaseResult(book_id, "ingest", True))
         except BinderyError as exc:
             results.append(_failed(book_id, "ingest", exc))
@@ -722,20 +720,17 @@ def _previous_index(store):
     return {entry.book_id: entry for entry in index.entries}
 
 
-def _memoized_entry(store, book_id, record, minhash):
-    """``book_id``'s dedup entry rebuilt from its last index record, or None.
-
-    The record is reused when it was fingerprinted with the ``minhash``
-    parameters from the body whose ingest digest the book's ``<meta>``
-    still carries; only that ``<meta>`` is read.
-    """
+def _memoized_entry(store, book_id, record, minhash, traces):
+    """``book_id``'s dedup entry rebuilt from its last index record while
+    the body digest and ``minhash`` parameters it names are current, or
+    None; only the book's ``<meta>`` is read."""
     if (record is None or record.body_sha256 is None
-            or record.minhash != minhash
             or (record.fingerprint is not None
                 and len(record.fingerprint.signature) != minhash[0])):
         return None
-    meta, _ = xml_model.load_head(_xml_path(store, book_id))
-    if meta.body_sha256 != record.body_sha256:
+    meta = traces.head(_xml_path(store, book_id))
+    if not traces.current(traces.digest([record.body_sha256, record.minhash]),
+                          [meta.body_sha256, minhash]):
         return None
     fp = None
     if record.fingerprint is not None:
@@ -773,21 +768,23 @@ def _dedup_entry(book_id, meta, text_length, fp, minhash):
         minhash=minhash if meta.body_sha256 is not None else None)
 
 
-def run_dedup(store, config, force=False):
+def run_dedup(store, config, force=False, traces=None):
     """Fingerprint every stored book and mark duplicates in the index.
 
-    Unless forced, a book whose record in the previous index is still
-    current (see ``_memoized_entry``) reuses that fingerprint, so an
-    unchanged store is deduplicated from ``<meta>`` reads alone.
+    A book whose record in the previous index is still current (see
+    ``_memoized_entry``) reuses that fingerprint, so an unchanged store is
+    deduplicated from ``<meta>`` reads alone.
     """
+    traces = traces or Traces(force)
     minhash = (config.minhash_hashes, config.shingle_size, config.seed)
-    memo = {} if force else _previous_index(store)
+    memo = traces.recorded(_previous_index, store) or {}
     index = dedup.CorpusIndex()
     results = []
     reused = 0
     for book_id in store_book_ids(store):
         try:
-            entry = _memoized_entry(store, book_id, memo.get(book_id), minhash)
+            entry = _memoized_entry(store, book_id, memo.get(book_id), minhash,
+                                    traces)
             if entry is None:
                 entry = _fingerprinted_entry(store, book_id, config, minhash)
             else:
@@ -801,9 +798,7 @@ def run_dedup(store, config, force=False):
     dedup.dedup_corpus(index,
                        title_author_match=config.dedup_title_author,
                        content_threshold=config.dedup_content_threshold)
-    index_path = _corpus_path(store, INDEX_FILE)
-    index_path.parent.mkdir(parents=True, exist_ok=True)
-    index.save(index_path)
+    index.save(_corpus_path(store, INDEX_FILE))
     removed = {e.book_id: e.representative_of for e in index.entries
                if e.is_duplicate}
     for result in results:
@@ -814,42 +809,23 @@ def run_dedup(store, config, force=False):
     return results
 
 
-def _annotate(book, config, force):
-    """Annotate ``book`` in place as the annotate phase does.
-
-    Returns whether the book changed. The book is validated as a
-    standalone annotate's serialize would, so an invariant broken by the
-    annotation fails annotate, not a later phase.
-    """
-    if force and book.has_phase("segment"):
-        to_raw_stage(book)
-    if book.has_phase("characters"):
-        return False
-    annotate_book(book, config)
-    xml_model.validate(book)
-    return True
-
-
 def _analyze(store, book_id, book, config):
-    """Write an annotated book's stamped book.xml and its lemma file.
-
-    The lemma file keeps the bare payload (``build_book_payload``), the
-    lemma sequence and what they were made from (``_analysis``); report
-    makes book.json from them.
+    """Write an annotated book's stamped book.xml, then its lemma file:
+    the bare payload, the lemma sequence and their trace.
 
     Everything is computed before the first write, so a failure writes
-    nothing. Only the serialize comes after ``book`` gets the ``analytics``
-    stamp, and it cannot fail on a book that ``_annotate`` validated.
+    nothing; the serialize cannot fail on a book that annotate validated.
     """
     payload = build_book_payload(book, config)
     lemmas = analytics_book.lemma_sequence(book)
     book.add_phase("analytics")
-    data = xml_model.serialize(book).encode("utf-8")
-    report.write_if_changed(_xml_path(store, book_id), data)
-    report.dump_json({"xml_sha256": hashlib.sha256(data).hexdigest(),
-                      "config": _analysis_config(config),
-                      "lemmas": lemmas, "payload": payload},
-                     _book_dir(store, book_id) / LEMMAS_FILE)
+    traces = Traces()  # its one file, book.xml, gets its digest as written
+    report.write_if_changed(_xml_path(store, book_id),
+                            xml_model.serialize(book), traces.files)
+    report.dump_json({
+        "trace": traces.digest(_analysis_parts(store, book_id, config)),
+        "lemmas": lemmas, "payload": payload},
+        _book_dir(store, book_id) / LEMMAS_FILE)
 
 
 def _annotate_analyze_one(args):
@@ -859,9 +835,10 @@ def _annotate_analyze_one(args):
     are those of running the phases one after another: a failed load
     fails every phase; after a failed annotate, analyze runs on the
     book.xml still on disk; after a failed analyze, the annotation is
-    still written.
+    still written. Annotate starts from the ingest stage and validates
+    the book as a standalone annotate's serialize would.
     """
-    store, book_id, config, phases, force = args
+    store, book_id, config, phases = args
     path = _xml_path(store, book_id)
     try:
         book = xml_model.load(path)
@@ -871,7 +848,13 @@ def _annotate_analyze_one(args):
     unwritten = False  # book holds an annotation that book.xml lacks
     if "annotate" in phases:
         try:
-            unwritten = _annotate(book, config, force)
+            if book.has_phase("segment"):
+                to_raw_stage(book)
+            annotate_book(book, config)
+            book.meta.annotate_trace = Traces().digest(
+                _annotate_parts(book.meta, config))
+            xml_model.validate(book)
+            unwritten = True
         except BinderyError as exc:
             errors["annotate"] = exc
     if "analyze" in phases:
@@ -897,35 +880,38 @@ def _pool_map(worker, args_list, jobs):
         return list(pool.map(worker, args_list))
 
 
-def _run_stale(phases, store, config, force, book_ids=None):
+def _run_stale(phases, store, config, traces, book_ids=None):
     """Run ``phases`` (annotate and/or analyze) over the kept books.
 
-    Unless forced, a book goes to analyze exactly when its analysis is not
-    current (``_analysis``), and otherwise one ``<meta>`` read finds
-    whether it lacks annotate's ``characters`` stamp. Up-to-date books are
-    neither fully parsed nor sent, and a run with nothing pending starts no
-    pool. Returns one result per book per phase, phase by phase.
-    ``book_ids`` are the kept books, read from the dedup index when None.
+    A book needs annotate while the trace in its ``<meta>`` is not
+    current, and analyze while its lemma file's is not or annotate is to
+    run. Up-to-date books are neither fully parsed nor sent, and a run
+    with nothing pending starts no pool. A sent book leaves ``traces``: a
+    worker process may rewrite its files. Returns one result per book per
+    phase, phase by phase.
     """
     if book_ids is None:
         book_ids = kept_book_ids(store)
     results = {}
     stale = []
     for book_id in book_ids:
-        todo = phases
-        if not force:
-            if "analyze" in phases and _analysis(store, book_id, config):
-                continue
-            try:
-                _, stamps = xml_model.load_head(_xml_path(store, book_id))
-            except BinderyError as exc:
-                results.update(((book_id, phase), _failed(book_id, phase, exc))
-                               for phase in phases)
-                continue
-            todo = tuple(phase for phase in phases
-                         if phase == "analyze" or "characters" not in stamps)
+        try:  # None under force
+            meta = traces.recorded(traces.head, _xml_path(store, book_id))
+        except BinderyError as exc:
+            results.update(((book_id, phase), _failed(book_id, phase, exc))
+                           for phase in phases)
+            continue
+        todo = []
+        if "annotate" in phases and not (meta and traces.current(
+                meta.annotate_trace, _annotate_parts(meta, config))):
+            todo.append("annotate")
+        if "analyze" in phases and (todo or not (meta and traces.current(
+                _json_object(_book_dir(store, book_id) / LEMMAS_FILE).get(
+                    "trace"), _analysis_parts(store, book_id, config)))):
+            todo.append("analyze")
         if todo:
-            stale.append((store, book_id, config, todo, force))
+            traces.forget(_analysis_files(store, book_id))
+            stale.append((store, book_id, config, tuple(todo)))
     for book_results in _pool_map(_annotate_analyze_one, stale, config.jobs):
         results.update(((r.book_id, r.phase), r) for r in book_results)
     return [results.get((book_id, phase)) or PhaseResult(book_id, phase, True)
@@ -933,27 +919,29 @@ def _run_stale(phases, store, config, force, book_ids=None):
 
 
 def run_annotate(store, config, force=False):
-    return _run_stale(("annotate",), store, config, force)
+    return _run_stale(("annotate",), store, config, Traces(force))
 
 
 def run_analyze(store, config, force=False):
-    return _run_stale(("analyze",), store, config, force)
+    return _run_stale(("analyze",), store, config, Traces(force))
 
 
-def run_corpus_stats(store, config, force=False, book_ids=None):
+def run_corpus_stats(store, config, force=False, book_ids=None, traces=None):
     """Write corpus.json, the corpus lemma model and the book vectors.
 
-    ``book_ids`` are the kept books, read from the dedup index when None.
-    Unless forced, nothing is read, trained or written while the memo's
-    digests of the inputs (``_corpus_stats_inputs``) and of the outputs
-    both match. The memo is recorded only when every kept book succeeded.
+    Nothing is read, trained or written while the memo's trace is current.
+    It is recorded only when every kept book succeeded.
     """
+    traces = traces or Traces(force)
     if book_ids is None:
         book_ids = kept_book_ids(store)
     memo_path = _corpus_path(store, CORPUS_STATS_MEMO)
-    inputs = _corpus_stats_inputs(store, book_ids, config)
-    if not force and _json_object(memo_path) == {
-            "inputs": inputs, "outputs": _corpus_outputs(store)}:
+    parts = _settings(config, CORPUS_KEYS)
+    for book_id in book_ids:
+        parts += [book_id, *_analysis_files(store, book_id)]
+    parts += [_corpus_path(store, name) for name in CORPUS_OUTPUTS]
+    memo = traces.recorded(_json_object, memo_path) or {}
+    if traces.current(memo.get("trace"), parts):
         log.debug("corpus-stats: inputs unchanged, %d book(s) reused",
                   len(book_ids))
         return [PhaseResult(book_id, "corpus-stats", True)
@@ -966,7 +954,7 @@ def run_corpus_stats(store, config, force=False, book_ids=None):
     for book_id in book_ids:
         try:
             payload, lemmas = _book_analysis(store, book_id, "corpus-stats",
-                                             config, book_schema)
+                                             config, book_schema, traces)
             payloads.append(payload)
             lemma_counter.update(lemmas)
             streams[book_id] = analytics_book.strip_stopwords(
@@ -978,9 +966,8 @@ def run_corpus_stats(store, config, force=False, book_ids=None):
         return results
 
     stats = build_corpus_stats(payloads, lemma_counter, config)
-    corpus_dir = _corpus_path(store, "")
-    corpus_dir.mkdir(parents=True, exist_ok=True)
-    report.dump_json(stats, _corpus_path(store, report.CORPUS_JSON))
+    report.dump_json(stats, _corpus_path(store, report.CORPUS_JSON),
+                     traces.files)
 
     common = sorted(lemma_counter,
                     key=lambda w: (-lemma_counter[w], w))[:config.vocab_top_common]
@@ -988,58 +975,56 @@ def run_corpus_stats(store, config, force=False, book_ids=None):
         "total": sum(lemma_counter.values()),
         "common": {w: lemma_counter[w] for w in common},
     }
-    report.dump_json(lemma_model, _corpus_path(store, LEMMAS_FILE))
+    report.dump_json(lemma_model, _corpus_path(store, LEMMAS_FILE),
+                     traces.files)
 
+    vectors_path = _corpus_path(store, VECTORS_FILE)
     try:
         vectors = analytics_book.train_embeddings(
             streams, dim=config.embed_dim, epochs=config.embed_epochs,
             min_count=config.embed_min_count,
             vocab_max=config.embed_vocab_max, negatives=config.embed_negatives,
             learning_rate=config.embed_learning_rate, seed=config.seed)
-        vectors.save(_corpus_path(store, VECTORS_FILE))
+        vectors.save(vectors_path, traces.files)
     except AnalyticsError as exc:
         log.warning("embedding training skipped: %s", exc)
-        vectors_path = _corpus_path(store, VECTORS_FILE)
-        if vectors_path.exists():
-            vectors_path.unlink()
+        vectors_path.unlink(missing_ok=True)
+        traces.files[vectors_path] = None
     if all(result.ok for result in results):
-        report.dump_json({"inputs": inputs, "outputs": _corpus_outputs(store)},
-                         memo_path)
+        report.dump_json({"trace": traces.digest(parts)}, memo_path)
     return results
 
 
-def run_report(store, config, force=False, book_ids=None):
+def run_report(store, config, force=False, book_ids=None, traces=None):
     """Write each kept book's pages and the corpus pages.
 
-    ``book_ids`` are the kept books, read from the dedup index when None.
-    Unless forced, a book keeps its pages while the digest of what they
-    are made from (the corpus-stats outputs and the book's
-    ``_analysis_sources``) and of the pages matches its record in the report
-    memo; the corpus pages are kept likewise under the ``_corpus`` record.
-    corpus.json is read only when some page is stale, and the corpus
-    lemma model and the vectors only when some book's page is.
+    Pages are kept while their trace in the memo is current. corpus.json
+    is read only when some page is stale, and the corpus lemma model and
+    the vectors only when some book's page is.
     """
     stats_path = _corpus_path(store, report.CORPUS_JSON)
     if not stats_path.exists():
         raise MissingPhaseError("report", "corpus-stats")
-    corpus_key = [_config_digest(config), *_corpus_outputs(store)]
-    corpus_dir = _corpus_path(store, "")
+    traces = traces or Traces(force)
     if book_ids is None:
         book_ids = kept_book_ids(store)
+    corpus_dir = _corpus_path(store, "")
+    corpus_inputs = _settings(config, CORPUS_KEYS) + [
+        _corpus_path(store, name) for name in CORPUS_OUTPUTS]
+    pages = {book_id: corpus_inputs + _analysis_files(store, book_id)
+             + [_book_dir(store, book_id) / name for name in BOOK_PAGES]
+             for book_id in book_ids}
+    pages[CORPUS_DIR] = corpus_inputs + [corpus_dir / name
+                                         for name in CORPUS_PAGES]
     memo_path = _corpus_path(store, REPORT_MEMO)
-    memo = {} if force else _json_object(memo_path)
-    inputs = {book_id: corpus_key + _analysis_sources(store, book_id)
-              for book_id in book_ids}
-    stale = {book_id for book_id in book_ids if memo.get(book_id)
-             != _pages_digest(inputs[book_id], _book_dir(store, book_id),
-                              BOOK_PAGES)}
-    corpus_current = memo.get(CORPUS_DIR) == _pages_digest(
-        corpus_key, corpus_dir, CORPUS_PAGES)
-    if stale or not corpus_current:
+    memo = traces.recorded(_json_object, memo_path) or {}
+    stale = {key for key in pages if not traces.current(memo.get(key),
+                                                        pages[key])}
+    if stale:
         stats = _read_json(stats_path,
                            report.load_schema("corpus.schema.json"),
                            "bindery.corpus/1")
-    if stale:
+    if stale - {CORPUS_DIR}:
         lemmas_path = _corpus_path(store, LEMMAS_FILE)
         lemma_model = (_read_json(lemmas_path, LEMMA_MODEL_SCHEMA,
                                   "corpus lemma model")
@@ -1051,35 +1036,33 @@ def run_report(store, config, force=False, book_ids=None):
 
     results = []
     records = {}  # the memo this run leaves: no record for a failed book
+    rendered = 0
     for book_id in book_ids:
-        if book_id not in stale:
-            records[book_id] = memo[book_id]
-        else:
+        if book_id in stale:
             try:
                 payload, lemmas = _book_analysis(store, book_id, "report",
-                                                 config, book_schema)
+                                                 config, book_schema, traces)
                 enrich_book_payload(payload, Counter(lemmas), stats,
                                     lemma_model, vectors, config)
-                report.emit_book_report(payload, _book_dir(store, book_id))
+                report.emit_book_report(payload, _book_dir(store, book_id),
+                                        traces.files)
             except BinderyError as exc:
                 results.append(_failed(book_id, "report", exc))
                 continue
-            records[book_id] = _pages_digest(
-                inputs[book_id], _book_dir(store, book_id), BOOK_PAGES)
+            rendered += 1
+        records[book_id] = traces.digest(pages[book_id])
         results.append(PhaseResult(book_id, "report", True))
-    reused = len(book_ids) - len(stale)
-    log.debug("report: %d page(s) reused, %d rendered", reused,
-              len(records) - reused)
-    if not corpus_current:
-        report.emit_corpus_report(stats, corpus_dir)
-    records[CORPUS_DIR] = _pages_digest(corpus_key, corpus_dir, CORPUS_PAGES)
+    log.debug("report: %d page(s) reused, %d rendered",
+              len(book_ids) - len(stale - {CORPUS_DIR}), rendered)
+    if CORPUS_DIR in stale:
+        report.emit_corpus_report(stats, corpus_dir, traces.files)
+    records[CORPUS_DIR] = traces.digest(pages[CORPUS_DIR])
     report.dump_json(records, memo_path)
     return results
 
 
 def _timed(name, runner, *args, **kwargs):
-    """``runner(*args, **kwargs)``, logging its wall time and book count at
-    DEBUG."""
+    """``runner(*args, **kwargs)``, logging its time and book count at DEBUG."""
     start = time.perf_counter()
     results = runner(*args, **kwargs)
     log.debug("%s: %.3f s, %d book(s)", name, time.perf_counter() - start,
@@ -1090,21 +1073,23 @@ def _timed(name, runner, *args, **kwargs):
 def run_all(in_dir, store, config, force=False):
     """Every phase in order; annotate and analyze share one pass per book.
 
-    The later phases take the kept books from dedup's results, so the
-    index is read only by dedup, for its memo. Logs each phase runner's
-    wall time and book count, then the process's peak memory, at DEBUG.
+    The runners share one ``Traces``, and the later ones take the kept
+    books from dedup's results, so the index is read only by dedup. Logs
+    each runner's wall time and book count, then the peak memory, at DEBUG.
     """
-    results = _timed("ingest", run_ingest, in_dir, store, config, force=force)
-    dedup_results = _timed("dedup", run_dedup, store, config, force=force)
+    traces = Traces(force)
+    results = _timed("ingest", run_ingest, in_dir, store, config,
+                     traces=traces)
+    dedup_results = _timed("dedup", run_dedup, store, config, traces=traces)
     results += dedup_results
     # ``kept_book_ids``, without reading back the index dedup just wrote.
     book_ids = [r.book_id for r in dedup_results if r.duplicate_of is None]
     results += _timed("annotate+analyze", _run_stale, ("annotate", "analyze"),
-                      store, config, force, book_ids)
+                      store, config, traces, book_ids)
     results += _timed("corpus-stats", run_corpus_stats, store, config,
-                      force=force, book_ids=book_ids)
-    results += _timed("report", run_report, store, config, force=force,
-                      book_ids=book_ids)
+                      book_ids=book_ids, traces=traces)
+    results += _timed("report", run_report, store, config, book_ids=book_ids,
+                      traces=traces)
     # ru_maxrss is in KiB on Linux; pool workers are not counted.
     log.debug("peak memory: %.1f MB",
               resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)

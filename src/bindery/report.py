@@ -7,6 +7,7 @@ self-contained. Re-running emission over unchanged inputs produces
 byte-identical files.
 """
 
+import hashlib
 import html
 import json
 import math
@@ -291,22 +292,26 @@ def _render_heatmap(spec, parts):
 # -- file helpers -----------------------------------------------------------------
 
 
-def dump_json(payload, path):
+def dump_json(payload, path, digests=None):
     """Write canonical JSON; returns True when the file content changed."""
     return write_if_changed(
-        Path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path, json.dumps(payload, indent=2, sort_keys=True) + "\n", digests)
 
 
-def write_if_changed(path, content):
+def write_if_changed(path, content, digests=None):
     """Write text or bytes only when they differ, preserving timestamps on no-ops.
 
     A write is atomic: the bytes go to a temporary file in the same
     directory, which then replaces ``path``, so a killed run leaves the
     old file or the new one, never a truncated one. The temporary file is
     created like any other file, so the result has the usual mode.
+    ``digests``, a dict of file digests by path, gets the hex SHA-256 of
+    ``content``, which the file holds once this returns.
     """
     path = Path(path)
     data = content.encode("utf-8") if isinstance(content, str) else content
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
     if path.exists() and path.read_bytes() == data:
         return False
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -361,16 +366,16 @@ def _character_table(characters):
     return "\n".join(rows)
 
 
-def emit_book_report(payload, out_dir):
+def emit_book_report(payload, out_dir, digests=None):
     """Write book.json and a self-contained index.html for one book.
 
-    ``payload`` is the per-book analytics document (see
-    schemas/book.schema.json). Returns the two paths.
+    ``payload`` is the per-book analytics document (schemas/book.schema.json)
+    and ``digests`` that of ``write_if_changed``. Returns the two paths.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "book.json"
-    dump_json(payload, json_path)
+    dump_json(payload, json_path, digests)
 
     title = payload["meta"].get("title") or payload["id"]
     author = payload["meta"].get("author") or "unknown author"
@@ -491,16 +496,16 @@ def emit_book_report(payload, out_dir):
         parts.append("\n".join(rows))
 
     html_path = out_dir / "index.html"
-    write_if_changed(html_path, _page(title, parts))
+    write_if_changed(html_path, _page(title, parts), digests)
     return json_path, html_path
 
 
-def emit_corpus_report(stats, out_dir):
+def emit_corpus_report(stats, out_dir, digests=None):
     """Write corpus.json, corpus.html, and author/subject index pages."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / CORPUS_JSON
-    dump_json(stats, json_path)
+    dump_json(stats, json_path, digests)
 
     parts = ["<h1>Corpus overview</h1>",
              f"<p>{len(stats.get('books', []))} books analyzed.</p>"]
@@ -554,13 +559,15 @@ def emit_corpus_report(stats, out_dir):
             "matrix": [[correlations[a][b] for b in labels] for a in labels],
         }) + "</figure>")
 
-    write_if_changed(out_dir / "corpus.html", _page("Corpus overview", parts))
-    _emit_grouped_index(stats, out_dir / "authors.html", "author", "Authors")
-    _emit_grouped_index(stats, out_dir / "subjects.html", "subjects", "Subjects")
+    write_if_changed(out_dir / "corpus.html", _page("Corpus overview", parts),
+                     digests)
+    for name, field, heading in (("authors.html", "author", "Authors"),
+                                 ("subjects.html", "subjects", "Subjects")):
+        _emit_grouped_index(stats, out_dir / name, field, heading, digests)
     return json_path, out_dir / "corpus.html"
 
 
-def _emit_grouped_index(stats, path, field, heading):
+def _emit_grouped_index(stats, path, field, heading, digests):
     groups = {}
     for book in stats.get("books", []):
         keys = book.get(field) or ""
@@ -576,7 +583,7 @@ def _emit_grouped_index(stats, path, field, heading):
             + (f" ({b['year']})" if b.get("year") else "") + "</li>"
             for b in books)
         parts.append(f"<h2>{html.escape(key)}</h2><ul>{items}</ul>")
-    write_if_changed(path, _page(heading, parts))
+    write_if_changed(path, _page(heading, parts), digests)
     return path
 
 

@@ -108,6 +108,9 @@ class BookMeta:
     encoding: str | None = None
     # Hex SHA-256 of the canonical body as ingested; later phases keep it.
     body_sha256: str | None = None
+    # Traces of what ingest and annotate built the book from (pipeline.Traces).
+    ingest_trace: str | None = None
+    annotate_trace: str | None = None
 
 
 @dataclass
@@ -151,6 +154,8 @@ class AnnotatedBook:
 # The C0 control characters but tab, newline and carriage return.
 _ILLEGAL_CTRL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
+# The ``<meta>`` fields that hold a hex SHA-256, in document order.
+DIGEST_FIELDS = ("body_sha256", "ingest_trace", "annotate_trace")
 
 
 def _check_text(value, what):
@@ -165,10 +170,11 @@ def _validate_meta(meta, phases):
                         ("source_id", meta.source_id), ("corpus", meta.corpus)):
         if value:
             _check_text(value, f"meta {name}")
-    if (meta.body_sha256 is not None
-            and not _SHA256_HEX.fullmatch(meta.body_sha256)):
-        raise InvariantError("body_sha256 is not 64 lowercase hex digits: "
-                             f"{meta.body_sha256!r}")
+    for name in DIGEST_FIELDS:
+        value = getattr(meta, name)
+        if value is not None and not _SHA256_HEX.fullmatch(value):
+            raise InvariantError(
+                f"{name} is not 64 lowercase hex digits: {value!r}")
     for phase in phases:
         if phase not in PHASES:
             raise InvariantError(f"unknown phase stamp: {phase}")
@@ -292,8 +298,9 @@ def _write_meta(out, book):
         out.append(f"    <subject>{_esc_text(subject)}</subject>\n")
     if meta.encoding is not None:
         out.append(f"    <encoding>{_esc_text(meta.encoding)}</encoding>\n")
-    if meta.body_sha256 is not None:
-        out.append(f"    <body_sha256>{meta.body_sha256}</body_sha256>\n")
+    for name in DIGEST_FIELDS:
+        if getattr(meta, name) is not None:
+            out.append(f"    <{name}>{getattr(meta, name)}</{name}>\n")
     if book.phases:
         out.append(f"    <phases>{' '.join(book.phases)}</phases>\n")
     out.append("  </meta>\n")
@@ -367,7 +374,7 @@ def _token_line(token):
 _STRUCTURAL_CHILDREN = {
     "book": {"meta", "front", "back", "characters", "body"},
     "meta": {"title", "author", "year", "source_id", "corpus",
-             "subject", "encoding", "body_sha256", "phases"},
+             "subject", "encoding", *DIGEST_FIELDS, "phases"},
     "front": {"block"},
     "back": {"block"},
     "characters": {"character"},
@@ -380,7 +387,7 @@ _STRUCTURAL_CHILDREN = {
 
 _TEXT_ELEMENTS = {
     "title", "author", "year", "source_id", "corpus", "subject", "encoding",
-    "body_sha256", "phases", "block", "name", "mentions", "header", "t",
+    *DIGEST_FIELDS, "phases", "block", "name", "mentions", "header", "t",
 }
 
 
@@ -551,8 +558,8 @@ class _BookBuilder:
             meta.subjects.append(text)
         elif name == "encoding":
             meta.encoding = text
-        elif name == "body_sha256":
-            meta.body_sha256 = text
+        elif name in DIGEST_FIELDS:
+            setattr(meta, name, text)
         elif name == "phases":
             self.book.phases = text.split()
         elif name == "block":

@@ -2,9 +2,9 @@
 
 import random
 
-from bindery.xml_model import (AnnotatedBook, BookMeta, CharacterRecord, Header,
-                               Paragraph, PHASES, POS_TAGS, Section, Sentence,
-                               Token)
+from bindery.xml_model import (DIGEST_FIELDS, AnnotatedBook, BookMeta,
+                               CharacterRecord, Header, Paragraph, PHASES,
+                               POS_TAGS, Section, Sentence, Token)
 
 _WORDS = ["the", "marsh", "Oliver", "lantern", "A&B", "<tag>", 'say "no"',
           "héllo", "don't", "well-known", "...", "weir", "Fagin", "2,300",
@@ -107,6 +107,7 @@ def random_book(rnd=None, seed=None):
         characters=characters,
         phases=phases,
     )
-    if rnd.random() < 0.7:
-        book.meta.body_sha256 = f"{rnd.getrandbits(256):064x}"
+    for name in DIGEST_FIELDS:
+        if rnd.random() < 0.7:
+            setattr(book.meta, name, f"{rnd.getrandbits(256):064x}")
     return book

@@ -322,7 +322,8 @@ def test_failed_forced_annotate_leaves_analyze_the_earlier_annotation(
     steps = tmp_path / "steps"
     shutil.copytree(store, steps)
     _inject_pg1001_failure(monkeypatch, "annotate")
-    together = pipeline._run_stale(("annotate", "analyze"), store, config, True)
+    together = pipeline._run_stale(("annotate", "analyze"), store, config,
+                                   pipeline.Traces(force=True))
     one_by_one = (pipeline.run_annotate(steps, config, force=True)
                   + pipeline.run_analyze(steps, config, force=True))
     assert together == one_by_one
@@ -337,8 +338,8 @@ def changed_writes(monkeypatch):
     writes = Counter()
     real = report.write_if_changed
 
-    def counting(path, content):
-        changed = real(path, content)
+    def counting(path, content, digests=None):
+        changed = real(path, content, digests)
         writes[Path(path)] += changed
         return changed
 
@@ -474,6 +475,43 @@ def test_noop_all_full_parses_no_book(fixture_store, parse_callers):
     assert parse_callers == {}
 
 
+def test_noop_all_digests_each_file_at_most_once(fixture_store, monkeypatch):
+    config, store = fixture_store
+    digested = Counter()
+    real_digest = pipeline._file_digest
+
+    def counting_digest(path):
+        digested[path] += 1
+        return real_digest(path)
+
+    monkeypatch.setattr(pipeline, "_file_digest", counting_digest)
+    assert rerun_all(config, store) == 0
+    # The sources (for ingest), what corpus-stats reads and writes, and
+    # the pages (for report).
+    assert digested == Counter([
+        *BOOKS.glob("*.txt"),
+        *(store / book_id / name for book_id in pipeline.kept_book_ids(store)
+          for name in ("book.xml", "lemmas.json", "book.json", "index.html")),
+        *(store / "_corpus" / name for name in (
+            "corpus.json", "lemmas.json", "vectors.bin", "corpus.html",
+            "authors.html", "subjects.html"))])
+
+
+def test_noop_after_pool_workers_rewrote_books_reuses_everything(
+        fixture_store, caplog):
+    """The digest of a book.xml taken before a worker process rewrote it
+    is not used after."""
+    config, store = fixture_store
+    for book_id in ("pg730", "pg1001"):  # analyze writes them back canonical
+        _edit_xml(store / book_id / "lemmas.json")
+    assert rerun_all(config, store, "--jobs", "2") == 0
+    caplog.set_level(logging.DEBUG)
+    caplog.clear()
+    assert rerun_all(config, store, "--jobs", "2", "-v") == 0
+    assert "corpus-stats: inputs unchanged, 5 book(s) reused" in caplog.messages
+    assert "report: 5 page(s) reused, 0 rendered" in caplog.messages
+
+
 def test_all_reads_dedup_index_only_for_dedup_memo(fixture_store, monkeypatch):
     config, store = fixture_store
     loads = []
@@ -513,9 +551,13 @@ def test_every_kept_book_has_lemma_file_matching_its_xml(fixture_store):
         data = (store / book_id / "book.xml").read_bytes()
         book = xml_model.parse(data)
         sidecar = json.loads((store / book_id / "lemmas.json").read_bytes())
+        # The trace: the JSON text of the settings analyze reads and the
+        # digest of book.xml, digested.
+        parts = [getattr(Config.load(config), key)
+                 for key in pipeline.ANALYSIS_KEYS]
+        parts.append(hashlib.sha256(data).hexdigest())
         assert sidecar == {
-            "xml_sha256": hashlib.sha256(data).hexdigest(),
-            "config": pipeline._analysis_config(Config.load(config)),
+            "trace": hashlib.sha256(json.dumps(parts).encode()).hexdigest(),
             "lemmas": analytics_book.lemma_sequence(book),
             "payload": json.loads(json.dumps(pipeline.build_book_payload(
                 book, Config.load(config))))}
@@ -543,7 +585,7 @@ def _truncate(path):
 
 def _stale(path):
     sidecar = json.loads(path.read_bytes())
-    sidecar["xml_sha256"] = hashlib.sha256(b"another book").hexdigest()
+    sidecar["trace"] = hashlib.sha256(b"another book").hexdigest()
     sidecar["lemmas"] = ["stale"] * len(sidecar["lemmas"])
     path.write_text(json.dumps(sidecar), encoding="utf-8")
 
@@ -561,18 +603,25 @@ def _edit_sidecar(path, edit):
     path.write_text(json.dumps(sidecar), encoding="utf-8")
 
 
-def _no_config(path):  # as written before the file held the config digest
-    _edit_sidecar(path, lambda sidecar: sidecar.pop("config"))
+def _no_config(path):  # as an older store wrote it: no trace, no config
+    def older(sidecar):
+        del sidecar["trace"]
+        sidecar["xml_sha256"] = hashlib.sha256(
+            path.with_name("book.xml").read_bytes()).hexdigest()
+    _edit_sidecar(path, older)
 
 
 def _no_payload(path):  # as written before the file held the payload
     def drop(sidecar):
-        del sidecar["config"], sidecar["payload"]
+        del sidecar["trace"], sidecar["payload"]
     _edit_sidecar(path, drop)
 
 
-def _other_config(path):
-    _edit_sidecar(path, lambda sidecar: sidecar.update(config="0" * 64))
+def _other_config(path):  # as written under another timeline_top_k
+    other = Config(timeline_top_k=1)
+    trace = pipeline.Traces().digest(pipeline._analysis_parts(
+        path.parent.parent, path.parent.name, other))
+    _edit_sidecar(path, lambda sidecar: sidecar.update(trace=trace))
 
 
 @pytest.mark.parametrize("damage", [_delete, _truncate, _stale, _edit_xml,
@@ -934,11 +983,7 @@ def test_reingested_source_is_the_only_book_refingerprinted(
     config, store = fixture_store
     raw = tmp_path / "raw"
     shutil.copytree(BOOKS, raw)
-    source = raw / "pg1002.txt"
-    source.write_text(source.read_text(encoding="utf-8").replace(
-        "\nTHE END\n",
-        "\nA paragraph the first ingest never saw.\n\nTHE END\n"),
-        encoding="utf-8")
+    _edit_pg1002(raw)
     before = {r["id"]: r for r in map(json.loads,
                                        _index_bytes(store).splitlines())}
     assert run("--config", str(config), "--force", "ingest", "--in", str(raw),
@@ -1144,20 +1189,102 @@ def test_memo_runs_match_forced_runs(fixture_store, caplog, monkeypatch, case):
     _check_memo_case(config, store, "pg730", case, caplog, monkeypatch)
 
 
-def test_changed_analysis_key_leaves_the_store_of_a_cold_run(
-        fixture_store, tmp_path, monkeypatch):
+def _edit_pg1002(raw):
+    source = raw / "pg1002.txt"
+    source.write_text(source.read_text(encoding="utf-8").replace(
+        "\nTHE END\n",
+        "\nA paragraph the first ingest never saw.\n\nTHE END\n"),
+        encoding="utf-8")
+
+
+# name -> change made before the re-run: environment settings, an edit of
+# the sources, or a new bindery version. Each changes the fixture store.
+CHANGED_INPUTS = {
+    "analysis key": {"BINDERY_TIMELINE_TOP_K": "1"},
+    "min_mentions": {"BINDERY_MIN_MENTIONS": "6"},
+    "header_max_len": {"BINDERY_HEADER_MAX_LEN": "3"},
+    "pronoun window": {"BINDERY_PRONOUN_SENTENCE_WINDOW": "0"},
+    "ingest key": {"BINDERY_FRONT_WINDOW_FRAC": "0.01"},
+    "source edit": _edit_pg1002,
+    "version": "__version__",
+}
+ANNOTATE_CASES = ("min_mentions", "header_max_len", "pronoun window")
+
+
+@pytest.mark.parametrize("case", list(CHANGED_INPUTS))
+def test_changed_input_leaves_the_store_of_a_cold_run(
+        fixture_store, tmp_path, monkeypatch, changed_writes, case):
+    """Without --force, ``all`` after the change leaves the bytes a cold
+    ``all`` leaves, and rewrites only what the change reaches."""
     config, store = fixture_store
-    pages = json.loads((store / "pg730" / "book.json").read_bytes())
-    assert len(pages["timeline"]["characters"]) > 1
-    monkeypatch.setenv("BINDERY_TIMELINE_TOP_K", "1")
-    assert rerun_all(config, store) == 0
-    assert rerun_all(config, tmp_path / "cold") == 0
+    raw = tmp_path / "raw"
+    shutil.copytree(BOOKS, raw)
+    before = _store_bytes(store)
+    change = CHANGED_INPUTS[case]
+    if callable(change):
+        change(raw)
+    elif change == "__version__":
+        monkeypatch.setattr(bindery, change, bindery.__version__ + "+changed")
+    else:
+        for name, value in change.items():
+            monkeypatch.setenv(name, value)
+    changed_writes.clear()
+    assert run("--config", str(config), "all", "--in", str(raw),
+               "--out", str(store)) == 0
+    writes = +changed_writes
+    assert run("--config", str(config), "all", "--in", str(raw),
+               "--out", str(tmp_path / "cold")) == 0
     assert _store_bytes(store) == _store_bytes(tmp_path / "cold")
-    pages = json.loads((store / "pg730" / "book.json").read_bytes())
-    assert len(pages["timeline"]["characters"]) == 1
+    assert _store_bytes(store) != before
+    if case == "source edit":
+        # Other books' pages change with the corpus they are placed in.
+        assert {path.relative_to(store).as_posix() for path in writes
+                if path.name in ("book.xml", "lemmas.json")
+                and path.parent.name != "_corpus"} == {
+            "pg1002/book.xml", "pg1002/lemmas.json"}
+    if case in ANNOTATE_CASES:
+        assert {path: n for path, n in writes.items()
+                if path.name == "book.xml"} == {
+            store / book_id / "book.xml": 1
+            for book_id in pipeline.kept_book_ids(store)}
+    if case == "analysis key":
+        pages = json.loads((store / "pg730" / "book.json").read_bytes())
+        assert len(pages["timeline"]["characters"]) == 1
 
 
-def test_analysis_keys_are_the_config_keys_the_payload_reads(fixture_store):
+def _ingest_each_source(config, store, tmp_path):
+    """What ingest reads for one book, for a text and a page-wise source."""
+    pages = tmp_path / "raw" / "uc1.b0001"
+    pages.mkdir(parents=True)
+    body = (BOOKS / "pg1001.txt").read_text(encoding="utf-8").split("***")[2]
+    (pages / "00000001.txt").write_text(body, encoding="utf-8")
+    shutil.copy(BOOKS / "pg730.txt", pages.parent)
+    sources = pipeline.discover_sources(pages.parent)
+    assert len({kind for _, _, kind in sources}) == 2
+    for _, path, kind in sources:
+        pipeline.ingest_to_book(pipeline._read_source(path, kind, config),
+                                config)
+
+
+def _annotate_one(config, store, tmp_path):
+    book = pipeline.to_raw_stage(xml_model.load(store / "pg730" / "book.xml"))
+    pipeline.annotate_book(book, config)
+
+
+def _analyze_one(config, store, tmp_path):
+    book = xml_model.load(store / "pg730" / "book.xml")
+    pipeline.build_book_payload(book, config)
+
+
+# The keys a trace covers -> what its phase reads for one book.
+PHASE_READS = {"INGEST_KEYS": _ingest_each_source,
+               "ANNOTATE_KEYS": _annotate_one,
+               "ANALYSIS_KEYS": _analyze_one}
+
+
+@pytest.mark.parametrize("keys", list(PHASE_READS))
+def test_trace_keys_are_the_config_keys_their_phase_reads(fixture_store,
+                                                          tmp_path, keys):
     config_path, store = fixture_store
     names = set(Config.field_names())
     reads = set()
@@ -1170,9 +1297,8 @@ def test_analysis_keys_are_the_config_keys_the_payload_reads(fixture_store):
 
     config = RecordingConfig(**asdict(Config.load(config_path)))
     reads.clear()
-    book = xml_model.load(store / "pg730" / "book.xml")
-    pipeline.build_book_payload(book, config)
-    assert sorted(reads) == sorted(pipeline.ANALYSIS_KEYS)
+    PHASE_READS[keys](config, store, tmp_path)
+    assert sorted(reads) == sorted(getattr(pipeline, keys))
 
 
 @pytest.fixture(scope="module")

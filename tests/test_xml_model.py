@@ -3,10 +3,10 @@ import random
 import pytest
 
 from bindery.errors import InvariantError, ParseError
-from bindery.xml_model import (AnnotatedBook, BookMeta, CharacterRecord,
-                               Header, Paragraph, Section, Sentence, Token,
-                               load, load_head, parse, serialize,
-                               validate)
+from bindery.xml_model import (DIGEST_FIELDS, AnnotatedBook, BookMeta,
+                               CharacterRecord, Header, Paragraph, Section,
+                               Sentence, Token, load, load_head, parse,
+                               serialize, validate)
 from generators import random_book
 
 
@@ -177,6 +177,16 @@ def test_body_digest_sits_between_encoding_and_phases():
             "    <phases>ingest segment</phases>\n") in text
     assert parse(text) == book
     assert serialize(parse(text)) == text
+    # The traces follow the body digest, ingest's first.
+    book.meta.ingest_trace = DIGEST[::-1]
+    book.meta.annotate_trace = DIGEST[8:] + DIGEST[:8]
+    text = serialize(book)
+    assert (f"    <body_sha256>{DIGEST}</body_sha256>\n"
+            f"    <ingest_trace>{book.meta.ingest_trace}</ingest_trace>\n"
+            f"    <annotate_trace>{book.meta.annotate_trace}</annotate_trace>\n"
+            "    <phases>ingest segment</phases>\n") in text
+    assert parse(text) == book
+    assert serialize(parse(text)) == text
 
 
 LEGAL_CONTROL = "\t\n\r"
@@ -209,10 +219,11 @@ def test_control_character_error_names_the_first_one():
 @pytest.mark.parametrize("digest", [DIGEST.upper(), DIGEST[1:],
                                     "g" + DIGEST[1:], ""])
 def test_bad_body_digest_is_not_serialized(digest):
-    book = minimal_book()
-    book.meta.body_sha256 = digest
-    with pytest.raises(InvariantError):
-        serialize(book)
+    for name in DIGEST_FIELDS:  # the body digest and the two traces
+        book = minimal_book()
+        setattr(book.meta, name, digest)
+        with pytest.raises(InvariantError, match=f"^{name} is not 64"):
+            serialize(book)
 
 
 @pytest.mark.parametrize("old, new", [
@@ -226,11 +237,15 @@ def test_bad_body_digest_is_not_serialized(digest):
     ("<body_sha256>0", "<body_sha256>"),
     ("<body_sha256>0", "<body_sha256>g"),
     (f"<body_sha256>{DIGEST}", "<body_sha256>"),
+    *((f"<{name}>{DIGEST}", f"<{name}>{bad}") for name in DIGEST_FIELDS[1:]
+      for bad in ("A", "g", "", DIGEST + "0")),
+    (f"<ingest_trace>{DIGEST}", f"<ingest_trace>{DIGEST[1:]}"),
 ])
 def test_malformed_meta_is_a_parse_error_with_line(tmp_path, old, new):
     book = minimal_book()
     book.meta.year = 1838
-    book.meta.body_sha256 = DIGEST
+    for name in DIGEST_FIELDS:
+        setattr(book.meta, name, DIGEST)
     text = serialize(book)
     assert old in text
     path = tmp_path / "book.xml"
