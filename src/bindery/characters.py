@@ -59,19 +59,6 @@ class MentionCandidate:
         return self.name_parts[-1] if len(self.name_parts) >= 2 else None
 
 
-def _token_table(book):
-    """Flat token list plus a parallel sentence-index list."""
-    tokens = []
-    sentence_index = []
-    s = 0
-    for sentence in book.iter_sentences():
-        for token in sentence.tokens:
-            tokens.append(token)
-            sentence_index.append(s)
-        s += 1
-    return tokens, sentence_index
-
-
 def _name_like(text):
     return (text[:1].isupper() and text[:1].isalpha()
             and any(ch.islower() for ch in text))
@@ -138,11 +125,13 @@ def _close_run(candidates, run, honorific_table):
 
 
 def augment_honorifics(candidates, tokens, lexicon_dir=""):
-    """Extend each candidate span left over an immediately preceding honorific."""
+    """Extend each candidate span left over an immediately preceding honorific.
+
+    ``tokens`` holds the book's tokens by index (``linguistic.token_table``).
+    """
     honorific_table = lexicons.honorifics(lexicon_dir)
-    by_index = {t.index: t for t in tokens}
     for candidate in candidates:
-        head = by_index.get(candidate.start - 1)
+        head = tokens[candidate.start - 1] if candidate.start > 0 else None
         if head is not None:
             key = head.text.lower().rstrip(".")
             if key in honorific_table:
@@ -175,13 +164,12 @@ def _resolve_name_parts(candidates, lexicon_dir=""):
             candidate.gender_name = names.get(parts[0].lower())
 
 
-def _attach_pronoun_votes(candidates, tokens, sentence_index, window=2):
+def _attach_pronoun_votes(candidates, tokens, sentence_of, window=2):
     """Vote each gendered pronoun toward its nearest preceding candidate."""
     order = sorted(range(len(candidates)), key=lambda i: candidates[i].end)
     ends = [candidates[i].end for i in order]
-    index_to_sentence = {t.index: s for t, s in zip(tokens, sentence_index)}
     votes = defaultdict(Counter)
-    for token, s in zip(tokens, sentence_index):
+    for token, s in zip(tokens, sentence_of):
         lower = token.text.lower()
         if lower in MALE_PRONOUNS:
             gender = "male"
@@ -191,9 +179,7 @@ def _attach_pronoun_votes(candidates, tokens, sentence_index, window=2):
             continue
         slot = bisect_left(ends, token.index) - 1
         if slot >= 0:
-            candidate = candidates[order[slot]]
-            c_sentence = index_to_sentence.get(candidate.end, 0)
-            if s - c_sentence <= window:
+            if s - sentence_of[candidates[order[slot]].end] <= window:
                 votes[order[slot]][gender] += 1
     for i, counter in votes.items():
         male, female = counter["male"], counter["female"]
@@ -330,31 +316,30 @@ def _match_single(candidate, occurrences_by_name, full_forms, form_gender):
     return None
 
 
-def identify_characters(book, min_mentions=3, pronoun_window=2, lexicon_dir=""):
+def identify_characters(book, table, min_mentions=3, pronoun_window=2,
+                        lexicon_dir=""):
     """Run the full identification pipeline over an annotated book.
 
-    Stamps mention tokens with their character id and attaches the records
-    to the book, sorted by mention count.
+    ``table`` is the book's ``linguistic.token_table``. Stamps mention
+    tokens with their character id and attaches the records to the book,
+    sorted by mention count.
     """
-    tokens, sentence_index = _token_table(book)
+    tokens, sentence_of = table
     candidates = detect_person_mentions(book, lexicon_dir=lexicon_dir)
     augment_honorifics(candidates, tokens, lexicon_dir=lexicon_dir)
     _resolve_name_parts(candidates, lexicon_dir=lexicon_dir)
-    _attach_pronoun_votes(candidates, tokens, sentence_index,
+    _attach_pronoun_votes(candidates, tokens, sentence_of,
                           window=pronoun_window)
     records, assignments = cluster_mentions(candidates, min_mentions=min_mentions)
 
-    by_index = {t.index: t for t in tokens}
     for start, end, char_id in assignments:
-        for index in range(start, end + 1):
-            token = by_index.get(index)
-            if token is not None:
-                token.character_id = char_id
+        for token in tokens[start:end + 1]:
+            token.character_id = char_id
     book.characters = records
     return records, assignments
 
 
-def attach_pronoun_counts(book, records, quotes, mention_spans=None, window=2):
+def attach_pronoun_counts(table, records, quotes, mention_spans, window=2):
     """Fill gendered/first-person/second-person coreference counts.
 
     gcc counts gendered third-person pronouns whose nearest preceding
@@ -362,27 +347,26 @@ def attach_pronoun_counts(book, records, quotes, mention_spans=None, window=2):
     character; fpcc counts first-person pronouns inside quotes the
     character speaks; spcc counts second-person pronouns inside quotes
     addressed to the character (the other character mentioned in the
-    quote's narration sentence).
+    quote's narration sentence). ``table`` is the book's
+    ``linguistic.token_table``, and quote ids are positions in ``quotes``.
     """
-    tokens, sentence_index = _token_table(book)
-    if mention_spans is None:
-        mention_spans = _spans_from_stamps(tokens)
+    tokens, sentence_of = table
     by_id = {record.id: record for record in records}
-    index_to_sentence = {t.index: s for t, s in zip(tokens, sentence_index)}
-
-    spans_sorted = sorted(mention_spans, key=lambda span: span[1])
+    mentions = sorted(mention_spans)
+    starts = [start for start, _, _ in mentions]
+    addressees = [_addressee(quote, sentence_of, mentions, starts)
+                  for quote in quotes]
+    spans_sorted = sorted(mentions, key=lambda span: span[1])
     span_ends = [span[1] for span in spans_sorted]
-    speaker_of = {q.id: q.speaker_id for q in quotes}
 
-    for token, s in zip(tokens, sentence_index):
+    for token, s in zip(tokens, sentence_of):
         lower = token.text.lower()
         if lower in MALE_PRONOUNS or lower in FEMALE_PRONOUNS:
             gender = "male" if lower in MALE_PRONOUNS else "female"
             slot = bisect_left(span_ends, token.index) - 1
             while slot >= 0:
                 start, end, char_id = spans_sorted[slot]
-                c_sentence = index_to_sentence.get(end, 0)
-                if s - c_sentence > window:
+                if s - sentence_of[end] > window:
                     break
                 record = by_id.get(char_id)
                 if record is not None and record.gender in (gender, "unknown"):
@@ -390,57 +374,34 @@ def attach_pronoun_counts(book, records, quotes, mention_spans=None, window=2):
                     break
                 slot -= 1
         elif lower in FIRST_PERSON_PRONOUNS and token.quote_id is not None:
-            speaker = speaker_of.get(token.quote_id)
-            if speaker is not None and speaker in by_id:
+            speaker = quotes[token.quote_id].speaker_id
+            if speaker in by_id:
                 by_id[speaker].fpcc += 1
         elif lower in SECOND_PERSON_PRONOUNS and token.quote_id is not None:
-            addressee = _addressee(token.quote_id, quotes, mention_spans,
-                                   index_to_sentence, speaker_of)
-            if addressee is not None and addressee in by_id:
+            addressee = addressees[token.quote_id]
+            if addressee in by_id:
                 by_id[addressee].spcc += 1
     return records
 
 
-def _addressee(quote_id, quotes, mention_spans, index_to_sentence, speaker_of):
-    quote = next((q for q in quotes if q.id == quote_id), None)
-    if quote is None:
-        return None
-    s_lo = index_to_sentence.get(quote.start)
-    s_hi = index_to_sentence.get(quote.end)
-    if s_lo is None or s_hi is None:
-        return None
-    speaker = speaker_of.get(quote_id)
+def _addressee(quote, sentence_of, mentions, starts):
+    """The mention nearest the quote in the quote's own sentences, outside
+    the quote and not the speaker's: its character id, or None."""
+    lo = bisect_left(starts, bisect_left(
+        sentence_of, sentence_of[quote.start]))
+    hi = bisect_left(starts, bisect_left(
+        sentence_of, sentence_of[quote.end] + 1))
     best = None
-    for start, end, char_id in mention_spans:
-        if char_id == speaker:
+    for start, end, char_id in mentions[lo:hi]:
+        if char_id == quote.speaker_id:
             continue
         if quote.start <= start <= quote.end:
-            continue
-        s = index_to_sentence.get(start)
-        if s is None or not (s_lo <= s <= s_hi):
             continue
         distance = (start - quote.end) if start > quote.end else (quote.start - end)
         key = (distance, start)
         if best is None or key < best[0]:
             best = (key, char_id)
     return best[1] if best else None
-
-
-def _spans_from_stamps(tokens):
-    spans = []
-    current = None
-    for token in tokens:
-        if token.character_id is None:
-            current = None
-            continue
-        if (current is not None and current[2] == token.character_id
-                and token.index == current[1] + 1):
-            current = (current[0], token.index, current[2])
-            spans[-1] = current
-        else:
-            current = (token.index, token.index, token.character_id)
-            spans.append(current)
-    return spans
 
 
 # -- character analytics ----------------------------------------------------------

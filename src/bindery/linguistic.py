@@ -10,10 +10,11 @@ CoNLL-style import.
 import logging
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import lexicons
-from .errors import AlignmentError
+from .errors import AlignmentError, InvariantError
 from .xml_model import Sentence, Token
 
 log = logging.getLogger(__name__)
@@ -310,47 +311,59 @@ def _emit(quotes, tokens, open_pos, close_pos, p_index, next_id, continued):
     return next_id + 1
 
 
-def attribute_quotes(quotes, sentences, mentions, lexicon_dir=""):
+def token_table(book):
+    """The book's tokens in reading order and each one's sentence number.
+
+    Returns ``(tokens, sentence_of)`` with ``tokens[i].index == i``: the
+    character stage looks tokens up by index in this one table.
+    InvariantError when the indices are not 0, 1, 2, ... without gaps.
+    """
+    tokens = []
+    sentence_of = []
+    for s, sentence in enumerate(book.iter_sentences()):
+        for token in sentence.tokens:
+            if token.index != len(tokens):
+                raise InvariantError(f"token {len(tokens)} has index "
+                                     f"{token.index}: indices must run 0, 1, "
+                                     f"2, ... without gaps")
+            tokens.append(token)
+            sentence_of.append(s)
+    return tokens, sentence_of
+
+
+def attribute_quotes(quotes, table, mentions, lexicon_dir=""):
     """Map each quote to its speaker character, where determinable.
 
     The speaker is the character mention nearest to the quote within the
     same sentence's narration or an adjacent sentence, preferring mentions
-    standing next to a speech verb. ``mentions`` is a list of
-    ``(start_token_index, end_token_index, character_id)`` triples with
-    inclusive token bounds.
+    standing next to a speech verb. ``table`` is the book's
+    ``token_table``; ``mentions`` is a list of ``(start_token_index,
+    end_token_index, character_id)`` triples with inclusive token bounds.
     """
     verbs = lexicons.speech_verbs(lexicon_dir)
-    token_rows = []
-    for s_index, sentence in enumerate(sentences):
-        for token in sentence.tokens:
-            token_rows.append((token, s_index))
-    index_of = {token.index: row for row, (token, _) in enumerate(token_rows)}
+    tokens, sentence_of = table
+    mentions = sorted(mentions)
+    starts = [m_start for m_start, _, _ in mentions]
+    near_verb = [_adjacent_speech_verb(tokens, m_start, m_end, verbs)
+                 for m_start, m_end, _ in mentions]
 
     attribution = {}
     for quote in quotes:
-        start_row = index_of.get(quote.start)
-        end_row = index_of.get(quote.end)
-        if start_row is None or end_row is None:
-            continue
-        s_lo = token_rows[start_row][1]
-        s_hi = token_rows[end_row][1]
-        window = range(max(0, s_lo - 1), min(len(sentences), s_hi + 2))
+        # Mentions starting in sentences s_lo - 1 to s_hi + 1.
+        lo = bisect_left(starts, bisect_left(
+            sentence_of, sentence_of[quote.start] - 1))
+        hi = bisect_left(starts, bisect_left(
+            sentence_of, sentence_of[quote.end] + 2))
         best = None
-        for m_start, m_end, character_id in mentions:
-            row = index_of.get(m_start)
-            if row is None:
-                continue
-            if token_rows[row][1] not in window:
-                continue
+        for m in range(lo, hi):
+            m_start, m_end, character_id = mentions[m]
             if m_start > quote.end:
                 distance = m_start - quote.end
             elif m_end < quote.start:
                 distance = quote.start - m_end
             else:
                 continue  # inside the quote itself
-            near_verb = _adjacent_speech_verb(token_rows, index_of, m_start,
-                                              m_end, verbs)
-            key = (0 if near_verb else 1, distance, m_start)
+            key = (0 if near_verb[m] else 1, distance, m_start)
             if best is None or key < best[0]:
                 best = (key, character_id)
         if best is not None:
@@ -359,19 +372,11 @@ def attribute_quotes(quotes, sentences, mentions, lexicon_dir=""):
     return attribution
 
 
-def _adjacent_speech_verb(token_rows, index_of, m_start, m_end, verbs):
+def _adjacent_speech_verb(tokens, m_start, m_end, verbs):
     """True when a speech verb stands within two tokens of the mention span."""
-    row_start = index_of.get(m_start)
-    row_end = index_of.get(m_end)
-    if row_start is None or row_end is None:
-        return False
-    for row in range(max(0, row_start - 2), row_start):
-        if token_rows[row][0].text.lower() in verbs:
-            return True
-    for row in range(row_end + 1, min(len(token_rows), row_end + 3)):
-        if token_rows[row][0].text.lower() in verbs:
-            return True
-    return False
+    return any(token.text.lower() in verbs
+               for token in (tokens[max(0, m_start - 2):m_start]
+                             + tokens[m_end + 1:m_end + 3]))
 
 
 # -- external annotation import -----------------------------------------------

@@ -266,18 +266,15 @@ def linguistic_book(book, config):
 
 def characters_book(book, config):
     _require(book, "characters", "linguistic")
-    for token in book.iter_tokens():
-        token.character_id = None
-        token.quote_id = None
+    table = linguistic.token_table(book)
     records, assignments = characters.identify_characters(
-        book, min_mentions=config.min_mentions,
+        book, table, min_mentions=config.min_mentions,
         pronoun_window=config.pronoun_sentence_window,
         lexicon_dir=config.lexicon_dir)
     quotes = linguistic.extract_quotes(list(book.iter_paragraphs()))
-    linguistic.attribute_quotes(quotes, list(book.iter_sentences()),
-                                assignments, lexicon_dir=config.lexicon_dir)
-    characters.attach_pronoun_counts(book, records, quotes,
-                                     mention_spans=assignments,
+    linguistic.attribute_quotes(quotes, table, assignments,
+                                lexicon_dir=config.lexicon_dir)
+    characters.attach_pronoun_counts(table, records, quotes, assignments,
                                      window=config.pronoun_sentence_window)
     book.add_phase("characters")
     return book
@@ -675,8 +672,10 @@ def run_ingest(in_dir, store, config, force=False, traces=None):
     current into the book's book.xml.
 
     Sources that map to one book id (``1001.txt`` and ``pg1001.txt``) fail
-    that id with one error naming them all, and none is written. Every
-    runner makes new ``traces`` under ``force`` when given none.
+    that id with one error naming them all. A book whose sources fail
+    loses its stored book.xml, so no later phase takes it for the book it
+    was; a book.xml whose ``<meta>`` cannot be read fails and stays.
+    Every runner makes new ``traces`` under ``force`` when given none.
     """
     traces = traces or Traces(force)
     sources = {}
@@ -684,16 +683,18 @@ def run_ingest(in_dir, store, config, force=False, traces=None):
         sources.setdefault(book_id, []).append((path, kind))
     results = []
     for book_id, found in sources.items():
-        if len(found) > 1:
-            results.append(PhaseResult(
-                book_id, "ingest", False, "sources map to the same book id: "
-                + ", ".join(str(path) for path, _ in found)))
-            continue
-        [(path, kind)] = found
         xml_path = _xml_path(store, book_id)
-        parts = _settings(config, INGEST_KEYS) + _source_parts(path, kind)
         try:
             meta = traces.recorded(traces.head, xml_path)
+        except BinderyError as exc:
+            results.append(_failed(book_id, "ingest", exc))
+            continue
+        try:
+            if len(found) > 1:
+                raise BinderyError("sources map to the same book id: "
+                                   + ", ".join(str(p) for p, _ in found))
+            [(path, kind)] = found
+            parts = _settings(config, INGEST_KEYS) + _source_parts(path, kind)
             if not traces.current(meta and meta.ingest_trace, parts):
                 raw = _read_source(path, kind, config)
                 raw.source_id = book_id
@@ -703,6 +704,8 @@ def run_ingest(in_dir, store, config, force=False, traces=None):
                 report.write_if_changed(xml_path, xml_model.serialize(book))
             results.append(PhaseResult(book_id, "ingest", True))
         except BinderyError as exc:
+            xml_path.unlink(missing_ok=True)
+            traces.forget([xml_path])
             results.append(_failed(book_id, "ingest", exc))
     return results
 

@@ -29,7 +29,7 @@ PALETTE = ("#4878b0", "#d65f5f", "#6aa84f", "#e69138", "#8e63ce",
            "#45818e", "#a64d79", "#7f7f7f", "#c27ba0", "#674ea7")
 GENDER_COLORS = {"male": "#4878b0", "female": "#e78ac3", "unknown": "#9e9e9e"}
 
-# Written by corpus-stats, read by report, and re-emitted unchanged here.
+# Written by corpus-stats, its one writer, and read by report.
 CORPUS_JSON = "corpus.json"
 
 
@@ -501,12 +501,10 @@ def emit_book_report(payload, out_dir, digests=None):
 
 
 def emit_corpus_report(stats, out_dir, digests=None):
-    """Write corpus.json, corpus.html, and author/subject index pages."""
+    """Write corpus.html and the author/subject index pages from the
+    corpus stats that corpus-stats wrote to corpus.json."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / CORPUS_JSON
-    dump_json(stats, json_path, digests)
-
     parts = ["<h1>Corpus overview</h1>",
              f"<p>{len(stats.get('books', []))} books analyzed.</p>"]
 
@@ -564,7 +562,7 @@ def emit_corpus_report(stats, out_dir, digests=None):
     for name, field, heading in (("authors.html", "author", "Authors"),
                                  ("subjects.html", "subjects", "Subjects")):
         _emit_grouped_index(stats, out_dir / name, field, heading, digests)
-    return json_path, out_dir / "corpus.html"
+    return out_dir / "corpus.html"
 
 
 def _emit_grouped_index(stats, path, field, heading, digests):

@@ -111,3 +111,54 @@ def random_book(rnd=None, seed=None):
         if rnd.random() < 0.7:
             setattr(book.meta, name, f"{rnd.getrandbits(256):064x}")
     return book
+
+
+_FIRST_NAMES = ["Oliver", "Margaret", "Daniel", "Esther", "Hannah", "Arthur",
+                "Alex", "Basil"]
+_LAST_NAMES = ["Rook", "Venn", "Hale", "Quested", "Brownlow"]
+_HONORIFICS = ["Mr.", "Mrs.", "Miss", "Dr.", "Captain", "Lady"]
+_SPEECH_VERBS = ["said", "asked", "replied", "cried", "whispered", "answered"]
+_UTTERANCES = ["I know you", "You must go", "He is gone", "She told me",
+               "My word", "Come here, you", "I will not", "Why", "Your hat",
+               "He said she lied", "We waited for you and her", "Yes"]
+_NARRATION = ["He looked away.", "She laughed.", "It rained.",
+              "Nobody answered him.", "Then she left with him.",
+              "The lamp went out.", "His hands shook.", "They waited."]
+
+
+def _name(rnd):
+    first, last = rnd.choice(_FIRST_NAMES), rnd.choice(_LAST_NAMES)
+    return rnd.choice([first, first, last, f"{first} {last}",
+                       f"{rnd.choice(_HONORIFICS)} {last}",
+                       f"{rnd.choice(_HONORIFICS)} {first} {last}"])
+
+
+def _line(rnd):
+    speech = f"{rnd.choice(_UTTERANCES)}{rnd.choice([',', '!', '?'])}"
+    verb = rnd.choice(_SPEECH_VERBS)
+    return rnd.choice([
+        f'"{speech}" {verb} {_name(rnd)}.',
+        f'"{speech}" {_name(rnd)} {verb}.',
+        f'"{speech}" {_name(rnd)} {verb} to {_name(rnd)}.',
+        f'"{speech}" {_name(rnd)} then {verb}.',
+        f'"{speech}" {verb} young {_name(rnd)}.',
+        f'{_name(rnd)} turned to {_name(rnd)}. "{speech}"',
+        f'{_name(rnd)} {verb}, "{speech}" and {rnd.choice(_NARRATION)}',
+        f'"{speech}" {rnd.choice(_NARRATION)} "{rnd.choice(_UTTERANCES)}."',
+        f"{_name(rnd)} met {_name(rnd)}. {rnd.choice(_NARRATION)}",
+        rnd.choice(_NARRATION),
+    ])
+
+
+def dialogue_text(rnd=None, seed=None):
+    """Paragraph-separated prose dense with dialogue: honorifics, speech
+    verbs before and after names, pronouns inside and outside quotes, and
+    quotes left open at a paragraph end and continued in the next."""
+    rnd = rnd or random.Random(seed)
+    paragraphs = []
+    for _ in range(rnd.randint(5, 30)):
+        text = " ".join(_line(rnd) for _ in range(rnd.randint(1, 4)))
+        if rnd.random() < 0.15:
+            text += f' "{rnd.choice(_UTTERANCES)}, {rnd.choice(_UTTERANCES)}.'
+        paragraphs.append(text)
+    return "\n\n".join(paragraphs)

@@ -1,6 +1,7 @@
 """Shared test helpers for building annotated books from plain text."""
 
-from bindery.linguistic import annotate_paragraph, attribute_quotes, extract_quotes
+from bindery.linguistic import (annotate_paragraph, attribute_quotes,
+                                extract_quotes, token_table)
 from bindery.characters import attach_pronoun_counts, identify_characters
 from bindery.xml_model import AnnotatedBook, BookMeta, Paragraph, Section
 
@@ -24,9 +25,11 @@ def build_annotated(text, source_id="pgt"):
 def run_characters(text, min_mentions=3):
     """Full character pass over text; returns (book, records, quotes)."""
     book = build_annotated(text)
-    records, assignments = identify_characters(book, min_mentions=min_mentions)
+    table = token_table(book)
+    records, assignments = identify_characters(book, table,
+                                               min_mentions=min_mentions)
     quotes = extract_quotes(list(book.iter_paragraphs()))
-    attribute_quotes(quotes, list(book.iter_sentences()), assignments)
-    attach_pronoun_counts(book, records, quotes, mention_spans=assignments)
+    attribute_quotes(quotes, table, assignments)
+    attach_pronoun_counts(table, records, quotes, assignments)
     book.add_phase("characters")
     return book, records, quotes

@@ -1,12 +1,19 @@
+import copy
 import random
 
+from bindery import linguistic
 from bindery.characters import (MentionCandidate, augment_honorifics,
                                 build_interaction_network,
                                 build_occurrence_timeline, cluster_mentions,
                                 detect_person_mentions, infer_gender,
                                 protagonist_stats)
+from bindery.ingest import read_gutenberg
+from bindery.pipeline import (characters_book, ingest_to_book, linguistic_book,
+                              segment_book)
 from bindery.xml_model import CharacterRecord
+from generators import dialogue_text
 from helpers import build_annotated, run_characters
+from oracles import character_stage as oracle
 
 
 def surfaces(candidates):
@@ -80,6 +87,13 @@ def test_augment_covers_multiword_name():
     assert target.surface == "Dr. John Watson"
     # Span covers honorific plus both name tokens.
     assert target.end - target.start == 2
+
+
+def test_augment_skips_a_name_at_the_first_token():
+    book = build_annotated("Brownlow waved to Mr.")
+    candidate = MentionCandidate(start=0, end=0, surface="Brownlow")
+    augment_honorifics([candidate], list(book.iter_tokens()))
+    assert (candidate.start, candidate.surface) == (0, "Brownlow")
 
 
 # -- gender -----------------------------------------------------------------------
@@ -218,6 +232,43 @@ def test_spcc_addressee():
     _, records, _ = run_characters(text)
     oliver = next(r for r in records if "Oliver" in r.canonical_name)
     assert oliver.spcc == 1
+
+
+def test_character_stage_matches_full_scan_oracle(fixture_books, config,
+                                                  monkeypatch):
+    """``characters_book`` on one token table agrees with the stage that
+    scanned every mention per quote: speakers (not serialized, so checked
+    directly), records with their pronoun counts, and every token's
+    character and quote stamps."""
+    attributions = []
+    real_attribute = linguistic.attribute_quotes
+
+    def recording(quotes, *args, **kwargs):
+        attributions.append((quotes, real_attribute(quotes, *args, **kwargs)))
+        return attributions[-1][1]
+
+    monkeypatch.setattr(linguistic, "attribute_quotes", recording)
+    books = [linguistic_book(segment_book(
+        ingest_to_book(read_gutenberg(path), config), config), config)
+        for path in fixture_books]
+    books += [build_annotated(dialogue_text(seed=seed)) for seed in range(200)]
+    seen = {"attributed": 0, "continued": 0, "gcc": 0, "fpcc": 0, "spcc": 0}
+    for book in books:
+        twin = copy.deepcopy(book)
+        characters_book(book, config)
+        quotes, attribution = attributions.pop()
+        records, _, want_quotes, want_attribution = oracle.run(twin)
+        assert attribution == want_attribution
+        assert ([q.speaker_id for q in quotes]
+                == [q.speaker_id for q in want_quotes])
+        assert book.characters == records
+        assert ([(t.character_id, t.quote_id) for t in book.iter_tokens()]
+                == [(t.character_id, t.quote_id) for t in twin.iter_tokens()])
+        seen["attributed"] += len(attribution)
+        seen["continued"] += sum(q.continued for q in quotes)
+        for name in ("gcc", "fpcc", "spcc"):
+            seen[name] += sum(getattr(r, name) for r in records)
+    assert min(seen.values()) > 0, seen
 
 
 # -- timeline ----------------------------------------------------------------------

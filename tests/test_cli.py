@@ -181,6 +181,31 @@ def test_sources_with_one_book_id_fail_that_id_and_write_neither(
     assert "all: 2 book(s) ok, 1 failed" in caplog.messages
 
 
+def test_failed_reingest_drops_the_stored_book(raw_dir, smoke_config,
+                                              tmp_path):
+    """A book whose re-ingest fails leaves every later phase; once its
+    source is whole again, the store is the one a cold run makes."""
+    (raw_dir / "pg1002.txt").unlink()
+    store, cold = tmp_path / "store", tmp_path / "cold"
+    argv = ["--config", str(smoke_config), "all", "--in", str(raw_dir)]
+    assert run(*argv, "--out", str(cold)) == 0
+    assert run(*argv, "--out", str(store)) == 0
+    shutil.copy(BOOKS / "pg1001.txt", raw_dir / "1001.txt")
+    (store / "_corpus" / "progress.jsonl").unlink()
+    assert run(*argv, "--out", str(store)) == 1
+    assert [(l["phase"], l["status"]) for l in progress_lines(store)
+            if l["book"] == "pg1001"] == [("ingest", "error")]
+    assert not (store / "pg1001" / "book.xml").exists()
+    stats = json.loads((store / "_corpus" / "corpus.json").read_bytes())
+    assert [book["id"] for book in stats["books"]] == ["pg730"]
+    (raw_dir / "1001.txt").unlink()
+    assert run(*argv, "--out", str(store)) == 0
+    assert ({k: v for k, v in _store_files(store).items()
+             if not k.endswith("progress.jsonl")}
+            == {k: v for k, v in _store_files(cold).items()
+                if not k.endswith("progress.jsonl")})
+
+
 def test_per_book_failure_is_not_fatal(raw_dir, smoke_config, tmp_path,
                                        caplog):
     (raw_dir / "pg9999.txt").write_text("   ", encoding="utf-8")

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bindery.errors import AlignmentError
+from bindery.errors import AlignmentError, InvariantError
 from bindery.linguistic import (annotate_paragraph, attribute_quotes,
                                 count_syllables, extract_quotes,
                                 import_external_annotations, lemmatize,
-                                pos_tag, split_sentences, tokenize)
+                                pos_tag, split_sentences, token_table,
+                                tokenize)
 from bindery.xml_model import (AnnotatedBook, BookMeta, Paragraph, Section,
                                Sentence)
 
@@ -256,23 +257,34 @@ def test_speech_verb_adjacency_attribution():
     book = build_book('"Hello," said Oliver.')
     quotes = extract_quotes(list(book.iter_paragraphs()))
     mentions = _mentions_for(book, "Oliver")
-    got = attribute_quotes(quotes, list(book.iter_sentences()), mentions)
+    got = attribute_quotes(quotes, token_table(book), mentions)
     assert got == {0: 0}
 
 
 def test_quote_without_nearby_mention_unattributed():
     book = build_book('"Nobody here," came the reply.')
     quotes = extract_quotes(list(book.iter_paragraphs()))
-    got = attribute_quotes(quotes, list(book.iter_sentences()), [])
+    got = attribute_quotes(quotes, token_table(book), [])
     assert got == {}
     assert quotes[0].speaker_id is None
+
+
+def test_token_table_rejects_a_gap_in_token_indices():
+    book = build_book("Oliver ran. He fell.")
+    tokens, sentence_of = token_table(book)
+    assert [t.index for t in tokens] == list(range(len(tokens)))
+    assert sentence_of == [0, 0, 0, 1, 1, 1]
+    for token in tokens[3:]:
+        token.index += 1
+    with pytest.raises(InvariantError, match="token 3 has index 4"):
+        token_table(book)
 
 
 def test_nearer_to_speech_verb_wins():
     book = build_book('"Hi," said Oliver to Fagin.')
     quotes = extract_quotes(list(book.iter_paragraphs()))
     mentions = _mentions_for(book, "Oliver", "Fagin")
-    got = attribute_quotes(quotes, list(book.iter_sentences()), mentions)
+    got = attribute_quotes(quotes, token_table(book), mentions)
     assert got == {0: 0}
 
 

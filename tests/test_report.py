@@ -213,26 +213,22 @@ def test_book_report_network_without_edges(tmp_path):
 
 
 def test_corpus_report_has_three_rank_series(tmp_path):
-    json_path, html_path = emit_corpus_report(corpus_payload(), tmp_path)
+    html_path = emit_corpus_report(corpus_payload(), tmp_path)
     html = html_path.read_text(encoding="utf-8")
     for label in ("observed", "Benford", "Zipf"):
         assert label in html
-    loaded = json.loads(json_path.read_text(encoding="utf-8"))
-    errors = validate_schema(loaded, load_schema("corpus.schema.json"))
-    assert errors == []
 
 
 def test_corpus_report_deterministic(tmp_path):
     emit_corpus_report(corpus_payload(), tmp_path / "a")
     emit_corpus_report(corpus_payload(), tmp_path / "b")
-    for name in ("corpus.json", "corpus.html", "authors.html",
-                 "subjects.html"):
+    for name in ("corpus.html", "authors.html", "subjects.html"):
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
 
 
 def test_corpus_report_single_book(tmp_path):
-    _, html_path = emit_corpus_report(corpus_payload(), tmp_path)
+    html_path = emit_corpus_report(corpus_payload(), tmp_path)
     assert "1 books analyzed" in html_path.read_text(encoding="utf-8")
     assert (tmp_path / "authors.html").exists()
     assert (tmp_path / "subjects.html").exists()
