@@ -347,9 +347,16 @@ def train_embeddings(streams, dim=100, epochs=10, min_count=100,
                 g_pos = (_sigmoid(pos_out @ d) - 1.0) * lr
                 g_neg = _sigmoid(neg_out @ d) * lr
                 grad_d = g_pos @ pos_out + np.einsum("mk,mkd->d", g_neg, neg_out)
-                np.add.at(word_vecs, targets, -g_pos[:, None] * d)
-                np.add.at(word_vecs, neg.reshape(-1),
-                          -(g_neg.reshape(-1, 1)) * d)
+                # Every word row of the batch moves along d, so its update
+                # is d times the sum of its gradients: one grouped write
+                # per touched row instead of one scatter per occurrence.
+                rows, inverse = np.unique(
+                    np.concatenate((targets, neg.ravel())), return_inverse=True)
+                n = len(targets)
+                coef = (np.bincount(inverse[:n], g_pos, minlength=len(rows))
+                        + np.bincount(inverse[n:], g_neg.ravel(),
+                                      minlength=len(rows)))
+                word_vecs[rows] -= coef[:, None] * d
                 doc_vecs[row] = d - grad_d
 
     norms = np.linalg.norm(doc_vecs, axis=1, keepdims=True)

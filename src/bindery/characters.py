@@ -75,53 +75,56 @@ def detect_person_mentions(book, lexicon_dir=""):
     occupies the initial position).
     """
     honorific_table = lexicons.honorifics(lexicon_dir)
-    candidates = []
     if any(t.ner == "PERSON" for t in book.iter_tokens()):
+        runs = []
         for sentence in book.iter_sentences():
             run = []
             for token in sentence.tokens:
                 if token.ner == "PERSON":
                     run.append(token)
-                else:
-                    _close_run(candidates, run, honorific_table)
+                elif run:
+                    runs.append(run)
                     run = []
-            _close_run(candidates, run, honorific_table)
-        return candidates
+            if run:
+                runs.append(run)
+        return _candidates(runs)
 
+    # One walk builds the runs. A sentence-initial name opens its run on
+    # trial, since whether it appears mid-sentence later is not yet known;
+    # it is dropped from the run after the walk if it never did.
+    runs = []
+    on_trial = []  # (runs slot, stripped text) of sentence-initial names
     seen_non_initial = set()
-    for sentence in book.iter_sentences():
-        for position, token in enumerate(sentence.tokens):
-            if position > 0 and _name_like(token.text):
-                lower = strip_possessive(token.text).lower()
-                if lower not in _NAME_STOPWORDS and lower not in honorific_table:
-                    seen_non_initial.add(strip_possessive(token.text))
-
     for sentence in book.iter_sentences():
         run = []
         for position, token in enumerate(sentence.tokens):
             ok = _name_like(token.text)
             if ok:
-                lower = strip_possessive(token.text).lower()
-                clean = lower.rstrip(".")
-                if lower in _NAME_STOPWORDS or clean in honorific_table:
+                name = strip_possessive(token.text)
+                lower = name.lower()
+                if lower in _NAME_STOPWORDS or lower.rstrip(".") in honorific_table:
                     ok = False
                 elif position == 0:
-                    ok = strip_possessive(token.text) in seen_non_initial
+                    on_trial.append((len(runs), name))
+                elif lower not in honorific_table:
+                    seen_non_initial.add(name)
             if ok:
                 run.append(token)
-            else:
-                _close_run(candidates, run, honorific_table)
+            elif run:
+                runs.append(run)
                 run = []
-        _close_run(candidates, run, honorific_table)
-    return candidates
+        if run:
+            runs.append(run)
+    for slot, name in on_trial:
+        if name not in seen_non_initial:
+            del runs[slot][0]
+    return _candidates(run for run in runs if run)
 
 
-def _close_run(candidates, run, honorific_table):
-    if not run:
-        return
-    candidates.append(MentionCandidate(
-        start=run[0].index, end=run[-1].index,
-        surface=" ".join(t.text for t in run)))
+def _candidates(runs):
+    return [MentionCandidate(start=run[0].index, end=run[-1].index,
+                             surface=" ".join(t.text for t in run))
+            for run in runs]
 
 
 def augment_honorifics(candidates, tokens, lexicon_dir=""):

@@ -10,6 +10,7 @@ per book per phase goes to the progress log under the store.
 import argparse
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -19,6 +20,12 @@ from .errors import BinderyError
 from .ingest import fetch_gutenberg
 
 log = logging.getLogger("bindery")
+
+# bindery's parallelism is its --jobs worker processes, and its BLAS calls
+# are small mat-vecs, so each process runs BLAS on one thread: extra BLAS
+# threads only spin. A value set in the environment wins.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
 
 
 def build_parser():
@@ -75,6 +82,9 @@ def _write_progress(store, results):
 
 
 def main(argv=None):
+    # numpy is imported lazily, after this, and reads them when it loads.
+    for name in BLAS_THREAD_VARIABLES:
+        os.environ.setdefault(name, "1")
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,

@@ -673,8 +673,9 @@ def run_ingest(in_dir, store, config, force=False, traces=None):
 
     Sources that map to one book id (``1001.txt`` and ``pg1001.txt``) fail
     that id with one error naming them all. A book whose sources fail
-    loses its stored book.xml, so no later phase takes it for the book it
-    was; a book.xml whose ``<meta>`` cannot be read fails and stays.
+    loses its stored book.xml, lemma file and pages, so no later phase
+    takes it for the book it was and no stale page stays; a book.xml whose
+    ``<meta>`` cannot be read fails and stays.
     Every runner makes new ``traces`` under ``force`` when given none.
     """
     traces = traces or Traces(force)
@@ -704,8 +705,11 @@ def run_ingest(in_dir, store, config, force=False, traces=None):
                 report.write_if_changed(xml_path, xml_model.serialize(book))
             results.append(PhaseResult(book_id, "ingest", True))
         except BinderyError as exc:
-            xml_path.unlink(missing_ok=True)
-            traces.forget([xml_path])
+            stale = [*_analysis_files(store, book_id),
+                     *(_book_dir(store, book_id) / name for name in BOOK_PAGES)]
+            for path in stale:
+                path.unlink(missing_ok=True)
+            traces.forget(stale)
             results.append(_failed(book_id, "ingest", exc))
     return results
 

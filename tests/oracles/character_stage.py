@@ -4,19 +4,23 @@ Quote attribution, pronoun votes and pronoun counts as they were before
 the stage shared one token table: each function builds its own
 token-to-row and token-to-sentence dicts, every quote scans every
 mention, and each second-person pronoun finds its quote by a linear
-search and scans every mention again. Kept to check the table version
-against.
+search and scans every mention again. Mention detection is the two-walk
+version: one walk over every sentence collects the names seen
+mid-sentence, a second builds the runs, and a capitalized token is
+stripped of its possessive up to three times. Kept to check the table
+version and the one-walk detection against.
 """
 
 from bisect import bisect_left
 from collections import Counter, defaultdict
 
 from bindery import lexicons
-from bindery.characters import (FEMALE_PRONOUNS, FIRST_PERSON_PRONOUNS,
-                                MALE_PRONOUNS, SECOND_PERSON_PRONOUNS,
-                                _resolve_name_parts, cluster_mentions,
-                                detect_person_mentions)
-from bindery.linguistic import extract_quotes
+from bindery.characters import (_NAME_STOPWORDS, FEMALE_PRONOUNS,
+                                FIRST_PERSON_PRONOUNS, MALE_PRONOUNS,
+                                SECOND_PERSON_PRONOUNS, MentionCandidate,
+                                _name_like, _resolve_name_parts,
+                                cluster_mentions)
+from bindery.linguistic import extract_quotes, strip_possessive
 
 
 def run(book, min_mentions=3, pronoun_window=2, lexicon_dir=""):
@@ -43,6 +47,57 @@ def _token_table(book):
             sentence_index.append(s)
         s += 1
     return tokens, sentence_index
+
+
+def detect_person_mentions(book, lexicon_dir=""):
+    honorific_table = lexicons.honorifics(lexicon_dir)
+    candidates = []
+    if any(t.ner == "PERSON" for t in book.iter_tokens()):
+        for sentence in book.iter_sentences():
+            run = []
+            for token in sentence.tokens:
+                if token.ner == "PERSON":
+                    run.append(token)
+                else:
+                    _close_run(candidates, run, honorific_table)
+                    run = []
+            _close_run(candidates, run, honorific_table)
+        return candidates
+
+    seen_non_initial = set()
+    for sentence in book.iter_sentences():
+        for position, token in enumerate(sentence.tokens):
+            if position > 0 and _name_like(token.text):
+                lower = strip_possessive(token.text).lower()
+                if lower not in _NAME_STOPWORDS and lower not in honorific_table:
+                    seen_non_initial.add(strip_possessive(token.text))
+
+    for sentence in book.iter_sentences():
+        run = []
+        for position, token in enumerate(sentence.tokens):
+            ok = _name_like(token.text)
+            if ok:
+                lower = strip_possessive(token.text).lower()
+                clean = lower.rstrip(".")
+                if lower in _NAME_STOPWORDS or clean in honorific_table:
+                    ok = False
+                elif position == 0:
+                    ok = strip_possessive(token.text) in seen_non_initial
+            if ok:
+                run.append(token)
+            else:
+                _close_run(candidates, run, honorific_table)
+                run = []
+        _close_run(candidates, run, honorific_table)
+    return candidates
+
+
+def _close_run(candidates, run, honorific_table):
+    if not run:
+        return
+    candidates.append(MentionCandidate(
+        start=run[0].index, end=run[-1].index,
+        surface=" ".join(t.text for t in run)))
 
 
 def augment_honorifics(candidates, tokens, lexicon_dir=""):

@@ -20,6 +20,7 @@ from bindery.pipeline import annotate_book, ingest_to_book
 from conftest import BOOKS
 from generators import random_book
 from helpers import build_annotated
+from oracles.embeddings import train_embeddings as oracle_train_embeddings
 from oracles.linsear_write import linsear_write as oracle_linsear_write
 from oracles.readability_stats import collect_stats as oracle_collect_stats
 
@@ -381,3 +382,60 @@ def test_lemma_counts_skip_punctuation():
     counts = lemma_counts(book)
     assert counts["go"] == 2
     assert "," not in counts
+
+
+def _generated_streams(seed):
+    """A seeded stream set and trainer settings: one book or several, some
+    of them empty, over 2 to 5,000 words, so that some batches repeat one
+    row 20 or more times and some keep a large vocabulary at min_count=1."""
+    rnd = random.Random(seed)
+    vocab = rnd.choice([2, 3, 40, 800, 5000])
+    streams = {}
+    for b in range(rnd.choice([1, 1, 2, 4, 7])):
+        if b:
+            length = rnd.choice([0, 1, 30, 64, 65, 300])
+        else:
+            length = 2000 if vocab == 5000 else rnd.choice([1, 64, 300])
+        streams[f"g{b}"] = [f"w{rnd.randrange(vocab)}" for _ in range(length)]
+    settings = dict(dim=rnd.choice([4, 16, 100]), epochs=rnd.choice([1, 2, 5]),
+                    min_count=rnd.choice([1, 1, 1, 2]),
+                    negatives=rnd.choice([1, 5]), seed=seed)
+    return streams, settings
+
+
+def _largest_row_repeat(streams, batch=64):
+    return max(max(Counter(stream[lo:lo + batch]).values())
+               for stream in streams.values() if stream
+               for lo in range(0, len(stream), batch))
+
+
+def test_grouped_row_update_matches_scatter_add_oracle(annotated_fixtures):
+    """The trainer's vectors equal, as float32, those of the trainer that
+    scatter-adds each occurrence, on the fixtures' streams and on 200
+    generated stream sets; where the oracle finds no vocabulary, so does
+    the trainer."""
+    fixtures = {book.meta.source_id: lemma_stream(book)
+                for book in annotated_fixtures}
+    cases = [(fixtures, dict(min_count=2, dim=32, epochs=5)),
+             (fixtures, dict(min_count=1))]
+    cases += [_generated_streams(seed) for seed in range(200)]
+    seen = Counter()
+    for streams, settings in cases:
+        try:
+            want = oracle_train_embeddings(streams, **settings)
+        except AnalyticsError:
+            with pytest.raises(AnalyticsError):
+                train_embeddings(streams, **settings)
+            seen["no vocabulary"] += 1
+            continue
+        got = train_embeddings(streams, **settings)
+        assert got.ids == want.ids
+        assert np.array_equal(got.vectors, want.vectors), (
+            settings, float(np.abs(got.vectors - want.vectors).max()))
+        seen["one book"] += len(streams) == 1
+        seen["empty doc"] += not all(streams.values())
+        seen["large vocabulary"] += (settings["min_count"] == 1
+                                     and len(set().union(*streams.values()))
+                                     >= 1000)
+        seen["row repeated 20+"] += _largest_row_repeat(streams) >= 20
+    assert len(seen) == 5 and min(seen.values()) > 0, seen

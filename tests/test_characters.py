@@ -2,7 +2,8 @@ import copy
 import random
 
 from bindery import linguistic
-from bindery.characters import (MentionCandidate, augment_honorifics,
+from bindery.characters import (_NAME_STOPWORDS, MentionCandidate,
+                                _name_like, augment_honorifics,
                                 build_interaction_network,
                                 build_occurrence_timeline, cluster_mentions,
                                 detect_person_mentions, infer_gender,
@@ -11,7 +12,7 @@ from bindery.ingest import read_gutenberg
 from bindery.pipeline import (characters_book, ingest_to_book, linguistic_book,
                               segment_book)
 from bindery.xml_model import CharacterRecord
-from generators import dialogue_text
+from generators import dialogue_text, random_book
 from helpers import build_annotated, run_characters
 from oracles import character_stage as oracle
 
@@ -55,6 +56,28 @@ def test_ner_tags_take_precedence():
     tokens[3].ner = "PERSON"
     candidates = detect_person_mentions(book)
     assert surfaces(candidates) == ["harbour town"]
+
+
+def test_one_walk_detection_matches_two_walk_oracle(fixture_books, config):
+    """The one-walk detection finds the candidates of the two-walk one on
+    the fixtures, 200 dialogue books and 20 NER-tagged random books; the
+    books hold sentence-initial name-like words both kept and dropped."""
+    books = [linguistic_book(segment_book(
+        ingest_to_book(read_gutenberg(path), config), config), config)
+        for path in fixture_books]
+    books += [build_annotated(dialogue_text(seed=seed)) for seed in range(200)]
+    books += [random_book(seed=seed) for seed in range(20)]
+    initial = {"kept": 0, "dropped": 0}
+    for book in books:
+        want = oracle.detect_person_mentions(book)
+        assert detect_person_mentions(book) == want
+        starts = {c.start for c in want}
+        for sentence in book.iter_sentences():
+            head = sentence.tokens[0] if sentence.tokens else None
+            if (head is not None and _name_like(head.text)
+                    and head.text.lower() not in _NAME_STOPWORDS):
+                initial["kept" if head.index in starts else "dropped"] += 1
+    assert min(initial.values()) > 0, initial
 
 
 # -- honorifics ---------------------------------------------------------------------

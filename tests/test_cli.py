@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import bindery
-from bindery import analytics_book, dedup, pipeline, report, xml_model
+from bindery import analytics_book, cli, dedup, pipeline, report, xml_model
 from bindery.cli import main
 from bindery.config import Config
 from bindery.errors import BinderyError, TooShortError
@@ -183,8 +183,9 @@ def test_sources_with_one_book_id_fail_that_id_and_write_neither(
 
 def test_failed_reingest_drops_the_stored_book(raw_dir, smoke_config,
                                               tmp_path):
-    """A book whose re-ingest fails leaves every later phase; once its
-    source is whole again, the store is the one a cold run makes."""
+    """A book whose re-ingest fails leaves every later phase and takes its
+    stored files with it; once its source is whole again, the store is the
+    one a cold run makes."""
     (raw_dir / "pg1002.txt").unlink()
     store, cold = tmp_path / "store", tmp_path / "cold"
     argv = ["--config", str(smoke_config), "all", "--in", str(raw_dir)]
@@ -195,7 +196,9 @@ def test_failed_reingest_drops_the_stored_book(raw_dir, smoke_config,
     assert run(*argv, "--out", str(store)) == 1
     assert [(l["phase"], l["status"]) for l in progress_lines(store)
             if l["book"] == "pg1001"] == [("ingest", "error")]
-    assert not (store / "pg1001" / "book.xml").exists()
+    assert [name for name in ("book.xml", "lemmas.json", "book.json",
+                              "index.html")
+            if (store / "pg1001" / name).exists()] == []
     stats = json.loads((store / "_corpus" / "corpus.json").read_bytes())
     assert [book["id"] for book in stats["books"]] == ["pg730"]
     (raw_dir / "1001.txt").unlink()
@@ -1415,6 +1418,33 @@ def test_noop_all_leaves_out_numpy(fixture_store, raw_dir, smoke_config,
     assert all_in_new_process(config, BOOKS, store) == ["False", "0", "False"]
     cold = all_in_new_process(smoke_config, raw_dir, tmp_path / "cold")
     assert cold == ["False", "0", "True"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through Linux /proc")
+def test_cold_all_runs_blas_on_one_thread(smoke_config, tmp_path):
+    """With no BLAS thread variable set, a cold all loads numpy and ends
+    with one thread in its process; a variable the user sets is kept."""
+    script = ("import os, sys\n"
+              "from bindery.cli import BLAS_THREAD_VARIABLES, main\n"
+              "status = main(sys.argv[1:])\n"
+              "print(status, 'numpy' in sys.modules,\n"
+              "      len(os.listdir('/proc/self/task')),\n"
+              "      *(os.environ[name] for name in BLAS_THREAD_VARIABLES))\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in cli.BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+
+    def cold_all(store, **given):
+        return subprocess.run(
+            [sys.executable, "-c", script, "--config", str(smoke_config),
+             "all", "--in", str(BOOKS), "--out", str(store)],
+            env={**env, **given}, capture_output=True, text=True,
+            check=True).stdout.split()
+
+    assert cold_all(tmp_path / "default") == ["0", "True", "1", "1", "1", "1"]
+    given = cold_all(tmp_path / "given", OPENBLAS_NUM_THREADS="2")
+    assert given[:2] == ["0", "True"] and given[3:] == ["2", "1", "1"]
 
 
 # What a run that finds nothing to do may load: the CLI, the store formats
