@@ -26,6 +26,10 @@ log = logging.getLogger("bindery")
 # threads only spin. A value set in the environment wins.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                          "MKL_NUM_THREADS")
+# The phase subcommands: ``pipeline.run_<name>`` runs each. ingest and all
+# read --in, dedup takes the whole store, and the others the kept books.
+COMMANDS = ("ingest", "dedup", "annotate", "analyze", "corpus-stats", "report",
+            "all")
 
 
 def build_parser():
@@ -47,12 +51,9 @@ def build_parser():
     fetch.add_argument("--out", required=True, help="destination directory")
     fetch.add_argument("--mirror", help="mirror base URL (overrides config)")
 
-    for name, needs_in in (("ingest", True), ("dedup", False),
-                           ("annotate", False), ("analyze", False),
-                           ("corpus-stats", False), ("report", False),
-                           ("all", True)):
+    for name in COMMANDS:
         cmd = sub.add_parser(name, help=f"run the {name} phase")
-        if needs_in:
+        if name in ("ingest", "all"):
             cmd.add_argument("--in", dest="in_dir", required=True,
                              help="directory of raw book sources")
         cmd.add_argument("--out", required=True, help="store directory")
@@ -109,24 +110,18 @@ def main(argv=None):
         return 1 if failures else 0
 
     store = args.out
-    runners = {
-        "ingest": lambda: pipeline.run_ingest(args.in_dir, store, config,
-                                              force=args.force),
-        "dedup": lambda: pipeline.run_dedup(store, config,
-                                            force=args.force),
-        "annotate": lambda: pipeline.run_annotate(store, config,
-                                                  force=args.force),
-        "analyze": lambda: pipeline.run_analyze(store, config,
-                                                force=args.force),
-        "corpus-stats": lambda: pipeline.run_corpus_stats(store, config,
-                                                          force=args.force),
-        "report": lambda: pipeline.run_report(store, config, force=args.force),
-        "all": lambda: pipeline.run_all(args.in_dir, store, config,
-                                        force=args.force),
-    }
+    traces = pipeline.Traces(force=args.force)
+    # Looked up now, not at import: a tracer may have swapped the function.
+    runner = getattr(pipeline, "run_" + args.command.replace("-", "_"))
     try:
-        results = runners[args.command]()
-    except BinderyError as exc:
+        if hasattr(args, "in_dir"):
+            results = runner(args.in_dir, store, config, traces)
+        elif args.command == "dedup":
+            results = runner(store, config, traces)
+        else:
+            results = runner(store, config, traces,
+                             pipeline.kept_book_ids(store))
+    except (BinderyError, OSError) as exc:
         log.error("%s failed: %s", args.command, exc)
         return 1
     _write_progress(store, results)

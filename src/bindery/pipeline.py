@@ -516,8 +516,7 @@ def store_book_ids(store):
 
 
 def kept_book_ids(store):
-    """Book ids that survived dedup (all books when dedup has not run):
-    the books of a runner given ``book_ids=None``."""
+    """Book ids that survived dedup (all books when dedup has not run)."""
     index_path = _corpus_path(store, INDEX_FILE)
     entries = (dedup.CorpusIndex.load(index_path).entries
                if index_path.exists() else [])
@@ -566,14 +565,15 @@ class Traces:
     beside it, still matches: the "verifying traces" of Mokhov, Mitchell
     and Peyton Jones, "Build Systems a la Carte" (ICFP 2018). The inputs
     are JSON values and files; a ``Path`` stands for its file's bytes.
-    One instance serves one runner call or one ``run_all``, digests each
-    file and reads each ``<meta>`` at most once (``files``, ``heads``; a
-    write through ``report.write_if_changed(..., traces.files)`` records
-    the digest of what it leaves),
-    and under ``force`` reads no recorded trace, so none is current.
+    The CLI makes one instance per run and passes it to every runner,
+    so a run digests each file and reads each ``<meta>`` at most once
+    (``files``, ``heads``; a write through ``report.write_if_changed(...,
+    traces.files)`` records the digest of what it leaves). ``force`` is
+    the run's one redo switch: under it no recorded trace is read, so none
+    is current.
     """
 
-    def __init__(self, force=False):
+    def __init__(self, force):
         self.force = force
         self.files = {}
         self.heads = {}
@@ -667,7 +667,7 @@ def _read_source(path, kind, config):
     return ingest.read_hathi_pagewise(path, page_separator=config.page_separator)
 
 
-def run_ingest(in_dir, store, config, force=False, traces=None):
+def run_ingest(in_dir, store, config, traces):
     """Ingest every source of ``in_dir`` whose book's ingest trace is not
     current into the book's book.xml.
 
@@ -676,9 +676,7 @@ def run_ingest(in_dir, store, config, force=False, traces=None):
     loses its stored book.xml, lemma file and pages, so no later phase
     takes it for the book it was and no stale page stays; a book.xml whose
     ``<meta>`` cannot be read fails and stays.
-    Every runner makes new ``traces`` under ``force`` when given none.
     """
-    traces = traces or Traces(force)
     sources = {}
     for book_id, path, kind in discover_sources(in_dir):
         sources.setdefault(book_id, []).append((path, kind))
@@ -736,8 +734,7 @@ def _memoized_entry(store, book_id, record, minhash, traces):
                 and len(record.fingerprint.signature) != minhash[0])):
         return None
     meta = traces.head(_xml_path(store, book_id))
-    if not traces.current(traces.digest([record.body_sha256, record.minhash]),
-                          [meta.body_sha256, minhash]):
+    if (record.body_sha256, record.minhash) != (meta.body_sha256, minhash):
         return None
     fp = None
     if record.fingerprint is not None:
@@ -775,14 +772,13 @@ def _dedup_entry(book_id, meta, text_length, fp, minhash):
         minhash=minhash if meta.body_sha256 is not None else None)
 
 
-def run_dedup(store, config, force=False, traces=None):
+def run_dedup(store, config, traces):
     """Fingerprint every stored book and mark duplicates in the index.
 
     A book whose record in the previous index is still current (see
     ``_memoized_entry``) reuses that fingerprint, so an unchanged store is
     deduplicated from ``<meta>`` reads alone.
     """
-    traces = traces or Traces(force)
     minhash = (config.minhash_hashes, config.shingle_size, config.seed)
     memo = traces.recorded(_previous_index, store) or {}
     index = dedup.CorpusIndex()
@@ -826,7 +822,7 @@ def _analyze(store, book_id, book, config):
     payload = build_book_payload(book, config)
     lemmas = analytics_book.lemma_sequence(book)
     book.add_phase("analytics")
-    traces = Traces()  # its one file, book.xml, gets its digest as written
+    traces = Traces(False)  # book.xml, its one file, gets the digest written
     report.write_if_changed(_xml_path(store, book_id),
                             xml_model.serialize(book), traces.files)
     report.dump_json({
@@ -858,7 +854,7 @@ def _annotate_analyze_one(args):
             if book.has_phase("segment"):
                 to_raw_stage(book)
             annotate_book(book, config)
-            book.meta.annotate_trace = Traces().digest(
+            book.meta.annotate_trace = Traces(False).digest(
                 _annotate_parts(book.meta, config))
             xml_model.validate(book)
             unwritten = True
@@ -887,8 +883,8 @@ def _pool_map(worker, args_list, jobs):
         return list(pool.map(worker, args_list))
 
 
-def _run_stale(phases, store, config, traces, book_ids=None):
-    """Run ``phases`` (annotate and/or analyze) over the kept books.
+def _run_stale(phases, store, config, traces, book_ids):
+    """Run ``phases`` (annotate and/or analyze) over the books ``book_ids``.
 
     A book needs annotate while the trace in its ``<meta>`` is not
     current, and analyze while its lemma file's is not or annotate is to
@@ -897,8 +893,6 @@ def _run_stale(phases, store, config, traces, book_ids=None):
     worker process may rewrite its files. Returns one result per book per
     phase, phase by phase.
     """
-    if book_ids is None:
-        book_ids = kept_book_ids(store)
     results = {}
     stale = []
     for book_id in book_ids:
@@ -925,23 +919,21 @@ def _run_stale(phases, store, config, traces, book_ids=None):
             for phase in phases for book_id in book_ids]
 
 
-def run_annotate(store, config, force=False):
-    return _run_stale(("annotate",), store, config, Traces(force))
+def run_annotate(store, config, traces, book_ids):
+    return _run_stale(("annotate",), store, config, traces, book_ids)
 
 
-def run_analyze(store, config, force=False):
-    return _run_stale(("analyze",), store, config, Traces(force))
+def run_analyze(store, config, traces, book_ids):
+    return _run_stale(("analyze",), store, config, traces, book_ids)
 
 
-def run_corpus_stats(store, config, force=False, book_ids=None, traces=None):
-    """Write corpus.json, the corpus lemma model and the book vectors.
+def run_corpus_stats(store, config, traces, book_ids):
+    """Write corpus.json, the corpus lemma model and the book vectors of
+    the books ``book_ids``; with no book analyzed, a zero-book corpus.
 
     Nothing is read, trained or written while the memo's trace is current.
-    It is recorded only when every kept book succeeded.
+    It is recorded only when every book succeeded.
     """
-    traces = traces or Traces(force)
-    if book_ids is None:
-        book_ids = kept_book_ids(store)
     memo_path = _corpus_path(store, CORPUS_STATS_MEMO)
     parts = _settings(config, CORPUS_KEYS)
     for book_id in book_ids:
@@ -969,8 +961,6 @@ def run_corpus_stats(store, config, force=False, book_ids=None, traces=None):
             results.append(PhaseResult(book_id, "corpus-stats", True))
         except BinderyError as exc:
             results.append(_failed(book_id, "corpus-stats", exc))
-    if not payloads:
-        return results
 
     stats = build_corpus_stats(payloads, lemma_counter, config)
     report.dump_json(stats, _corpus_path(store, report.CORPUS_JSON),
@@ -1002,8 +992,8 @@ def run_corpus_stats(store, config, force=False, book_ids=None, traces=None):
     return results
 
 
-def run_report(store, config, force=False, book_ids=None, traces=None):
-    """Write each kept book's pages and the corpus pages.
+def run_report(store, config, traces, book_ids):
+    """Write the pages of the books ``book_ids`` and the corpus pages.
 
     Pages are kept while their trace in the memo is current. corpus.json
     is read only when some page is stale, and the corpus lemma model and
@@ -1012,9 +1002,6 @@ def run_report(store, config, force=False, book_ids=None, traces=None):
     stats_path = _corpus_path(store, report.CORPUS_JSON)
     if not stats_path.exists():
         raise MissingPhaseError("report", "corpus-stats")
-    traces = traces or Traces(force)
-    if book_ids is None:
-        book_ids = kept_book_ids(store)
     corpus_dir = _corpus_path(store, "")
     corpus_inputs = _settings(config, CORPUS_KEYS) + [
         _corpus_path(store, name) for name in CORPUS_OUTPUTS]
@@ -1068,35 +1055,32 @@ def run_report(store, config, force=False, book_ids=None, traces=None):
     return results
 
 
-def _timed(name, runner, *args, **kwargs):
-    """``runner(*args, **kwargs)``, logging its time and book count at DEBUG."""
+def _timed(name, runner, *args):
+    """``runner(*args)``, logging its time and book count at DEBUG."""
     start = time.perf_counter()
-    results = runner(*args, **kwargs)
+    results = runner(*args)
     log.debug("%s: %.3f s, %d book(s)", name, time.perf_counter() - start,
               len({r.book_id for r in results}))
     return results
 
 
-def run_all(in_dir, store, config, force=False):
+def run_all(in_dir, store, config, traces):
     """Every phase in order; annotate and analyze share one pass per book.
 
-    The runners share one ``Traces``, and the later ones take the kept
-    books from dedup's results, so the index is read only by dedup. Logs
-    each runner's wall time and book count, then the peak memory, at DEBUG.
+    The runners share ``traces``, and the later ones take the kept books
+    from dedup's results, so the index is read only by dedup. Logs each
+    runner's wall time and book count, then the peak memory, at DEBUG.
     """
-    traces = Traces(force)
-    results = _timed("ingest", run_ingest, in_dir, store, config,
-                     traces=traces)
-    dedup_results = _timed("dedup", run_dedup, store, config, traces=traces)
+    results = _timed("ingest", run_ingest, in_dir, store, config, traces)
+    dedup_results = _timed("dedup", run_dedup, store, config, traces)
     results += dedup_results
     # ``kept_book_ids``, without reading back the index dedup just wrote.
     book_ids = [r.book_id for r in dedup_results if r.duplicate_of is None]
     results += _timed("annotate+analyze", _run_stale, ("annotate", "analyze"),
                       store, config, traces, book_ids)
-    results += _timed("corpus-stats", run_corpus_stats, store, config,
-                      book_ids=book_ids, traces=traces)
-    results += _timed("report", run_report, store, config, book_ids=book_ids,
-                      traces=traces)
+    results += _timed("corpus-stats", run_corpus_stats, store, config, traces,
+                      book_ids)
+    results += _timed("report", run_report, store, config, traces, book_ids)
     # ru_maxrss is in KiB on Linux; pool workers are not counted.
     log.debug("peak memory: %.1f MB",
               resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)

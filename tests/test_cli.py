@@ -221,6 +221,73 @@ def test_per_book_failure_is_not_fatal(raw_dir, smoke_config, tmp_path,
     assert not (store / "pg9999").exists()
 
 
+@pytest.mark.parametrize("sources", [[], ["pg5.txt"]])
+def test_all_without_a_kept_book_ends_with_a_zero_book_corpus(
+        tmp_path, caplog, sources):
+    """When no book reaches corpus-stats, all still writes a zero-book
+    corpus and its pages, and the progress log keeps each book's error."""
+    in_dir, store = tmp_path / "raw", tmp_path / "store"
+    in_dir.mkdir()
+    for name in sources:
+        (in_dir / name).write_text("", encoding="utf-8")
+    assert run("all", "--in", str(in_dir), "--out", str(store)) == (
+        1 if sources else 0)
+    assert [(l["book"], l["phase"], l["status"])
+            for l in progress_lines(store)] == [
+        ("pg5", "ingest", "error") for _ in sources]
+    errors = [r.message for r in caplog.records if r.levelno == logging.ERROR]
+    assert [e.split(":")[:2] for e in errors] == [
+        ["pg5", " ingest"] for _ in sources]
+    stats = json.loads((store / "_corpus" / "corpus.json").read_bytes())
+    assert stats["books"] == []
+    assert (store / "_corpus" / "corpus.html").exists()
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("all", "missing --in"), ("ingest", "--in a file"),
+    ("all", "--out a file"), ("dedup", "--out a file")])
+def test_bad_path_is_one_error_line_and_exit_1(tmp_path, caplog, command,
+                                               bad):
+    a_file = tmp_path / "a.txt"
+    a_file.write_text("not a directory\n", encoding="utf-8")
+    in_dir = {"missing --in": tmp_path / "missing",
+              "--in a file": a_file}.get(bad, BOOKS)
+    out = a_file if bad == "--out a file" else tmp_path / "store"
+    argv = ["--in", str(in_dir)] if command != "dedup" else []
+    caplog.set_level(logging.INFO)
+    assert run(command, *argv, "--out", str(out)) == 1
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert errors[0].message.startswith(f"{command} failed: ")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_runs_its_runner_with_the_runs_traces(
+        fixture_store, monkeypatch, command):
+    """The CLI looks ``pipeline.run_<command>`` up when the command runs,
+    so a wrapper swapped into the module runs, and gives it one forced
+    ``Traces`` and, after dedup, the kept books."""
+    config_path, store = fixture_store
+    calls = []
+
+    def recorder(*args):
+        calls.append(args)
+        return []
+
+    monkeypatch.setattr(pipeline, "run_" + command.replace("-", "_"), recorder)
+    argv = ["--in", str(BOOKS)] if command in ("ingest", "all") else []
+    assert run("--config", str(config_path), "--force", command, *argv,
+               "--out", str(store)) == 0
+    [args] = calls
+    expected = [str(BOOKS)] if argv else []
+    expected += [str(store), Config.load(config_path)]
+    assert list(args[:len(expected)]) == expected
+    traces, *book_ids = args[len(expected):]
+    assert isinstance(traces, pipeline.Traces) and traces.force is True
+    assert book_ids == ([] if command in ("ingest", "dedup", "all")
+                        else [pipeline.kept_book_ids(store)])
+
+
 def test_progress_log_lines(raw_dir, smoke_config, tmp_path):
     store = tmp_path / "store"
     run("--config", str(smoke_config), "ingest",
@@ -350,10 +417,13 @@ def test_failed_forced_annotate_leaves_analyze_the_earlier_annotation(
     steps = tmp_path / "steps"
     shutil.copytree(store, steps)
     _inject_pg1001_failure(monkeypatch, "annotate")
+    book_ids = pipeline.kept_book_ids(store)
     together = pipeline._run_stale(("annotate", "analyze"), store, config,
-                                   pipeline.Traces(force=True))
-    one_by_one = (pipeline.run_annotate(steps, config, force=True)
-                  + pipeline.run_analyze(steps, config, force=True))
+                                   pipeline.Traces(force=True), book_ids)
+    one_by_one = [result for runner in (pipeline.run_annotate,
+                                        pipeline.run_analyze)
+                  for result in runner(steps, config,
+                                       pipeline.Traces(force=True), book_ids)]
     assert together == one_by_one
     assert [(r.book_id, r.phase) for r in together if not r.ok] == [
         ("pg1001", "annotate")]
@@ -647,7 +717,7 @@ def _no_payload(path):  # as written before the file held the payload
 
 def _other_config(path):  # as written under another timeline_top_k
     other = Config(timeline_top_k=1)
-    trace = pipeline.Traces().digest(pipeline._analysis_parts(
+    trace = pipeline.Traces(False).digest(pipeline._analysis_parts(
         path.parent.parent, path.parent.name, other))
     _edit_sidecar(path, lambda sidecar: sidecar.update(trace=trace))
 
