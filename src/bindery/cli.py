@@ -27,7 +27,7 @@ log = logging.getLogger("bindery")
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                          "MKL_NUM_THREADS")
 # The phase subcommands: ``pipeline.run_<name>`` runs each. ingest and all
-# read --in, dedup takes the whole store, and the others the kept books.
+# read --in and make the store; dedup takes it whole, the rest its kept books.
 COMMANDS = ("ingest", "dedup", "annotate", "analyze", "corpus-stats", "report",
             "all")
 
@@ -110,6 +110,9 @@ def main(argv=None):
         return 1 if failures else 0
 
     store = args.out
+    if not hasattr(args, "in_dir") and not Path(store).is_dir():
+        log.error("%s failed: no store at %s", args.command, store)
+        return 1
     traces = pipeline.Traces(force=args.force)
     # Looked up now, not at import: a tracer may have swapped the function.
     runner = getattr(pipeline, "run_" + args.command.replace("-", "_"))

@@ -47,10 +47,8 @@ class MissingPhaseError(BinderyError):
     """Raised when a pipeline phase runs before its prerequisites."""
 
     def __init__(self, phase, missing):
-        super().__init__(
-            f"phase '{phase}' requires completed phase '{missing}'; "
-            f"run the '{missing}' step first (or use --force to redo earlier phases)"
-        )
+        super().__init__(f"phase '{phase}' requires completed phase "
+                         f"'{missing}'; run the '{missing}' step first")
         self.phase = phase
         self.missing = missing
 

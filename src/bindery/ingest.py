@@ -79,6 +79,11 @@ def gutenberg_id(path):
     return f"pg{match.group(1) if match else stem}"
 
 
+def hathi_id(directory):
+    """Source id of a page-wise book directory: ``ht`` plus its name."""
+    return f"ht{Path(directory).name}"
+
+
 def read_gutenberg(path):
     """Read a single Gutenberg-style text file into a RawBook."""
     path = Path(path)
@@ -159,7 +164,7 @@ def read_hathi_pagewise(directory, page_separator="\n"):
             elif key:
                 metadata[key] = value
     return RawBook(
-        source_id=f"ht{directory.name}",
+        source_id=hathi_id(directory),
         source_kind=SourceKind.HATHI_PAGEWISE,
         pages=pages,
         metadata=metadata,

@@ -108,7 +108,7 @@ def discover_sources(in_dir):
             sources.append((ingest.gutenberg_id(entry), entry,
                             ingest.SourceKind.GUTENBERG_TEXT))
         elif entry.is_dir() and any(p.suffix == ".txt" for p in entry.iterdir()):
-            sources.append((f"ht{entry.name}", entry,
+            sources.append((ingest.hathi_id(entry), entry,
                             ingest.SourceKind.HATHI_PAGEWISE))
     return sources
 
@@ -224,7 +224,7 @@ def to_raw_stage(book):
 
     Each block of ``_offset_blocks`` becomes a raw paragraph again: hard-wrap
     newlines collapse to spaces, preserving every offset, and header lines
-    become ordinary blocks. Annotate starts from here.
+    become ordinary blocks. ``annotate_book`` starts an annotated book here.
     """
     paragraphs = []
     for pieces in _offset_blocks(book):
@@ -281,6 +281,8 @@ def characters_book(book, config):
 
 
 def annotate_book(book, config):
+    if book.has_phase("segment"):
+        to_raw_stage(book)
     segment_book(book, config)
     linguistic_book(book, config)
     characters_book(book, config)
@@ -639,13 +641,19 @@ def _analysis_parts(store, book_id, config):
             _xml_path(store, book_id)]
 
 
+def _current_analysis(store, book_id, config, traces):
+    """A book's decoded lemma file while its trace is current, else None."""
+    analysis = _json_object(_book_dir(store, book_id) / LEMMAS_FILE)
+    current = traces.current(analysis.get("trace"),
+                             _analysis_parts(store, book_id, config))
+    return analysis if current else None
+
+
 def _book_analysis(store, book_id, phase, config, book_schema, traces):
-    """``(payload, lemmas)`` from a book's lemma file; the book fails
-    ``phase`` while the file is not current or has the wrong shape."""
-    path = _book_dir(store, book_id) / LEMMAS_FILE
-    analysis = _json_object(path)
-    if not traces.current(analysis.get("trace"),
-                          _analysis_parts(store, book_id, config)):
+    """``(payload, lemmas)`` from a book's current lemma file; the book fails
+    ``phase`` otherwise, and a file of the wrong shape is removed."""
+    analysis = _current_analysis(store, book_id, config, traces)
+    if analysis is None:
         raise MissingPhaseError(phase, "analyze")
     payload, lemmas = analysis.get("payload"), analysis.get("lemmas")
     errors = report.validate_schema(payload, book_schema, "$.payload")
@@ -653,6 +661,9 @@ def _book_analysis(store, book_id, phase, config, book_schema, traces):
             and all(isinstance(w, str) for w in lemmas)):
         errors.append("$.lemmas: expected a list of strings")
     if errors:
+        path = _book_dir(store, book_id) / LEMMAS_FILE
+        path.unlink(missing_ok=True)
+        traces.forget([path])
         raise ParseError(f"{path}: not a book analysis: "
                          + "; ".join(errors[:3]))
     return payload, lemmas
@@ -695,9 +706,7 @@ def run_ingest(in_dir, store, config, traces):
             [(path, kind)] = found
             parts = _settings(config, INGEST_KEYS) + _source_parts(path, kind)
             if not traces.current(meta and meta.ingest_trace, parts):
-                raw = _read_source(path, kind, config)
-                raw.source_id = book_id
-                book = ingest_to_book(raw, config)
+                book = ingest_to_book(_read_source(path, kind, config), config)
                 book.meta.ingest_trace = traces.digest(parts)
                 traces.forget([xml_path])
                 report.write_if_changed(xml_path, xml_model.serialize(book))
@@ -812,34 +821,16 @@ def run_dedup(store, config, traces):
     return results
 
 
-def _analyze(store, book_id, book, config):
-    """Write an annotated book's stamped book.xml, then its lemma file:
-    the bare payload, the lemma sequence and their trace.
-
-    Everything is computed before the first write, so a failure writes
-    nothing; the serialize cannot fail on a book that annotate validated.
-    """
-    payload = build_book_payload(book, config)
-    lemmas = analytics_book.lemma_sequence(book)
-    book.add_phase("analytics")
-    traces = Traces(False)  # book.xml, its one file, gets the digest written
-    report.write_if_changed(_xml_path(store, book_id),
-                            xml_model.serialize(book), traces.files)
-    report.dump_json({
-        "trace": traces.digest(_analysis_parts(store, book_id, config)),
-        "lemmas": lemmas, "payload": payload},
-        _book_dir(store, book_id) / LEMMAS_FILE)
-
-
 def _annotate_analyze_one(args):
     """Run ``phases``, annotate and/or analyze in that order, on one book.
 
-    The book is parsed once and its book.xml written once. The results
-    are those of running the phases one after another: a failed load
-    fails every phase; after a failed annotate, analyze runs on the
-    book.xml still on disk; after a failed analyze, the annotation is
-    still written. Annotate starts from the ingest stage and validates
-    the book as a standalone annotate's serialize would.
+    The book is parsed once and its book.xml written once, then the lemma
+    file: the bare payload, the lemmas and their trace. The results are
+    those of running the phases one after another: a failed load fails
+    every phase; after a failed annotate, analyze runs on the book.xml
+    still on disk; after a failed analyze, the annotation is still
+    written; when every phase fails, nothing is. Annotate validates the
+    book as a standalone annotate's serialize would.
     """
     store, book_id, config, phases = args
     path = _xml_path(store, book_id)
@@ -847,29 +838,32 @@ def _annotate_analyze_one(args):
         book = xml_model.load(path)
     except BinderyError as exc:
         return [_failed(book_id, phase, exc) for phase in phases]
+    traces = Traces(False)  # book.xml, its one file, gets the digest written
     errors = {}
-    unwritten = False  # book holds an annotation that book.xml lacks
     if "annotate" in phases:
         try:
-            if book.has_phase("segment"):
-                to_raw_stage(book)
             annotate_book(book, config)
-            book.meta.annotate_trace = Traces(False).digest(
+            book.meta.annotate_trace = traces.digest(
                 _annotate_parts(book.meta, config))
             xml_model.validate(book)
-            unwritten = True
         except BinderyError as exc:
             errors["annotate"] = exc
+    analysis = None
     if "analyze" in phases:
         try:
             if "annotate" in errors:
                 book = xml_model.load(path)
-            _analyze(store, book_id, book, config)
-            unwritten = False
+            analysis = {"payload": build_book_payload(book, config),
+                        "lemmas": analytics_book.lemma_sequence(book)}
+            book.add_phase("analytics")
         except BinderyError as exc:
             errors["analyze"] = exc
-    if unwritten:
-        report.write_if_changed(path, xml_model.serialize(book))
+    if len(errors) < len(phases):
+        report.write_if_changed(path, xml_model.serialize(book), traces.files)
+    if analysis is not None:
+        analysis["trace"] = traces.digest(
+            _analysis_parts(store, book_id, config))
+        report.dump_json(analysis, _book_dir(store, book_id) / LEMMAS_FILE)
     return [_failed(book_id, phase, errors[phase]) if phase in errors
             else PhaseResult(book_id, phase, True) for phase in phases]
 
@@ -906,9 +900,8 @@ def _run_stale(phases, store, config, traces, book_ids):
         if "annotate" in phases and not (meta and traces.current(
                 meta.annotate_trace, _annotate_parts(meta, config))):
             todo.append("annotate")
-        if "analyze" in phases and (todo or not (meta and traces.current(
-                _json_object(_book_dir(store, book_id) / LEMMAS_FILE).get(
-                    "trace"), _analysis_parts(store, book_id, config)))):
+        if "analyze" in phases and (todo or not (meta and _current_analysis(
+                store, book_id, config, traces))):
             todo.append("analyze")
         if todo:
             traces.forget(_analysis_files(store, book_id))

@@ -159,8 +159,7 @@ def test_report_before_stats_fails(raw_dir, tmp_path, caplog):
     errors = [r.message for r in caplog.records if r.levelno == logging.ERROR]
     assert errors == [
         "report failed: phase 'report' requires completed phase "
-        "'corpus-stats'; run the 'corpus-stats' step first (or use --force "
-        "to redo earlier phases)"]
+        "'corpus-stats'; run the 'corpus-stats' step first"]
 
 
 def test_sources_with_one_book_id_fail_that_id_and_write_neither(
@@ -259,6 +258,24 @@ def test_bad_path_is_one_error_line_and_exit_1(tmp_path, caplog, command,
     errors = [r for r in caplog.records if r.levelno == logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
     assert errors[0].message.startswith(f"{command} failed: ")
+
+
+@pytest.mark.parametrize("bad", ["missing", "a file"])
+@pytest.mark.parametrize("command", ["annotate", "analyze", "dedup",
+                                     "corpus-stats", "report"])
+def test_phase_command_without_a_store_fails_and_creates_nothing(
+        tmp_path, caplog, command, bad):
+    out = tmp_path / "typo_store"
+    if bad == "a file":
+        out.write_text("not a store\n", encoding="utf-8")
+    before = _store_files(tmp_path)
+    caplog.set_level(logging.INFO)
+    assert run(command, "--out", str(out)) == 1
+    assert [(r.levelno, r.message) for r in caplog.records
+            if r.levelno >= logging.WARNING] == [
+        (logging.ERROR, f"{command} failed: no store at {out}")]
+    assert _store_files(tmp_path) == before
+    assert out.exists() == (bad == "a file")
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
@@ -450,10 +467,16 @@ def test_cold_all_writes_each_book_json_once(smoke_config, tmp_path,
     store = tmp_path / "store"
     assert run("--config", str(smoke_config), "all", "--in", str(BOOKS),
                "--out", str(store)) == 0
+    kept = pipeline.kept_book_ids(store)
+    # book.xml: ingest writes it, then the shared annotate+analyze pass.
+    expected = {store / book_id / "book.xml": 1 + (book_id in kept)
+                for book_id in pipeline.store_book_ids(store)}
+    expected.update({store / book_id / name: 1 for book_id in kept
+                     for name in ("book.json", "lemmas.json")})
     assert {path: n for path, n in changed_writes.items()
-            if path.name == "book.json"} == {
-        store / book_id / "book.json": 1
-        for book_id in pipeline.kept_book_ids(store)}
+            if path.parent.name != "_corpus"
+            and path.name in ("book.xml", "book.json", "lemmas.json")
+            } == expected
 
 
 def test_analyze_writes_no_book_json(raw_dir, smoke_config, tmp_path,
@@ -762,17 +785,23 @@ WRONG_SHAPES = {
 @pytest.mark.parametrize("damage", list(WRONG_SHAPES))
 def test_current_lemma_file_of_wrong_shape_fails_only_that_book(
         fixture_store, damage, parse_callers):
+    """corpus-stats removes the file, so the next run re-analyzes the book."""
     config, store = fixture_store
+    fresh = _store_files(store)
     path = store / "pg730" / "lemmas.json"
     damage(path)
     assert rerun_all(config, store) == 1
     failed = [l for l in progress_lines(store) if l["status"] == "error"]
-    assert [(l["book"], l["phase"]) for l in failed] == [
-        ("pg730", "corpus-stats"), ("pg730", "report")]
-    for line in failed:
-        assert line["error"] == (f"{path}: not a book analysis: "
-                                 f"{WRONG_SHAPES[damage]}")
+    assert [(l["book"], l["phase"], l["error"]) for l in failed] == [
+        ("pg730", "corpus-stats",
+         f"{path}: not a book analysis: {WRONG_SHAPES[damage]}"),
+        ("pg730", "report", ANALYZE_NEEDED.format("report"))]
     assert parse_callers == {}
+    (store / "_corpus" / "progress.jsonl").unlink()
+    assert rerun_all(config, store) == 0
+    assert parse_callers == {"run_all": 1}
+    (store / "_corpus" / "progress.jsonl").unlink()
+    assert _store_files(store) == fresh
 
 
 def test_edited_lemmas_in_xml_win_over_lemma_file(fixture_store, tmp_path):
@@ -815,8 +844,7 @@ def _damage_pg1001_book_xml(store, content):
 
 
 ANALYZE_NEEDED = ("phase '{}' requires completed phase 'analyze'; run the "
-                  "'analyze' step first (or use --force to redo earlier "
-                  "phases)")
+                  "'analyze' step first")
 
 
 @pytest.mark.parametrize("phase", ["corpus-stats", "report"])

@@ -95,6 +95,9 @@ def test_to_raw_stage_then_reannotate_is_identical(annotated_fixtures, config):
         to_raw_stage(again)
         annotate_book(again, config)
         assert xml_model.serialize(again) == first, book_id
+        # annotate_book takes an annotated book back to ingest by itself.
+        restarted = annotate_book(xml_model.parse(first), config)
+        assert xml_model.serialize(restarted) == first, book_id
 
 
 def test_analytics_requires_characters_phase(config):
