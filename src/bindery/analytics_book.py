@@ -235,15 +235,16 @@ class VectorStore:
     def save(self, path, digests=None):
         """Write the store to ``path``; ``digests`` as in ``write_if_changed``."""
         path = Path(path)
-        parts = [b"BPV1",
-                 struct.pack("<II", self.vectors.shape[1], len(self.ids))]
+        write_if_changed(path, self._pieces(), digests)
+        return path
+
+    def _pieces(self):
+        """The saved bytes: a header, then one piece per row."""
+        yield b"BPV1" + struct.pack("<II", self.vectors.shape[1], len(self.ids))
         for book_id, row in zip(self.ids, self.vectors):
             encoded = book_id.encode("utf-8")
-            parts.append(struct.pack("<H", len(encoded)))
-            parts.append(encoded)
-            parts.append(struct.pack(f"<{row.size}f", *row.tolist()))
-        write_if_changed(path, b"".join(parts), digests)
-        return path
+            yield (struct.pack("<H", len(encoded)) + encoded
+                   + struct.pack(f"<{row.size}f", *row.tolist()))
 
     @classmethod
     def load(cls, path):

@@ -183,28 +183,10 @@ class CorpusIndex:
     entries: list = field(default_factory=list)
 
     def save(self, path):
-        path = Path(path)
-        lines = []
-        for entry in self.entries:
-            record = {
-                "id": entry.book_id,
-                "title": entry.title,
-                "author": entry.author,
-                "year": entry.year,
-                "corpus": entry.corpus,
-                "text_length": entry.text_length,
-                "representative_of": entry.representative_of,
-            }
-            if entry.fingerprint is not None:
-                record["normalized_title"] = entry.fingerprint.normalized_title
-                record["normalized_author"] = entry.fingerprint.normalized_author
-                record["signature"] = list(entry.fingerprint.signature)
-            if entry.body_sha256 is not None:
-                record["body_sha256"] = entry.body_sha256
-                record["minhash"] = list(entry.minhash)
-            lines.append(json.dumps(record, sort_keys=True))
-        write_if_changed(path, "\n".join(lines) + "\n" if lines else "")
-        return path
+        """Write one JSON record per line, a record at a time."""
+        write_if_changed(path, (json.dumps(_record(entry), sort_keys=True)
+                                + "\n" for entry in self.entries))
+        return Path(path)
 
     @classmethod
     def load(cls, path):
@@ -229,6 +211,27 @@ class CorpusIndex:
                 raise ParseError(f"{path}: bad record for {record['id']}: "
                                  f"{exc!r}", line=number) from exc
         return index
+
+
+def _record(entry):
+    """The index record of ``entry``, as ``CorpusIndex.save`` writes it."""
+    record = {
+        "id": entry.book_id,
+        "title": entry.title,
+        "author": entry.author,
+        "year": entry.year,
+        "corpus": entry.corpus,
+        "text_length": entry.text_length,
+        "representative_of": entry.representative_of,
+    }
+    if entry.fingerprint is not None:
+        record["normalized_title"] = entry.fingerprint.normalized_title
+        record["normalized_author"] = entry.fingerprint.normalized_author
+        record["signature"] = list(entry.fingerprint.signature)
+    if entry.body_sha256 is not None:
+        record["body_sha256"] = entry.body_sha256
+        record["minhash"] = list(entry.minhash)
+    return record
 
 
 def _entry_from_record(record):

@@ -709,7 +709,8 @@ def run_ingest(in_dir, store, config, traces):
                 book = ingest_to_book(_read_source(path, kind, config), config)
                 book.meta.ingest_trace = traces.digest(parts)
                 traces.forget([xml_path])
-                report.write_if_changed(xml_path, xml_model.serialize(book))
+                report.write_if_changed(xml_path,
+                                        xml_model.serialize_pieces(book))
             results.append(PhaseResult(book_id, "ingest", True))
         except BinderyError as exc:
             stale = [*_analysis_files(store, book_id),
@@ -859,7 +860,8 @@ def _annotate_analyze_one(args):
         except BinderyError as exc:
             errors["analyze"] = exc
     if len(errors) < len(phases):
-        report.write_if_changed(path, xml_model.serialize(book), traces.files)
+        report.write_if_changed(path, xml_model.serialize_pieces(book),
+                                traces.files)
     if analysis is not None:
         analysis["trace"] = traces.digest(
             _analysis_parts(store, book_id, config))
@@ -1062,7 +1064,8 @@ def run_all(in_dir, store, config, traces):
 
     The runners share ``traces``, and the later ones take the kept books
     from dedup's results, so the index is read only by dedup. Logs each
-    runner's wall time and book count, then the peak memory, at DEBUG.
+    runner's wall time and book count, then the peak memory of this
+    process and of its largest pool worker, at DEBUG.
     """
     results = _timed("ingest", run_ingest, in_dir, store, config, traces)
     dedup_results = _timed("dedup", run_dedup, store, config, traces)
@@ -1074,7 +1077,10 @@ def run_all(in_dir, store, config, traces):
     results += _timed("corpus-stats", run_corpus_stats, store, config, traces,
                       book_ids)
     results += _timed("report", run_report, store, config, traces, book_ids)
-    # ru_maxrss is in KiB on Linux; pool workers are not counted.
-    log.debug("peak memory: %.1f MB",
-              resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+    # ru_maxrss is in KiB on Linux. For RUSAGE_CHILDREN it is that of the
+    # largest child process waited for: in a CLI run, a pool worker (0 when
+    # none ran).
+    log.debug("peak memory: %.1f MB, largest pool worker: %.1f MB",
+              resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+              resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
     return results

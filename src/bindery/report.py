@@ -9,6 +9,7 @@ byte-identical files.
 
 import hashlib
 import html
+import itertools
 import json
 import math
 import os
@@ -293,36 +294,87 @@ def _render_heatmap(spec, parts):
 
 
 def dump_json(payload, path, digests=None):
-    """Write canonical JSON; returns True when the file content changed."""
-    return write_if_changed(
-        path, json.dumps(payload, indent=2, sort_keys=True) + "\n", digests)
+    """Write canonical JSON a chunk at a time; returns True when the file
+    content changed."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    return write_if_changed(path, itertools.chain(chunks, ["\n"]), digests)
+
+
+# Bytes gathered before each write of a temporary file, and read at a time
+# when an existing file is compared.
+_BATCH = 1 << 16
 
 
 def write_if_changed(path, content, digests=None):
-    """Write text or bytes only when they differ, preserving timestamps on no-ops.
+    """Write ``content`` to ``path`` only when it differs from the file,
+    preserving timestamps on no-ops; returns True when the file changed.
 
-    A write is atomic: the bytes go to a temporary file in the same
-    directory, which then replaces ``path``, so a killed run leaves the
-    old file or the new one, never a truncated one. The temporary file is
-    created like any other file, so the result has the usual mode.
-    ``digests``, a dict of file digests by path, gets the hex SHA-256 of
-    ``content``, which the file holds once this returns.
+    ``content`` is str, bytes, or an iterable of str or bytes pieces. The
+    pieces are encoded as UTF-8, hashed and written, about 64 KB at a
+    time, to a temporary file in the same directory, so a document made
+    a piece at a time is never held whole. An existing file is compared
+    by size, then by a digest read a chunk at a time: when it holds the
+    same bytes it is left untouched and the temporary file removed, else
+    the temporary file replaces it. So a killed run, or pieces that raise
+    part-way, leave the old file or the new one, never a truncated one.
+    The temporary file is created like any other file, so the result has
+    the usual mode. ``digests``, a dict of file digests by path, gets the
+    hex SHA-256 of the bytes once the file holds them.
     """
     path = Path(path)
-    data = content.encode("utf-8") if isinstance(content, str) else content
-    if digests is not None:
-        digests[path] = hashlib.sha256(data).hexdigest()
-    if path.exists() and path.read_bytes() == data:
-        return False
+    pieces = [content] if isinstance(content, (str, bytes)) else content
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    sha = hashlib.sha256()
     try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
+        with tmp.open("wb") as fh:
+            for batch in _encoded_batches(pieces):
+                sha.update(batch)
+                fh.write(batch)
+            size = fh.tell()
+        digest = sha.hexdigest()
+        changed = not _holds(path, size, digest)
+        if changed:
+            os.replace(tmp, path)
+    finally:
         tmp.unlink(missing_ok=True)
-        raise
-    return True
+    if digests is not None:
+        digests[path] = digest
+    return changed
+
+
+def _encoded_batches(pieces):
+    """The UTF-8 bytes of str or bytes ``pieces`` in runs of about _BATCH."""
+    batch, size = [], 0
+    for piece in pieces:
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            yield _encoded(batch)
+            batch, size = [], 0
+    yield _encoded(batch)
+
+
+def _encoded(batch):
+    try:
+        return "".join(batch).encode("utf-8")
+    except TypeError:  # bytes among the pieces
+        return b"".join(piece.encode("utf-8") if isinstance(piece, str)
+                        else piece for piece in batch)
+
+
+def _holds(path, size, digest):
+    """Whether the file at ``path`` has ``size`` bytes of SHA-256 ``digest``."""
+    try:
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size != size:
+                return False
+            sha = hashlib.sha256()
+            while chunk := fh.read(_BATCH):
+                sha.update(chunk)
+    except FileNotFoundError:
+        return False
+    return sha.hexdigest() == digest
 
 
 # -- HTML assembly ----------------------------------------------------------------
@@ -343,12 +395,15 @@ figure { margin: 1em 0; }
 
 
 def _page(title, body_parts):
-    return (
-        "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-        "<meta charset=\"utf-8\"/>\n"
-        f"<title>{html.escape(title)}</title>\n"
-        f"<style>\n{_PAGE_STYLE}\n</style>\n"
-        "</head>\n<body>\n" + "\n".join(body_parts) + "\n</body>\n</html>\n")
+    """The pieces of a self-contained HTML page around ``body_parts``."""
+    yield ("<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
+           "<meta charset=\"utf-8\"/>\n"
+           f"<title>{html.escape(title)}</title>\n"
+           f"<style>\n{_PAGE_STYLE}\n</style>\n"
+           "</head>\n<body>\n")
+    for i, part in enumerate(body_parts):
+        yield f"\n{part}" if i else part
+    yield "\n</body>\n</html>\n"
 
 
 def _character_table(characters):

@@ -264,6 +264,18 @@ def _esc_attr(value):
 
 def serialize(book):
     """Render the canonical XML text for a valid book."""
+    return "".join(serialize_pieces(book))
+
+
+def serialize_pieces(book):
+    """The canonical XML text of a valid book, a piece at a time.
+
+    The first piece runs from the declaration through ``<body>``. Then
+    each section comes as its opening tags, one piece per paragraph and
+    its closing tag, and the book's closing tags come last, so a writer
+    of the pieces holds one paragraph's text at a time. The book is
+    validated when the first piece is asked for.
+    """
     validate(book)
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n<book>\n']
     _write_meta(out, book)
@@ -275,10 +287,10 @@ def serialize(book):
             _write_character(out, record)
         out.append("  </characters>\n")
     out.append("  <body>\n")
+    yield "".join(out)
     for section in book.body:
-        _write_section(out, section)
-    out.append("  </body>\n</book>\n")
-    return "".join(out)
+        yield from _section_pieces(section)
+    yield "  </body>\n</book>\n"
 
 
 def _write_meta(out, book):
@@ -332,26 +344,29 @@ def _write_character(out, record):
     out.append("    </character>\n")
 
 
-def _write_section(out, section):
-    out.append("    <section>\n")
+def _section_pieces(section):
+    head = "    <section>\n"
     if section.header is not None:
         number = "" if section.header.number is None else f' n="{section.header.number}"'
-        out.append(
-            f'      <header kind="{section.header.kind}"{number}>'
-            f"{_esc_text(section.header.text)}</header>\n")
+        head += (f'      <header kind="{section.header.kind}"{number}>'
+                 f"{_esc_text(section.header.text)}</header>\n")
+    yield head
     for paragraph in section.paragraphs:
-        if paragraph.is_raw:
-            out.append(
-                f'      <p o="{paragraph.offset}">{_esc_text(paragraph.raw)}</p>\n')
-            continue
-        out.append("      <p>\n")
-        for sentence in paragraph.sentences:
-            out.append("        <s>\n")
-            for token in sentence.tokens:
-                out.append(_token_line(token))
-            out.append("        </s>\n")
-        out.append("      </p>\n")
-    out.append("    </section>\n")
+        yield _paragraph_text(paragraph)
+    yield "    </section>\n"
+
+
+def _paragraph_text(paragraph):
+    if paragraph.is_raw:
+        return f'      <p o="{paragraph.offset}">{_esc_text(paragraph.raw)}</p>\n'
+    out = ["      <p>\n"]
+    for sentence in paragraph.sentences:
+        out.append("        <s>\n")
+        for token in sentence.tokens:
+            out.append(_token_line(token))
+        out.append("        </s>\n")
+    out.append("      </p>\n")
+    return "".join(out)
 
 
 def _token_line(token):

@@ -113,6 +113,32 @@ def random_book(rnd=None, seed=None):
     return book
 
 
+def long_book(seed, sections=8, paragraphs=40):
+    """A valid annotated book of ``sections`` chapters of ``paragraphs``
+    tokenized paragraphs each, long enough to measure a writer by."""
+    rnd = random.Random(seed)
+    body = []
+    index = 0
+    offset = 0
+    for number in range(1, sections + 1):
+        section = Section(header=Header(kind="chapter", number=number,
+                                        text=f"CHAPTER {number}."))
+        for _ in range(paragraphs):
+            paragraph = Paragraph()
+            for _ in range(rnd.randint(1, 5)):
+                sentence = Sentence()
+                for _ in range(rnd.randint(3, 20)):
+                    token = random_token(rnd, index, offset)
+                    sentence.tokens.append(token)
+                    index += 1
+                    offset += len(token.text) + 1
+                paragraph.sentences.append(sentence)
+            section.paragraphs.append(paragraph)
+        body.append(section)
+    return AnnotatedBook(meta=BookMeta(title="A Long Book", source_id="pg1"),
+                         body=body, phases=list(PHASES[:4]))
+
+
 _FIRST_NAMES = ["Oliver", "Margaret", "Daniel", "Esther", "Hannah", "Arthur",
                 "Alex", "Basil"]
 _LAST_NAMES = ["Rook", "Venn", "Hale", "Quested", "Brownlow"]

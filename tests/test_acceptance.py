@@ -31,6 +31,7 @@ from bindery.xml_model import ANALYZED_POS, CharacterRecord
 from conftest import BOOKS, ORACLES
 from generators import random_book
 from helpers import build_annotated
+from oracles.serialize import serialize as oracle_serialize
 from test_analytics_book import (EXPECTED_1, EXPECTED_2, EXPECTED_3,
                                  SNIPPET_1, SNIPPET_2, SNIPPET_3)
 from test_analytics_corpus import pearson_naive, percentile_naive
@@ -249,11 +250,14 @@ def test_criterion_09_dedup_flags_duplicates_keeps_distinct():
 
 
 def test_criterion_10_xml_roundtrip_1000_random_books():
-    """parse(serialize(b)) == b on 1,000 randomized generated books."""
+    """parse(serialize(b)) == b on 1,000 randomized generated books, and
+    the pieces the store writer takes join to the whole-document text."""
     rnd = random.Random(1000)
     for _ in range(1000):
         book = random_book(rnd)
         text = xml_model.serialize(book)
+        assert "".join(xml_model.serialize_pieces(book)) == text
+        assert oracle_serialize(book) == text
         again = xml_model.parse(text)
         assert again == book
         assert xml_model.serialize(again) == text

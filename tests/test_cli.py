@@ -1006,6 +1006,10 @@ def test_all_logs_each_phase_runner_time_at_debug(fixture_store, caplog):
     assert "report: 5 page(s) reused, 0 rendered" in caplog.messages
 
 
+PEAK_MEMORY = (r"peak memory: (\d+\.\d) MB, "
+               r"largest pool worker: (\d+\.\d) MB")
+
+
 def test_all_logs_peak_memory_after_the_runner_lines(fixture_store, caplog):
     caplog.set_level(logging.DEBUG)
     config, store = fixture_store
@@ -1013,10 +1017,23 @@ def test_all_logs_peak_memory_after_the_runner_lines(fixture_store, caplog):
     records = [r for r in caplog.records if r.name == "bindery.pipeline"]
     messages = [r.message for r in records]
     assert re.fullmatch(r"report: \d+\.\d{3} s, 5 book\(s\)", messages[-2])
-    peak = re.fullmatch(r"peak memory: (\d+\.\d) MB", messages[-1])
+    peak = re.fullmatch(PEAK_MEMORY, messages[-1])
     assert peak and 1.0 < float(peak[1]) < 100_000.0
     assert records[-1].levelno == logging.DEBUG
     assert sum(m.startswith("peak memory:") for m in messages) == 1
+
+
+def test_peak_memory_line_gives_the_largest_pool_worker_at_jobs_2(
+        raw_dir, smoke_config, tmp_path, caplog):
+    caplog.set_level(logging.DEBUG)
+    assert run("--config", str(smoke_config), "--jobs", "2", "-v", "all",
+               "--in", str(raw_dir), "--out", str(tmp_path / "store")) == 0
+    messages = [r.message for r in caplog.records
+                if r.name == "bindery.pipeline"]
+    peak = re.fullmatch(PEAK_MEMORY, messages[-1])
+    assert peak and 1.0 < float(peak[1]) < 100_000.0
+    # The pool ran annotate+analyze, so a worker was waited for.
+    assert 1.0 < float(peak[2]) < 100_000.0
 
 
 # -- dedup memo ---------------------------------------------------------------

@@ -1,14 +1,22 @@
+import hashlib
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bindery.errors import ChartError
-from bindery.report import (emit_book_report, emit_corpus_report, load_schema,
-                            render_svg_chart, validate_schema,
+from bindery import xml_model
+from bindery.errors import ChartError, InvariantError
+from bindery.report import (dump_json, emit_book_report, emit_corpus_report,
+                            load_schema, render_svg_chart, validate_schema,
                             write_if_changed)
+from bindery.xml_model import CharacterRecord
+
+from generators import long_book, random_book
 
 
 def svg_root(text):
@@ -257,18 +265,115 @@ def test_write_if_changed_is_atomic(tmp_path, monkeypatch):
     plain.write_bytes(b"x")
     assert path.stat().st_mode == plain.stat().st_mode
 
-    real_write = Path.write_bytes
+    real_open = Path.open
 
-    def dies_halfway(self, data):
-        real_write(self, data[:len(data) // 2])
-        raise OSError("disk full")
+    class DiesHalfway:
+        def __init__(self, fh):
+            self.fh = fh
 
-    monkeypatch.setattr(Path, "write_bytes", dies_halfway)
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+
+    def opens_dying(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return DiesHalfway(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(Path, "open", opens_dying)
     with pytest.raises(OSError):
         write_if_changed(path, "new bytes, longer than the old ones")
     assert path.read_text() == "old bytes"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["book.xml",
                                                           "plain.xml"]
+
+
+def test_write_if_changed_rewrites_same_size_other_bytes(tmp_path):
+    path = tmp_path / "file.txt"
+    write_if_changed(path, "abcd")
+    assert write_if_changed(path, ["ab", "dc"]) is True
+    assert path.read_bytes() == b"abdc"
+
+
+def test_equal_content_keeps_the_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "file.txt"
+    write_if_changed(path, "same bytes")
+    before = path.stat()
+    assert write_if_changed(path, ["same ", b"bytes"]) is False
+    after = path.stat()
+    assert (after.st_mtime_ns, after.st_ino) == (before.st_mtime_ns,
+                                                 before.st_ino)
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+
+
+def test_pieces_that_raise_leave_the_old_file_and_no_digest(tmp_path):
+    path = tmp_path / "book.xml"
+    write_if_changed(path, xml_model.serialize(random_book(seed=1)))
+    old = path.read_bytes()
+    book = random_book(seed=2)
+    book.characters.append(CharacterRecord(
+        id=99, canonical_name="Ann", gender="robot", alias_counts={"Ann": 3},
+        mention_token_indices=[1, 2, 3]))
+    digests = {}
+    with pytest.raises(InvariantError):
+        write_if_changed(path, xml_model.serialize_pieces(book), digests)
+
+    def fails_late():
+        yield "a first piece, written"
+        raise InvariantError("late")
+
+    with pytest.raises(InvariantError):
+        write_if_changed(path, fails_late(), digests)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["book.xml"]
+    assert digests == {}
+
+
+def test_recorded_digest_is_that_of_the_bytes_written(tmp_path):
+    digests = {}
+    for name, content in (("a.txt", "naïve “quote”"),
+                          ("b.bin", [b"\x00\xff", "é", b"z"]),
+                          ("c.txt", ("x" * 5000 for _ in range(40)))):
+        path = tmp_path / name
+        write_if_changed(path, content, digests)
+        assert digests[path] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (tmp_path / "b.bin").read_bytes() == b"\x00\xff\xc3\xa9z"
+    assert (tmp_path / "c.txt").stat().st_size == 200_000
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(),
+    lambda children: st.lists(children)
+    | st.dictionaries(st.text(), children), max_leaves=40)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=_JSON)
+def test_dump_json_bytes_are_those_of_json_dumps(tmp_path, payload):
+    path = tmp_path / "payload.json"
+    dump_json(payload, path)
+    assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True)
+                                 + "\n").encode("utf-8")
+
+
+def test_writing_a_book_holds_a_small_share_of_its_xml(tmp_path):
+    book = long_book(1, sections=8, paragraphs=200)
+    path = tmp_path / "book.xml"
+    tracemalloc.start()
+    try:
+        write_if_changed(path, xml_model.serialize_pieces(book))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == xml_model.serialize(book)
+    assert peak < path.stat().st_size / 4
 
 
 # -- schema validator ------------------------------------------------------------
