@@ -158,35 +158,44 @@ class VocabReport:
     missing: list  # (word, corpus_count), most corpus-frequent first
 
 
-def representative_vocabulary(book_counts, corpus_counts, top_common=10000,
-                              list_len=20):
+@dataclass
+class CommonWords:
+    ranked: list  # (word, corpus count), most common first, ties by word
+    total: int    # the corpus count of every word it was ranked from
+
+
+def common_words(corpus_counts, top_common=10000):
+    """The corpus's ``top_common`` most common words, ranked once for the
+    vocabulary of every book."""
+    ranked = sorted(corpus_counts.items(), key=lambda wc: (-wc[1], wc[0]))
+    return CommonWords(ranked=ranked[:top_common],
+                       total=sum(corpus_counts.values()))
+
+
+def representative_vocabulary(book_counts, common, list_len=20):
     """Words whose in-book frequency most exceeds or trails the corpus.
 
     The ratio compares normalized in-book frequency against normalized
-    corpus frequency over the corpus's ``top_common`` most common words.
-    Words from that pool absent from the book form the separate missing
-    list, ordered by corpus frequency.
+    corpus frequency over the :class:`CommonWords` ``common``. Words from
+    that pool absent from the book form the separate missing list,
+    ordered by corpus frequency.
     """
-    corpus_total = sum(corpus_counts.values())
     book_total = sum(book_counts.values())
-    if corpus_total == 0:
+    if common.total == 0:
         raise AnalyticsError("empty corpus frequency model")
     if book_total == 0:
         raise AnalyticsError("book has no counted lemmas")
-    common = sorted(corpus_counts, key=lambda w: (-corpus_counts[w], w))
-    common = common[:top_common]
     present = []
     missing = []
-    for word in common:
+    for word, corpus_count in common.ranked:
         book_count = book_counts.get(word, 0)
         if book_count == 0:
-            missing.append((word, corpus_counts[word]))
+            missing.append((word, corpus_count))
             continue
-        ratio = (book_count / book_total) / (corpus_counts[word] / corpus_total)
+        ratio = (book_count / book_total) / (corpus_count / common.total)
         present.append((word, ratio))
     most = sorted(present, key=lambda wr: (-wr[1], wr[0]))[:list_len]
     least = sorted(present, key=lambda wr: (wr[1], wr[0]))[:list_len]
-    missing.sort(key=lambda wc: (-wc[1], wc[0]))
     return VocabReport(most=most, least=least, missing=missing[:list_len])
 
 

@@ -190,10 +190,10 @@ class CorpusIndex:
 
     @classmethod
     def load(cls, path):
-        """Read an index; a malformed line or record raises ParseError."""
+        """Read an index a line at a time; a malformed line or record
+        raises ParseError."""
         index = cls()
-        for number, line in enumerate(Path(path).read_bytes().splitlines(),
-                                      start=1):
+        for number, line in _numbered_lines(path):
             if not line.strip():
                 continue
             try:
@@ -211,6 +211,14 @@ class CorpusIndex:
                 raise ParseError(f"{path}: bad record for {record['id']}: "
                                  f"{exc!r}", line=number) from exc
         return index
+
+
+def _numbered_lines(path):
+    """``(number, line)`` for each line of a file, read a line at a time and
+    numbered from 1 as ``bytes.splitlines`` splits: at LF, CR and CR LF."""
+    with open(path, "rb") as fh:
+        yield from enumerate((line for chunk in fh
+                              for line in chunk.splitlines()), start=1)
 
 
 def _record(entry):

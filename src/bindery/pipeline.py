@@ -425,18 +425,46 @@ def build_corpus_stats(payloads, lemma_totals, config):
     }
 
 
-def enrich_book_payload(payload, lemma_counts, stats, lemma_model, vectors,
-                        config):
+@dataclass
+class CorpusContext:
+    """What every book's corpus-relative sections read, made once per run."""
+
+    common: object  # analytics_book.CommonWords; None without a lemma model
+    vectors: object  # analytics_book.VectorStore or None
+    corpus_of: dict  # book id: corpus label
+    pos_distributions: dict  # tag: the books' percentages
+    pos_means: dict  # tag: mean, for each tag with percentages
+    male_population: list  # the books' percentages of male characters
+
+
+def corpus_context(stats, lemma_model, vectors, config):
+    """The :class:`CorpusContext` of the corpus analytics ``stats``, the
+    corpus lemma model and the book vectors."""
+    common = None
+    if lemma_model and lemma_model.get("total", 0) > 0:
+        common = analytics_book.common_words(
+            lemma_model["common"], top_common=config.vocab_top_common)
+    distributions = stats.get("pos_distributions") or {}
+    return CorpusContext(
+        common=common,
+        vectors=vectors,
+        corpus_of={b["id"]: (b["corpus"] or "") for b in stats["books"]},
+        pos_distributions=distributions,
+        pos_means={tag: sum(values) / len(values)
+                   for tag, values in sorted(distributions.items()) if values},
+        male_population=stats.get("gender_pct_population", {}).get("male", []))
+
+
+def enrich_book_payload(payload, lemma_counts, corpus, config):
     """Fill corpus-relative sections: vocabulary, similar books, placement.
 
-    ``lemma_counts`` is the book's lemma :class:`Counter`.
+    ``lemma_counts`` is the book's lemma :class:`Counter` and ``corpus``
+    its :class:`CorpusContext`.
     """
-    if lemma_model and lemma_model.get("total", 0) > 0:
+    if corpus.common is not None:
         try:
             vocab = analytics_book.representative_vocabulary(
-                lemma_counts, Counter(lemma_model["common"]),
-                top_common=config.vocab_top_common,
-                list_len=config.vocab_list_len)
+                lemma_counts, corpus.common, list_len=config.vocab_list_len)
             payload["vocabulary"] = {
                 "most": [[w, r] for w, r in vocab.most],
                 "least": [[w, r] for w, r in vocab.least],
@@ -444,29 +472,26 @@ def enrich_book_payload(payload, lemma_counts, stats, lemma_model, vectors,
             }
         except AnalyticsError:
             payload["vocabulary"] = None
+    vectors = corpus.vectors
     if vectors is not None and payload["id"] in vectors.ids:
-        corpus_of = {b["id"]: (b["corpus"] or "") for b in stats["books"]}
         grouped = analytics_book.most_similar(
             payload["id"], vectors, k=config.similar_top_k,
-            corpus_of=corpus_of)
+            corpus_of=corpus.corpus_of)
         payload["similar"] = {
             label: [[other, sim] for other, sim in entries]
             for label, entries in grouped.items()}
 
     placement = {}
-    if payload["pos"] and stats.get("pos_distributions"):
-        percentiles = {}
-        means = {}
-        for tag, values in sorted(stats["pos_distributions"].items()):
-            if values and tag in payload["pos"]:
-                percentiles[tag] = analytics_corpus.percentile(
-                    payload["pos"][tag]["percent"], values)
-                means[tag] = sum(values) / len(values)
-        placement["pos_percentiles"] = percentiles
-        placement["pos_mean"] = means
+    if payload["pos"] and corpus.pos_distributions:
+        tags = [tag for tag in corpus.pos_means if tag in payload["pos"]]
+        placement["pos_percentiles"] = {
+            tag: analytics_corpus.percentile(payload["pos"][tag]["percent"],
+                                             corpus.pos_distributions[tag])
+            for tag in tags}
+        placement["pos_mean"] = {tag: corpus.pos_means[tag] for tag in tags}
     males = sum(1 for c in payload["characters"] if c["gender"] == "male")
     females = sum(1 for c in payload["characters"] if c["gender"] == "female")
-    population = stats.get("gender_pct_population", {}).get("male", [])
+    population = corpus.male_population
     if males + females > 0:
         pct_male = 100.0 * males / (males + females)
         placement["gender_pct"] = {
@@ -555,7 +580,7 @@ def _json_object(path):
 def _file_digest(path):
     """SHA-256 of a file's bytes; None when it is missing or unreadable."""
     try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
+        return report.file_digest(path)
     except OSError:
         return None
 
@@ -1021,6 +1046,7 @@ def run_report(store, config, traces, book_ids):
         vectors_path = _corpus_path(store, VECTORS_FILE)
         vectors = (analytics_book.VectorStore.load(vectors_path)
                    if vectors_path.exists() else None)
+        corpus = corpus_context(stats, lemma_model, vectors, config)
         book_schema = report.load_schema("book.schema.json")
 
     results = []
@@ -1031,8 +1057,7 @@ def run_report(store, config, traces, book_ids):
             try:
                 payload, lemmas = _book_analysis(store, book_id, "report",
                                                  config, book_schema, traces)
-                enrich_book_payload(payload, Counter(lemmas), stats,
-                                    lemma_model, vectors, config)
+                enrich_book_payload(payload, Counter(lemmas), corpus, config)
                 report.emit_book_report(payload, _book_dir(store, book_id),
                                         traces.files)
             except BinderyError as exc:

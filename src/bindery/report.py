@@ -301,7 +301,7 @@ def dump_json(payload, path, digests=None):
 
 
 # Bytes gathered before each write of a temporary file, and read at a time
-# when an existing file is compared.
+# when a file is digested.
 _BATCH = 1 << 16
 
 
@@ -366,15 +366,19 @@ def _encoded(batch):
 def _holds(path, size, digest):
     """Whether the file at ``path`` has ``size`` bytes of SHA-256 ``digest``."""
     try:
-        with open(path, "rb") as fh:
-            if os.fstat(fh.fileno()).st_size != size:
-                return False
-            sha = hashlib.sha256()
-            while chunk := fh.read(_BATCH):
-                sha.update(chunk)
+        return os.stat(path).st_size == size and file_digest(path) == digest
     except FileNotFoundError:
         return False
-    return sha.hexdigest() == digest
+
+
+def file_digest(path):
+    """The hex SHA-256 of a file's bytes, read _BATCH bytes at a time, so
+    no more than one chunk of the file is held; raises OSError."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_BATCH):
+            sha.update(chunk)
+    return sha.hexdigest()
 
 
 # -- HTML assembly ----------------------------------------------------------------

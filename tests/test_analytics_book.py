@@ -7,8 +7,8 @@ import pytest
 
 from bindery import lexicons
 from bindery.analytics_book import (VectorStore, _collect_stats,
-                                    _linsear_write, _TextStats, lemma_counts,
-                                    lemma_sequence,
+                                    _linsear_write, _TextStats, common_words,
+                                    lemma_counts, lemma_sequence,
                                     lemma_stream, most_similar,
                                     pos_distribution, readability_suite,
                                     representative_vocabulary, strip_stopwords,
@@ -119,7 +119,8 @@ def test_linsear_multiwindow_averaging():
 def test_whale_ratio_tops_list():
     book = Counter({"whale": 5, "ship": 95})
     corpus = Counter({"whale": 5, "ship": 195, "the": 9800})
-    report = representative_vocabulary(book, corpus, top_common=3, list_len=3)
+    report = representative_vocabulary(
+        book, common_words(corpus, top_common=3), list_len=3)
     words = [w for w, _ in report.most]
     assert words[0] == "whale"
     ratio = dict(report.most)["whale"]
@@ -129,14 +130,16 @@ def test_whale_ratio_tops_list():
 def test_absent_word_goes_to_missing_not_least():
     book = Counter({"ship": 10})
     corpus = Counter({"ship": 10, "whale": 90})
-    report = representative_vocabulary(book, corpus, top_common=2, list_len=5)
+    report = representative_vocabulary(
+        book, common_words(corpus, top_common=2), list_len=5)
     assert [w for w, _ in report.missing] == ["whale"]
     assert all(w != "whale" for w, _ in report.least)
 
 
 def test_identical_book_and_corpus_all_ratios_one():
     counts = Counter({"a": 5, "b": 3, "c": 2})
-    report = representative_vocabulary(counts, counts, top_common=3, list_len=3)
+    report = representative_vocabulary(
+        counts, common_words(counts, top_common=3), list_len=3)
     assert all(r == pytest.approx(1.0) for _, r in report.most)
     assert all(r == pytest.approx(1.0) for _, r in report.least)
 
@@ -146,9 +149,10 @@ def test_scale_invariance():
     corpus = Counter({"a": 40, "b": 50, "c": 10})
     doubled_book = Counter({w: 2 * c for w, c in book.items()})
     doubled_corpus = Counter({w: 2 * c for w, c in corpus.items()})
-    first = representative_vocabulary(book, corpus, top_common=3, list_len=3)
-    second = representative_vocabulary(doubled_book, doubled_corpus,
-                                       top_common=3, list_len=3)
+    first = representative_vocabulary(
+        book, common_words(corpus, top_common=3), list_len=3)
+    second = representative_vocabulary(
+        doubled_book, common_words(doubled_corpus, top_common=3), list_len=3)
     assert first.most == second.most
     assert first.least == second.least
     assert [w for w, _ in first.missing] == [w for w, _ in second.missing]
@@ -156,7 +160,7 @@ def test_scale_invariance():
 
 def test_empty_corpus_raises():
     with pytest.raises(AnalyticsError):
-        representative_vocabulary(Counter({"a": 1}), Counter())
+        representative_vocabulary(Counter({"a": 1}), common_words(Counter()))
 
 
 # -- POS distribution ----------------------------------------------------------------

@@ -618,6 +618,25 @@ def test_noop_all_digests_each_file_at_most_once(fixture_store, monkeypatch):
             "authors.html", "subjects.html"))])
 
 
+def test_report_ranks_the_corpus_vocabulary_once_per_run(fixture_store,
+                                                         monkeypatch):
+    config, store = fixture_store
+    pages = sorted(store.glob("*/*.html")) + sorted(store.glob("*/book.json"))
+    before = [path.read_bytes() for path in pages]
+    rankings = []
+    real_common_words = analytics_book.common_words
+
+    def counting_common_words(*args, **kwargs):
+        rankings.append(args)
+        return real_common_words(*args, **kwargs)
+
+    monkeypatch.setattr(analytics_book, "common_words", counting_common_words)
+    assert run("--config", str(config), "--force", "report",
+               "--out", str(store)) == 0
+    assert len(rankings) == 1
+    assert [path.read_bytes() for path in pages] == before
+
+
 def test_noop_after_pool_workers_rewrote_books_reuses_everything(
         fixture_store, caplog):
     """The digest of a book.xml taken before a worker process rewrote it

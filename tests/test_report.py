@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from bindery import xml_model
 from bindery.errors import ChartError, InvariantError
 from bindery.report import (dump_json, emit_book_report, emit_corpus_report,
-                            load_schema, render_svg_chart, validate_schema,
-                            write_if_changed)
+                            file_digest, load_schema, render_svg_chart,
+                            validate_schema, write_if_changed)
 from bindery.xml_model import CharacterRecord
 
 from generators import long_book, random_book
@@ -374,6 +375,21 @@ def test_writing_a_book_holds_a_small_share_of_its_xml(tmp_path):
         tracemalloc.stop()
     assert path.read_text(encoding="utf-8") == xml_model.serialize(book)
     assert peak < path.stat().st_size / 4
+
+
+# Sizes within two bytes of 0, 1, 2 and 3 reads of 64 KB.
+_SIZES = st.sampled_from([0, 1, 2, 3]).flatmap(
+    lambda reads: st.integers(max(0, reads * 65536 - 2), reads * 65536 + 2))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(size=_SIZES, seed=st.integers(0, 2**32 - 1))
+def test_file_digest_is_the_sha256_of_the_bytes(tmp_path, size, seed):
+    data = random.Random(seed).randbytes(size)
+    path = tmp_path / "data.bin"
+    path.write_bytes(data)
+    assert file_digest(path) == hashlib.sha256(data).hexdigest()
 
 
 # -- schema validator ------------------------------------------------------------
