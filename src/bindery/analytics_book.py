@@ -234,12 +234,14 @@ class VectorStore:
     ids: list
     vectors: "numpy.ndarray"  # float32, unit rows, one per id
 
+    def __post_init__(self):
+        self.rows = {book_id: row for row, book_id in enumerate(self.ids)}
+
     def vector(self, book_id):
         try:
-            row = self.ids.index(book_id)
-        except ValueError:
+            return self.vectors[self.rows[book_id]]
+        except KeyError:
             raise KeyError(f"unknown book id: {book_id}") from None
-        return self.vectors[row]
 
     def save(self, path, digests=None):
         """Write the store to ``path``; ``digests`` as in ``write_if_changed``."""

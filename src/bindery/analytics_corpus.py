@@ -7,6 +7,7 @@ book within a population. numpy is imported only by the functions that
 use it.
 """
 
+import bisect
 import math
 
 from .errors import AnalyticsError
@@ -142,8 +143,13 @@ def pos_correlations(per_book_percentages):
 
 def percentile(value, population):
     """Midpoint-convention percentile of ``value`` within ``population``."""
-    if len(population) == 0:
+    return sorted_percentile(value, sorted(population))
+
+
+def sorted_percentile(value, ordered):
+    """:func:`percentile` in a population sorted ascending, by bisection."""
+    if len(ordered) == 0:
         raise AnalyticsError("empty population")
-    below = sum(1 for x in population if x < value)
-    equal = sum(1 for x in population if x == value)
-    return 100.0 * (below + 0.5 * equal) / len(population)
+    below = bisect.bisect_left(ordered, value)
+    equal = bisect.bisect_right(ordered, value) - below
+    return 100.0 * (below + 0.5 * equal) / len(ordered)

@@ -70,9 +70,6 @@ PROGRESS_FILE = "progress.jsonl"
 CORPUS_OUTPUTS = (report.CORPUS_JSON, LEMMAS_FILE, VECTORS_FILE)
 CORPUS_STATS_MEMO = "corpus-stats.memo"
 REPORT_MEMO = "report.memo"
-# What report, their one writer, writes per book and for the corpus.
-BOOK_PAGES = ("book.json", "index.html")
-CORPUS_PAGES = ("corpus.html", "authors.html", "subjects.html")
 # The config keys each trace covers: what ingest reads for one book, what
 # annotate_book reads, what build_book_payload reads, and for corpus-stats
 # and report every key but jobs.
@@ -432,9 +429,9 @@ class CorpusContext:
     common: object  # analytics_book.CommonWords; None without a lemma model
     vectors: object  # analytics_book.VectorStore or None
     corpus_of: dict  # book id: corpus label
-    pos_distributions: dict  # tag: the books' percentages
+    pos_distributions: dict  # tag: the books' percentages, sorted
     pos_means: dict  # tag: mean, for each tag with percentages
-    male_population: list  # the books' percentages of male characters
+    male_population: list  # the books' percentages of male characters, sorted
 
 
 def corpus_context(stats, lemma_model, vectors, config):
@@ -449,10 +446,13 @@ def corpus_context(stats, lemma_model, vectors, config):
         common=common,
         vectors=vectors,
         corpus_of={b["id"]: (b["corpus"] or "") for b in stats["books"]},
-        pos_distributions=distributions,
+        pos_distributions={tag: sorted(values)
+                           for tag, values in distributions.items()},
+        # Summed in stored order, which fixes the float each mean rounds to.
         pos_means={tag: sum(values) / len(values)
                    for tag, values in sorted(distributions.items()) if values},
-        male_population=stats.get("gender_pct_population", {}).get("male", []))
+        male_population=sorted(
+            stats.get("gender_pct_population", {}).get("male", [])))
 
 
 def enrich_book_payload(payload, lemma_counts, corpus, config):
@@ -473,7 +473,7 @@ def enrich_book_payload(payload, lemma_counts, corpus, config):
         except AnalyticsError:
             payload["vocabulary"] = None
     vectors = corpus.vectors
-    if vectors is not None and payload["id"] in vectors.ids:
+    if vectors is not None and payload["id"] in vectors.rows:
         grouped = analytics_book.most_similar(
             payload["id"], vectors, k=config.similar_top_k,
             corpus_of=corpus.corpus_of)
@@ -485,8 +485,8 @@ def enrich_book_payload(payload, lemma_counts, corpus, config):
     if payload["pos"] and corpus.pos_distributions:
         tags = [tag for tag in corpus.pos_means if tag in payload["pos"]]
         placement["pos_percentiles"] = {
-            tag: analytics_corpus.percentile(payload["pos"][tag]["percent"],
-                                             corpus.pos_distributions[tag])
+            tag: analytics_corpus.sorted_percentile(
+                payload["pos"][tag]["percent"], corpus.pos_distributions[tag])
             for tag in tags}
         placement["pos_mean"] = {tag: corpus.pos_means[tag] for tag in tags}
     males = sum(1 for c in payload["characters"] if c["gender"] == "male")
@@ -497,8 +497,9 @@ def enrich_book_payload(payload, lemma_counts, corpus, config):
         placement["gender_pct"] = {
             "male": pct_male,
             "female": 100.0 - pct_male,
-            "percentile_male": (analytics_corpus.percentile(pct_male, population)
-                                if population else None),
+            "percentile_male": (
+                analytics_corpus.sorted_percentile(pct_male, population)
+                if population else None),
         }
     payload["placement"] = placement or None
     return payload
@@ -739,7 +740,8 @@ def run_ingest(in_dir, store, config, traces):
             results.append(PhaseResult(book_id, "ingest", True))
         except BinderyError as exc:
             stale = [*_analysis_files(store, book_id),
-                     *(_book_dir(store, book_id) / name for name in BOOK_PAGES)]
+                     *(_book_dir(store, book_id) / name
+                       for name in report.BOOK_PAGES)]
             for path in stale:
                 path.unlink(missing_ok=True)
             traces.forget(stale)
@@ -986,12 +988,9 @@ def run_corpus_stats(store, config, traces, book_ids):
     report.dump_json(stats, _corpus_path(store, report.CORPUS_JSON),
                      traces.files)
 
-    common = sorted(lemma_counter,
-                    key=lambda w: (-lemma_counter[w], w))[:config.vocab_top_common]
-    lemma_model = {
-        "total": sum(lemma_counter.values()),
-        "common": {w: lemma_counter[w] for w in common},
-    }
+    common = analytics_book.common_words(lemma_counter,
+                                         top_common=config.vocab_top_common)
+    lemma_model = {"total": common.total, "common": dict(common.ranked)}
     report.dump_json(lemma_model, _corpus_path(store, LEMMAS_FILE),
                      traces.files)
 
@@ -1015,63 +1014,53 @@ def run_corpus_stats(store, config, traces, book_ids):
 def run_report(store, config, traces, book_ids):
     """Write the pages of the books ``book_ids`` and the corpus pages.
 
-    Pages are kept while their trace in the memo is current. corpus.json
-    is read only when some page is stale, and the corpus lemma model and
-    the vectors only when some book's page is.
+    Nothing is read or rendered while the memo's trace is current; it
+    covers every page and what they are made from, and is recorded only
+    when every book succeeded. Otherwise corpus.json, the corpus lemma
+    model and the vectors are read once and every page is rendered.
     """
     stats_path = _corpus_path(store, report.CORPUS_JSON)
     if not stats_path.exists():
         raise MissingPhaseError("report", "corpus-stats")
-    corpus_dir = _corpus_path(store, "")
-    corpus_inputs = _settings(config, CORPUS_KEYS) + [
+    parts = _settings(config, CORPUS_KEYS) + [
         _corpus_path(store, name) for name in CORPUS_OUTPUTS]
-    pages = {book_id: corpus_inputs + _analysis_files(store, book_id)
-             + [_book_dir(store, book_id) / name for name in BOOK_PAGES]
-             for book_id in book_ids}
-    pages[CORPUS_DIR] = corpus_inputs + [corpus_dir / name
-                                         for name in CORPUS_PAGES]
+    for book_id in book_ids:
+        parts += [book_id, *_analysis_files(store, book_id),
+                  *(_book_dir(store, book_id) / name
+                    for name in report.BOOK_PAGES)]
+    parts += [_corpus_path(store, name) for name in report.CORPUS_PAGES]
     memo_path = _corpus_path(store, REPORT_MEMO)
     memo = traces.recorded(_json_object, memo_path) or {}
-    stale = {key for key in pages if not traces.current(memo.get(key),
-                                                        pages[key])}
-    if stale:
-        stats = _read_json(stats_path,
-                           report.load_schema("corpus.schema.json"),
-                           "bindery.corpus/1")
-    if stale - {CORPUS_DIR}:
-        lemmas_path = _corpus_path(store, LEMMAS_FILE)
-        lemma_model = (_read_json(lemmas_path, LEMMA_MODEL_SCHEMA,
-                                  "corpus lemma model")
-                       if lemmas_path.exists() else None)
-        vectors_path = _corpus_path(store, VECTORS_FILE)
-        vectors = (analytics_book.VectorStore.load(vectors_path)
-                   if vectors_path.exists() else None)
-        corpus = corpus_context(stats, lemma_model, vectors, config)
-        book_schema = report.load_schema("book.schema.json")
-
+    if traces.current(memo.get("trace"), parts):
+        log.debug("report: %d page(s) reused, 0 rendered", len(book_ids))
+        return [PhaseResult(book_id, "report", True) for book_id in book_ids]
+    stats = _read_json(stats_path, report.load_schema("corpus.schema.json"),
+                       "bindery.corpus/1")
+    lemmas_path = _corpus_path(store, LEMMAS_FILE)
+    lemma_model = (_read_json(lemmas_path, LEMMA_MODEL_SCHEMA,
+                              "corpus lemma model")
+                   if lemmas_path.exists() else None)
+    vectors_path = _corpus_path(store, VECTORS_FILE)
+    vectors = (analytics_book.VectorStore.load(vectors_path)
+               if vectors_path.exists() else None)
+    corpus = corpus_context(stats, lemma_model, vectors, config)
+    book_schema = report.load_schema("book.schema.json")
     results = []
-    records = {}  # the memo this run leaves: no record for a failed book
-    rendered = 0
     for book_id in book_ids:
-        if book_id in stale:
-            try:
-                payload, lemmas = _book_analysis(store, book_id, "report",
-                                                 config, book_schema, traces)
-                enrich_book_payload(payload, Counter(lemmas), corpus, config)
-                report.emit_book_report(payload, _book_dir(store, book_id),
-                                        traces.files)
-            except BinderyError as exc:
-                results.append(_failed(book_id, "report", exc))
-                continue
-            rendered += 1
-        records[book_id] = traces.digest(pages[book_id])
-        results.append(PhaseResult(book_id, "report", True))
-    log.debug("report: %d page(s) reused, %d rendered",
-              len(book_ids) - len(stale - {CORPUS_DIR}), rendered)
-    if CORPUS_DIR in stale:
-        report.emit_corpus_report(stats, corpus_dir, traces.files)
-    records[CORPUS_DIR] = traces.digest(pages[CORPUS_DIR])
-    report.dump_json(records, memo_path)
+        try:
+            payload, lemmas = _book_analysis(store, book_id, "report", config,
+                                             book_schema, traces)
+            enrich_book_payload(payload, Counter(lemmas), corpus, config)
+            report.emit_book_report(payload, _book_dir(store, book_id),
+                                    traces.files)
+            results.append(PhaseResult(book_id, "report", True))
+        except BinderyError as exc:
+            results.append(_failed(book_id, "report", exc))
+    log.debug("report: 0 page(s) reused, %d rendered",
+              sum(result.ok for result in results))
+    report.emit_corpus_report(stats, _corpus_path(store, ""), traces.files)
+    if all(result.ok for result in results):
+        report.dump_json({"trace": traces.digest(parts)}, memo_path)
     return results
 
 

@@ -32,6 +32,10 @@ GENDER_COLORS = {"male": "#4878b0", "female": "#e78ac3", "unknown": "#9e9e9e"}
 
 # Written by corpus-stats, its one writer, and read by report.
 CORPUS_JSON = "corpus.json"
+# What report, their one writer, writes per book and for the corpus.
+BOOK_JSON, BOOK_HTML = BOOK_PAGES = ("book.json", "index.html")
+CORPUS_HTML, AUTHORS_HTML, SUBJECTS_HTML = CORPUS_PAGES = (
+    "corpus.html", "authors.html", "subjects.html")
 
 
 def _fmt(value):
@@ -432,8 +436,7 @@ def emit_book_report(payload, out_dir, digests=None):
     and ``digests`` that of ``write_if_changed``. Returns the two paths.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / "book.json"
+    json_path = out_dir / BOOK_JSON
     dump_json(payload, json_path, digests)
 
     title = payload["meta"].get("title") or payload["id"]
@@ -483,11 +486,12 @@ def emit_book_report(payload, out_dir, digests=None):
     if placement and placement.get("gender_pct") is not None:
         g = placement["gender_pct"]
         parts.append("<h2>Gender distribution placement</h2>")
+        placed = ("" if g["percentile_male"] is None else
+                  f", placing it at the {g['percentile_male']:.1f}th "
+                  "percentile of the corpus for male-character share")
         parts.append(
             f"<p>{g['male']:.1f}% of this book's characters are male "
-            f"({g['female']:.1f}% female), placing it at the "
-            f"{g['percentile_male']:.1f}th percentile of the corpus for "
-            "male-character share.</p>")
+            f"({g['female']:.1f}% female){placed}.</p>")
 
     similar = payload.get("similar")
     if similar:
@@ -554,7 +558,7 @@ def emit_book_report(payload, out_dir, digests=None):
         rows.append("</table>")
         parts.append("\n".join(rows))
 
-    html_path = out_dir / "index.html"
+    html_path = out_dir / BOOK_HTML
     write_if_changed(html_path, _page(title, parts), digests)
     return json_path, html_path
 
@@ -563,7 +567,6 @@ def emit_corpus_report(stats, out_dir, digests=None):
     """Write corpus.html and the author/subject index pages from the
     corpus stats that corpus-stats wrote to corpus.json."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     parts = ["<h1>Corpus overview</h1>",
              f"<p>{len(stats.get('books', []))} books analyzed.</p>"]
 
@@ -616,12 +619,12 @@ def emit_corpus_report(stats, out_dir, digests=None):
             "matrix": [[correlations[a][b] for b in labels] for a in labels],
         }) + "</figure>")
 
-    write_if_changed(out_dir / "corpus.html", _page("Corpus overview", parts),
+    write_if_changed(out_dir / CORPUS_HTML, _page("Corpus overview", parts),
                      digests)
-    for name, field, heading in (("authors.html", "author", "Authors"),
-                                 ("subjects.html", "subjects", "Subjects")):
+    for name, field, heading in ((AUTHORS_HTML, "author", "Authors"),
+                                 (SUBJECTS_HTML, "subjects", "Subjects")):
         _emit_grouped_index(stats, out_dir / name, field, heading, digests)
-    return out_dir / "corpus.html"
+    return out_dir / CORPUS_HTML
 
 
 def _emit_grouped_index(stats, path, field, heading, digests):
@@ -641,7 +644,6 @@ def _emit_grouped_index(stats, path, field, heading, digests):
             for b in books)
         parts.append(f"<h2>{html.escape(key)}</h2><ul>{items}</ul>")
     write_if_changed(path, _page(heading, parts), digests)
-    return path
 
 
 # -- JSON schema validation --------------------------------------------------------

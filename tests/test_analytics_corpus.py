@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bindery.analytics_corpus import (gender_over_time, percentile,
                                       pos_correlations, rank_share_curve,
                                       reference_distributions,
+                                      sorted_percentile,
                                       top2_ratio_distribution)
 from bindery.errors import AnalyticsError
 from bindery.xml_model import ANALYZED_POS
@@ -225,6 +226,19 @@ def test_percentile_matches_naive_oracle():
         value = rnd.randint(0, 30)
         assert percentile(value, population) == pytest.approx(
             percentile_naive(value, population), abs=1e-12)
+
+
+# Few distinct values, so populations hold ties and values fall on them.
+_TIED = st.sampled_from([0.0, 12.5, 12.5000001, 33.3, 50.0, 100.0])
+
+
+@given(st.lists(st.one_of(_TIED, st.floats(min_value=0, max_value=100)),
+                min_size=1, max_size=60),
+       st.one_of(_TIED, st.floats(min_value=-1, max_value=101)))
+def test_sorted_percentile_equals_the_population_scan(population, value):
+    expected = percentile_naive(value, population)
+    assert sorted_percentile(value, sorted(population)) == expected
+    assert percentile(value, population) == expected
 
 
 @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1,

@@ -887,6 +887,25 @@ def test_wrong_shape_book_json_fails_only_that_book(fixture_store, phase,
     assert parse_callers == {}
 
 
+def test_report_over_a_zero_book_corpus_places_no_book(tmp_path, caplog):
+    """corpus-stats before analyze leaves a corpus without books, so a
+    book analyzed after it has no population to be placed in."""
+    raw, store = tmp_path / "raw", tmp_path / "store"
+    raw.mkdir()
+    shutil.copy(BOOKS / "pg730.txt", raw)
+    caplog.set_level(logging.INFO)
+    statuses = [run(phase, *(["--in", str(raw)] if phase == "ingest" else []),
+                    "--out", str(store))
+                for phase in ("ingest", "dedup", "annotate", "corpus-stats",
+                              "analyze", "report")]
+    assert statuses == [0, 0, 0, 1, 0, 0]
+    assert not any(r.exc_info for r in caplog.records)
+    page = json.loads((store / "pg730" / "book.json").read_bytes())
+    assert page["placement"]["gender_pct"]["percentile_male"] is None
+    assert "percentile of the corpus" not in (
+        store / "pg730" / "index.html").read_text(encoding="utf-8")
+
+
 def test_truncated_vectors_fail_report_cleanly(fixture_store, caplog):
     config, store = fixture_store
     path = store / "_corpus" / "vectors.bin"
@@ -1276,6 +1295,14 @@ def _delete_memos(corpus_dir):
         (corpus_dir / name).unlink()
 
 
+def _per_page_memo(path):
+    """The report memo in the shape it had before its one trace: a trace
+    for each kept book's pages and one for the corpus pages."""
+    trace = json.loads(path.read_bytes())["trace"]
+    pages = [*pipeline.kept_book_ids(path.parent.parent), "_corpus"]
+    path.write_text(json.dumps(dict.fromkeys(pages, trace)), encoding="utf-8")
+
+
 # name -> (change to the store, corpus-stats memo hits, pages re-rendered)
 # A change is applied to a book, to _corpus/, to the environment, or to the
 # run as flags. Without analyze, a book whose lemma file is no longer
@@ -1287,13 +1314,13 @@ MEMO_CASES = {
     "book.xml edited": (("book", "lemmas.json", _edit_xml), False,
                         "all but one"),
     "book.json bare field": (("book", "book.json", _edit_bare_field), True,
-                             "one"),
+                             "all"),
     "lemmas.json deleted": (("book", "lemmas.json", _delete), False,
                             "all but one"),
     "lemmas.json damaged": (("book", "lemmas.json", _truncate), False,
                             "all but one"),
-    "index.html deleted": (("book", "index.html", _delete), True, "one"),
-    "corpus.html deleted": (("corpus", "corpus.html", _delete), True, "none"),
+    "index.html deleted": (("book", "index.html", _delete), True, "all"),
+    "corpus.html deleted": (("corpus", "corpus.html", _delete), True, "all"),
     "corpus.json damaged": (("corpus", "corpus.json", _truncate), False,
                             "none"),
     "vectors.bin damaged": (("corpus", "vectors.bin", _truncate), False,
@@ -1305,6 +1332,8 @@ MEMO_CASES = {
     "version": ("__version__", False, "all"),
     "memos damaged": (("corpus", "", _damage_memos), False, "all"),
     "memos deleted": (("corpus", "", _delete_memos), False, "all"),
+    "per-page report memo": (("corpus", "report.memo", _per_page_memo), True,
+                             "all"),
     "book fails": (("book", "book.xml", lambda p: p.write_text("garbage")),
                    False, "all but one"),
 }
@@ -1325,8 +1354,8 @@ def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
         damage((store / book_id if where == "book" else store / "_corpus")
                / name)
     books = len(pipeline.kept_book_ids(store))
-    reused, rendered = {"none": (books, 0), "one": (books - 1, 1),
-                        "all": (0, books), "all but one": (0, books - 1),
+    reused, rendered = {"none": (books, 0), "all": (0, books),
+                        "all but one": (0, books - 1),
                         "every book fails": (0, 0)}[pages]
     fails = pages in ("all but one", "every book fails")
     expected = ([f"corpus-stats: inputs unchanged, {books} book(s) reused"]
@@ -1339,8 +1368,8 @@ def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
         assert {(l["phase"], l["error"]) for l in progress_lines(store)} == {
             (phase, ANALYZE_NEEDED.format(phase))
             for phase in ("corpus-stats", "report")}
-    if fails:  # a re-run reports the failures again
-        rerun = [f"report: {rendered} page(s) reused, 0 rendered"]
+    if fails:  # a re-run reports the failures and renders every page again
+        rerun = [f"report: 0 page(s) reused, {rendered} rendered"]
         assert _assert_memo_runs_match_forced(
             config, store, caplog, flags, rerun) == statuses
 
@@ -1349,6 +1378,30 @@ def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
 def test_memo_runs_match_forced_runs(fixture_store, caplog, monkeypatch, case):
     config, store = fixture_store
     _check_memo_case(config, store, "pg730", case, caplog, monkeypatch)
+
+
+def test_noop_report_calls_no_writer(fixture_store, changed_writes):
+    config, store = fixture_store
+    assert run("--config", str(config), "report", "--out", str(store)) == 0
+    assert list(changed_writes) == []
+
+
+def test_per_page_report_memo_is_replaced_once(fixture_store, changed_writes):
+    """A memo of the old per-page shape renders every page once, leaves
+    each page's bytes and mtime, and is itself the one file rewritten."""
+    config, store = fixture_store
+    memo = store / "_corpus" / "report.memo"
+    _per_page_memo(memo)
+    pages = {path: (path.read_bytes(), path.stat().st_mtime_ns)
+             for path in sorted(store.rglob("*"))
+             if path.is_file() and path != memo}
+    for _ in range(2):
+        assert run("--config", str(config), "report",
+                   "--out", str(store)) == 0
+        assert {path: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in pages} == pages
+    assert +changed_writes == Counter({memo: 1})
+    assert list(json.loads(memo.read_bytes())) == ["trace"]
 
 
 def _edit_pg1002(raw):

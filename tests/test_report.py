@@ -221,6 +221,19 @@ def test_book_report_network_without_edges(tmp_path):
     assert "<svg" in html_path.read_text(encoding="utf-8")
 
 
+def test_book_report_without_a_male_share_percentile(tmp_path):
+    """With an empty corpus population the percentile is null, which the
+    schema allows; the page states the shares without placing them."""
+    payload = book_payload()
+    payload["placement"]["gender_pct"]["percentile_male"] = None
+    assert validate_schema(payload, load_schema("book.schema.json")) == []
+    _, html_path = emit_book_report(payload, tmp_path)
+    html = html_path.read_text(encoding="utf-8")
+    assert ("<p>80.0% of this book's characters are male (20.0% female)."
+            "</p>") in html
+    assert "th percentile" not in html
+
+
 def test_corpus_report_has_three_rank_series(tmp_path):
     html_path = emit_corpus_report(corpus_payload(), tmp_path)
     html = html_path.read_text(encoding="utf-8")
