@@ -20,7 +20,7 @@ from pathlib import Path
 from . import lexicons
 from .errors import AnalyticsError, ParseError
 from .linguistic import count_syllables, strip_possessive
-from .report import write_if_changed
+from .store import write_if_changed
 from .xml_model import ANALYZED_POS
 
 READABILITY_METRICS = (
@@ -245,9 +245,7 @@ class VectorStore:
 
     def save(self, path, digests=None):
         """Write the store to ``path``; ``digests`` as in ``write_if_changed``."""
-        path = Path(path)
         write_if_changed(path, self._pieces(), digests)
-        return path
 
     def _pieces(self):
         """The saved bytes: a header, then one piece per row."""

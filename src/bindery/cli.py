@@ -8,7 +8,6 @@ per book per phase goes to the progress log under the store.
 """
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -18,6 +17,7 @@ from . import pipeline
 from .config import Config
 from .errors import BinderyError
 from .ingest import fetch_gutenberg
+from .store import Traces, append_progress, kept_book_ids
 
 log = logging.getLogger("bindery")
 
@@ -60,28 +60,6 @@ def build_parser():
     return parser
 
 
-def _configure(args):
-    config = Config.load(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.jobs is not None:
-        config.jobs = args.jobs
-    return config
-
-
-def _write_progress(store, results):
-    path = Path(store) / pipeline.CORPUS_DIR / pipeline.PROGRESS_FILE
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(json.dumps({
-                "book": result.book_id,
-                "phase": result.phase,
-                "status": "ok" if result.ok else "error",
-                "error": result.error,
-            }, sort_keys=True) + "\n")
-
-
 def main(argv=None):
     # numpy is imported lazily, after this, and reads them when it loads.
     for name in BLAS_THREAD_VARIABLES:
@@ -92,10 +70,14 @@ def main(argv=None):
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
     try:
-        config = _configure(args)
+        config = Config.load(args.config)
     except (KeyError, ValueError, OSError) as exc:
         log.error("bad config: %s", exc)
         return 2
+    if args.seed is not None:
+        config.seed = args.seed
+    if args.jobs is not None:
+        config.jobs = args.jobs
 
     if args.command == "fetch":
         mirror = args.mirror or config.mirror_base
@@ -113,7 +95,7 @@ def main(argv=None):
     if not hasattr(args, "in_dir") and not Path(store).is_dir():
         log.error("%s failed: no store at %s", args.command, store)
         return 1
-    traces = pipeline.Traces(force=args.force)
+    traces = Traces(force=args.force)
     # Looked up now, not at import: a tracer may have swapped the function.
     runner = getattr(pipeline, "run_" + args.command.replace("-", "_"))
     try:
@@ -122,12 +104,11 @@ def main(argv=None):
         elif args.command == "dedup":
             results = runner(store, config, traces)
         else:
-            results = runner(store, config, traces,
-                             pipeline.kept_book_ids(store))
+            results = runner(store, config, traces, kept_book_ids(store))
     except (BinderyError, OSError) as exc:
         log.error("%s failed: %s", args.command, exc)
         return 1
-    _write_progress(store, results)
+    append_progress(store, results)
     failed = [r for r in results if not r.ok]
     failed_books = {r.book_id for r in failed}
     ok_books = {r.book_id for r in results} - failed_books

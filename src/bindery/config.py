@@ -12,6 +12,9 @@ from dataclasses import dataclass, fields
 
 
 ENV_PREFIX = "BINDERY_"
+# Counts below 1 divide by zero, or make every book a duplicate.
+POSITIVE_KEYS = ("shingle_size", "minhash_hashes", "top2_histogram_bins",
+                 "gender_time_bins")
 
 
 @dataclass
@@ -86,6 +89,9 @@ class Config:
             if key not in cls.field_names():
                 raise KeyError(f"unknown config key: {key!r}")
             setattr(cfg, key, _coerce(getattr(cfg, key), raw))
+        for key in POSITIVE_KEYS:
+            if getattr(cfg, key) < 1:
+                raise ValueError(f"{key} = {getattr(cfg, key)}: below 1")
         return cfg
 
 

@@ -14,11 +14,10 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import ParseError, TooShortError
 from .ingest import strip_diacritics
-from .report import write_if_changed
+from .store import write_if_changed
 
 BASE_SEED = 0x5EED
 NUM_HASHES = 128
@@ -186,7 +185,6 @@ class CorpusIndex:
         """Write one JSON record per line, a record at a time."""
         write_if_changed(path, (json.dumps(_record(entry), sort_keys=True)
                                 + "\n" for entry in self.entries))
-        return Path(path)
 
     @classmethod
     def load(cls, path):

@@ -391,18 +391,19 @@ def fetch_gutenberg(book_id, mirror_base, dest, timeout=30):
     """Download the plain-text file for a Gutenberg id into ``dest``.
 
     Idempotent: an existing non-empty destination file is left untouched
-    and no network request is made.
+    and no network request is made. A cut-off download leaves no file.
     """
-    dest = Path(dest)
-    dest.mkdir(parents=True, exist_ok=True)
-    target = dest / f"pg{book_id}.txt"
+    target = Path(dest) / f"pg{book_id}.txt"
     if target.exists() and target.stat().st_size > 0:
         log.info("pg%s already present, skipping fetch", book_id)
         return target
     # Imported here: urllib.request pulls in ssl and http.client, which no
-    # other command needs.
+    # other command needs, and the store module imports this one.
+    import http.client
     import urllib.error
     import urllib.request
+
+    from .store import write_if_changed
 
     url = f"{mirror_base.rstrip('/')}/{book_id}/pg{book_id}.txt"
     try:
@@ -414,7 +415,9 @@ def fetch_gutenberg(book_id, mirror_base, dest, timeout=30):
         raise FetchError(f"HTTP {exc.code} fetching {url}") from exc
     except urllib.error.URLError as exc:
         raise FetchError(f"cannot fetch {url}: {exc.reason}") from exc
-    target.write_bytes(data)
+    except http.client.HTTPException as exc:  # such as a cut-off body
+        raise FetchError(f"cannot fetch {url}: {exc!r}") from exc
+    write_if_changed(target, data)
     return target
 
 

@@ -1,19 +1,16 @@
-"""Pipeline orchestration over an on-disk store.
+"""Pipeline orchestration over the on-disk store of ``bindery.store``.
 
-Store layout: ``store/<book_id>/{book.xml, book.json, lemmas.json,
-index.html}`` with corpus-level artifacts under ``store/_corpus/``. One
-rule, ``Traces``, decides every re-run; phase stamps in ``<meta>`` only
-enforce ordering, and files are only rewritten when their bytes change.
-Annotate and analyze share one parse and one ``book.xml`` write per book.
-Analyze alone computes a book's payload and lemmas, and report alone
-writes ``book.json``. The phase modules run on first use (``_lazy``) and
-the process pool is imported only when one starts, so an unchanged store
-is re-run without either, or numpy.
+The store module's ``Traces`` decides every re-run and its writer writes
+every file; phase stamps in ``<meta>`` only enforce ordering. Annotate and
+analyze share one parse and one ``book.xml`` write per book. Analyze alone
+computes a book's payload and lemmas, and report alone writes
+``book.json``. The phase modules and the renderer run on first use
+(``_lazy``) and the process pool is imported only when one starts, so an
+unchanged store is re-run without any of them, or numpy.
 """
 
 import hashlib
 import importlib.util
-import json
 import logging
 import re
 import resource
@@ -23,10 +20,16 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import dedup, ingest, report, xml_model
-from .config import Config
+from . import dedup, ingest, xml_model
 from .errors import (AnalyticsError, BinderyError, MissingPhaseError, ParseError,
                      TooShortError)
+from .store import (BOOK_PAGES, CORPUS_JSON, CORPUS_KEYS, CORPUS_OUTPUTS,
+                    CORPUS_PAGES, CORPUS_STATS_MEMO, INDEX_FILE, INGEST_KEYS,
+                    LEMMA_MODEL_SCHEMA, LEMMAS_FILE, REPORT_MEMO, VECTORS_FILE,
+                    Traces, analysis_files, analysis_parts, annotate_parts,
+                    book_analysis, book_dir, book_xml, corpus_file,
+                    current_analysis, dump_json, load_schema, read_json,
+                    settings, source_parts, store_book_ids, write_if_changed)
 from .xml_model import AnnotatedBook, BookMeta
 
 log = logging.getLogger(__name__)
@@ -53,39 +56,13 @@ def _lazy(name):
     return module
 
 
-# The phase modules: a no-op run reaches none of them.
+# The phase modules and the renderer: a no-op run reaches none of them.
 segmentation = _lazy("segmentation")
 linguistic = _lazy("linguistic")
 characters = _lazy("characters")
 analytics_book = _lazy("analytics_book")
 analytics_corpus = _lazy("analytics_corpus")
-
-CORPUS_DIR = "_corpus"
-INDEX_FILE = "index.jsonl"
-# The corpus lemma model under _corpus/; a book's lemma file in its dir.
-LEMMAS_FILE = "lemmas.json"
-VECTORS_FILE = "vectors.bin"
-PROGRESS_FILE = "progress.jsonl"
-# What corpus-stats writes under _corpus/, and what every report page reads.
-CORPUS_OUTPUTS = (report.CORPUS_JSON, LEMMAS_FILE, VECTORS_FILE)
-CORPUS_STATS_MEMO = "corpus-stats.memo"
-REPORT_MEMO = "report.memo"
-# The config keys each trace covers: what ingest reads for one book, what
-# annotate_book reads, what build_book_payload reads, and for corpus-stats
-# and report every key but jobs.
-INGEST_KEYS = ("front_window_frac", "front_short_line_len",
-               "front_short_line_ratio", "page_separator")
-ANNOTATE_KEYS = ("header_max_len", "numbering_gap_tolerance", "lexicon_dir",
-                 "min_mentions", "pronoun_sentence_window")
-ANALYSIS_KEYS = ("lexicon_dir", "timeline_top_k", "interaction_window",
-                 "interaction_min_co")
-CORPUS_KEYS = tuple(key for key in Config.field_names() if key != "jobs")
-LEMMA_MODEL_SCHEMA = {
-    "type": "object", "required": ["total", "common"],
-    "properties": {
-        "total": {"type": "integer"},
-        "common": {"type": "object",
-                   "additionalProperties": {"type": "integer"}}}}
+report = _lazy("report")
 
 
 # -- source discovery -----------------------------------------------------------
@@ -527,174 +504,6 @@ def _failed(book_id, phase, exc):
     return PhaseResult(book_id, phase, False, str(exc))
 
 
-def _book_dir(store, book_id):
-    return Path(store) / book_id
-
-
-def _xml_path(store, book_id):
-    return _book_dir(store, book_id) / "book.xml"
-
-
-def _corpus_path(store, name):
-    return Path(store) / CORPUS_DIR / name
-
-
-def store_book_ids(store):
-    return sorted(p.parent.name for p in Path(store).glob("*/book.xml"))
-
-
-def kept_book_ids(store):
-    """Book ids that survived dedup (all books when dedup has not run)."""
-    index_path = _corpus_path(store, INDEX_FILE)
-    entries = (dedup.CorpusIndex.load(index_path).entries
-               if index_path.exists() else [])
-    duplicates = {e.book_id for e in entries if e.is_duplicate}
-    return [b for b in store_book_ids(store) if b not in duplicates]
-
-
-def _read_json(path, schema, kind):
-    """A JSON store file that matches ``schema``, a ``kind`` document;
-    ParseError if it is truncated, malformed or of the wrong shape."""
-    try:
-        payload = json.loads(path.read_bytes())
-    except ValueError as exc:
-        raise ParseError(f"{path}: malformed JSON: {exc}") from exc
-    errors = report.validate_schema(payload, schema)
-    if errors:
-        raise ParseError(f"{path}: not a {kind} document: "
-                         + "; ".join(errors[:3]))
-    return payload
-
-
-def _json_object(path):
-    """A JSON file's object; {} if it is missing, malformed or not one."""
-    try:
-        payload = json.loads(path.read_bytes())
-    except (OSError, ValueError):
-        return {}
-    return payload if isinstance(payload, dict) else {}
-
-
-# -- traces --------------------------------------------------------------------
-
-
-def _file_digest(path):
-    """SHA-256 of a file's bytes; None when it is missing or unreadable."""
-    try:
-        return report.file_digest(path)
-    except OSError:
-        return None
-
-
-class Traces:
-    """The one rule that decides whether an output is current.
-
-    An output is current iff the digest of its named inputs, recorded
-    beside it, still matches: the "verifying traces" of Mokhov, Mitchell
-    and Peyton Jones, "Build Systems a la Carte" (ICFP 2018). The inputs
-    are JSON values and files; a ``Path`` stands for its file's bytes.
-    The CLI makes one instance per run and passes it to every runner,
-    so a run digests each file and reads each ``<meta>`` at most once
-    (``files``, ``heads``; a write through ``report.write_if_changed(...,
-    traces.files)`` records the digest of what it leaves). ``force`` is
-    the run's one redo switch: under it no recorded trace is read, so none
-    is current.
-    """
-
-    def __init__(self, force):
-        self.force = force
-        self.files = {}
-        self.heads = {}
-
-    def recorded(self, read, *args):
-        """``read(*args)``, a recorded trace; None, unread, under force."""
-        return None if self.force else read(*args)
-
-    def current(self, recorded, parts):
-        """Whether ``recorded`` is the trace of ``parts``."""
-        return recorded is not None and recorded == self.digest(parts)
-
-    def digest(self, parts):
-        """The trace of ``parts``: the SHA-256 of their JSON text."""
-        values = [self._file(p) if isinstance(p, Path) else p for p in parts]
-        return hashlib.sha256(json.dumps(values).encode("utf-8")).hexdigest()
-
-    def _file(self, path):
-        if path not in self.files:
-            self.files[path] = _file_digest(path)
-        return self.files[path]
-
-    def head(self, xml_path):
-        """The ``<meta>`` of a stored book; None when there is no book."""
-        if xml_path not in self.heads:
-            self.heads[xml_path] = (xml_model.load_head(xml_path)[0]
-                                    if xml_path.exists() else None)
-        return self.heads[xml_path]
-
-    def forget(self, paths):
-        """Drop what was read of ``paths``, which are being rewritten."""
-        for path in paths:
-            self.files.pop(path, None)
-            self.heads.pop(path, None)
-
-
-def _settings(config, keys):
-    """The bindery version and the ``keys`` settings."""
-    from . import __version__  # looked up per call, not frozen at import
-    return [__version__, *(getattr(config, key) for key in keys)]
-
-
-def _source_parts(path, kind):
-    """A text source, or each ``.txt`` file of a page-wise one, by name."""
-    if kind == ingest.SourceKind.GUTENBERG_TEXT:
-        return [path]
-    return [part for page in sorted(path.glob("*.txt"))
-            for part in (page.name, page)]
-
-
-def _annotate_parts(meta, config):
-    return [*_settings(config, ANNOTATE_KEYS), meta.ingest_trace]
-
-
-def _analysis_files(store, book_id):
-    """A book's book.xml and lemma file: what ``_book_analysis`` reads."""
-    return [_xml_path(store, book_id), _book_dir(store, book_id) / LEMMAS_FILE]
-
-
-def _analysis_parts(store, book_id, config):
-    # The version reaches it through the traces in book.xml's <meta>.
-    return [*(getattr(config, key) for key in ANALYSIS_KEYS),
-            _xml_path(store, book_id)]
-
-
-def _current_analysis(store, book_id, config, traces):
-    """A book's decoded lemma file while its trace is current, else None."""
-    analysis = _json_object(_book_dir(store, book_id) / LEMMAS_FILE)
-    current = traces.current(analysis.get("trace"),
-                             _analysis_parts(store, book_id, config))
-    return analysis if current else None
-
-
-def _book_analysis(store, book_id, phase, config, book_schema, traces):
-    """``(payload, lemmas)`` from a book's current lemma file; the book fails
-    ``phase`` otherwise, and a file of the wrong shape is removed."""
-    analysis = _current_analysis(store, book_id, config, traces)
-    if analysis is None:
-        raise MissingPhaseError(phase, "analyze")
-    payload, lemmas = analysis.get("payload"), analysis.get("lemmas")
-    errors = report.validate_schema(payload, book_schema, "$.payload")
-    if not (isinstance(lemmas, list)
-            and all(isinstance(w, str) for w in lemmas)):
-        errors.append("$.lemmas: expected a list of strings")
-    if errors:
-        path = _book_dir(store, book_id) / LEMMAS_FILE
-        path.unlink(missing_ok=True)
-        traces.forget([path])
-        raise ParseError(f"{path}: not a book analysis: "
-                         + "; ".join(errors[:3]))
-    return payload, lemmas
-
-
 # -- phase runners ----------------------------------------------------------------
 
 
@@ -719,7 +528,7 @@ def run_ingest(in_dir, store, config, traces):
         sources.setdefault(book_id, []).append((path, kind))
     results = []
     for book_id, found in sources.items():
-        xml_path = _xml_path(store, book_id)
+        xml_path = book_xml(store, book_id)
         try:
             meta = traces.recorded(traces.head, xml_path)
         except BinderyError as exc:
@@ -730,21 +539,17 @@ def run_ingest(in_dir, store, config, traces):
                 raise BinderyError("sources map to the same book id: "
                                    + ", ".join(str(p) for p, _ in found))
             [(path, kind)] = found
-            parts = _settings(config, INGEST_KEYS) + _source_parts(path, kind)
+            parts = settings(config, INGEST_KEYS) + source_parts(path, kind)
             if not traces.current(meta and meta.ingest_trace, parts):
                 book = ingest_to_book(_read_source(path, kind, config), config)
                 book.meta.ingest_trace = traces.digest(parts)
                 traces.forget([xml_path])
-                report.write_if_changed(xml_path,
-                                        xml_model.serialize_pieces(book))
+                write_if_changed(xml_path, xml_model.serialize_pieces(book))
             results.append(PhaseResult(book_id, "ingest", True))
         except BinderyError as exc:
-            stale = [*_analysis_files(store, book_id),
-                     *(_book_dir(store, book_id) / name
-                       for name in report.BOOK_PAGES)]
-            for path in stale:
-                path.unlink(missing_ok=True)
-            traces.forget(stale)
+            traces.remove([*analysis_files(store, book_id),
+                           *(book_dir(store, book_id) / name
+                             for name in BOOK_PAGES)])
             results.append(_failed(book_id, "ingest", exc))
     return results
 
@@ -752,7 +557,7 @@ def run_ingest(in_dir, store, config, traces):
 def _previous_index(store):
     """The last dedup index by book id; empty when missing or unreadable."""
     try:
-        index = dedup.CorpusIndex.load(_corpus_path(store, INDEX_FILE))
+        index = dedup.CorpusIndex.load(corpus_file(store, INDEX_FILE))
     except FileNotFoundError:
         return {}
     except (OSError, ParseError) as exc:
@@ -770,7 +575,7 @@ def _memoized_entry(store, book_id, record, minhash, traces):
             or (record.fingerprint is not None
                 and len(record.fingerprint.signature) != minhash[0])):
         return None
-    meta = traces.head(_xml_path(store, book_id))
+    meta = traces.head(book_xml(store, book_id))
     if (record.body_sha256, record.minhash) != (meta.body_sha256, minhash):
         return None
     fp = None
@@ -784,7 +589,7 @@ def _memoized_entry(store, book_id, record, minhash, traces):
 
 def _fingerprinted_entry(store, book_id, config, minhash):
     """``book_id``'s dedup entry from a full parse of its body."""
-    book = xml_model.load(_xml_path(store, book_id))
+    book = xml_model.load(book_xml(store, book_id))
     body = body_text_of(book)
     try:
         fp = dedup.fingerprint(
@@ -838,7 +643,7 @@ def run_dedup(store, config, traces):
     dedup.dedup_corpus(index,
                        title_author_match=config.dedup_title_author,
                        content_threshold=config.dedup_content_threshold)
-    index.save(_corpus_path(store, INDEX_FILE))
+    index.save(corpus_file(store, INDEX_FILE))
     removed = {e.book_id: e.representative_of for e in index.entries
                if e.is_duplicate}
     for result in results:
@@ -861,7 +666,7 @@ def _annotate_analyze_one(args):
     book as a standalone annotate's serialize would.
     """
     store, book_id, config, phases = args
-    path = _xml_path(store, book_id)
+    path = book_xml(store, book_id)
     try:
         book = xml_model.load(path)
     except BinderyError as exc:
@@ -872,7 +677,7 @@ def _annotate_analyze_one(args):
         try:
             annotate_book(book, config)
             book.meta.annotate_trace = traces.digest(
-                _annotate_parts(book.meta, config))
+                annotate_parts(book.meta, config))
             xml_model.validate(book)
         except BinderyError as exc:
             errors["annotate"] = exc
@@ -887,12 +692,11 @@ def _annotate_analyze_one(args):
         except BinderyError as exc:
             errors["analyze"] = exc
     if len(errors) < len(phases):
-        report.write_if_changed(path, xml_model.serialize_pieces(book),
-                                traces.files)
+        write_if_changed(path, xml_model.serialize_pieces(book), traces.files)
     if analysis is not None:
         analysis["trace"] = traces.digest(
-            _analysis_parts(store, book_id, config))
-        report.dump_json(analysis, _book_dir(store, book_id) / LEMMAS_FILE)
+            analysis_parts(store, book_id, config))
+        dump_json(analysis, book_dir(store, book_id) / LEMMAS_FILE)
     return [_failed(book_id, phase, errors[phase]) if phase in errors
             else PhaseResult(book_id, phase, True) for phase in phases]
 
@@ -920,20 +724,20 @@ def _run_stale(phases, store, config, traces, book_ids):
     stale = []
     for book_id in book_ids:
         try:  # None under force
-            meta = traces.recorded(traces.head, _xml_path(store, book_id))
+            meta = traces.recorded(traces.head, book_xml(store, book_id))
         except BinderyError as exc:
             results.update(((book_id, phase), _failed(book_id, phase, exc))
                            for phase in phases)
             continue
         todo = []
         if "annotate" in phases and not (meta and traces.current(
-                meta.annotate_trace, _annotate_parts(meta, config))):
+                meta.annotate_trace, annotate_parts(meta, config))):
             todo.append("annotate")
-        if "analyze" in phases and (todo or not (meta and _current_analysis(
+        if "analyze" in phases and (todo or not (meta and current_analysis(
                 store, book_id, config, traces))):
             todo.append("analyze")
         if todo:
-            traces.forget(_analysis_files(store, book_id))
+            traces.forget(analysis_files(store, book_id))
             stale.append((store, book_id, config, tuple(todo)))
     for book_results in _pool_map(_annotate_analyze_one, stale, config.jobs):
         results.update(((r.book_id, r.phase), r) for r in book_results)
@@ -956,13 +760,12 @@ def run_corpus_stats(store, config, traces, book_ids):
     Nothing is read, trained or written while the memo's trace is current.
     It is recorded only when every book succeeded.
     """
-    memo_path = _corpus_path(store, CORPUS_STATS_MEMO)
-    parts = _settings(config, CORPUS_KEYS)
+    memo_path = corpus_file(store, CORPUS_STATS_MEMO)
+    parts = settings(config, CORPUS_KEYS)
     for book_id in book_ids:
-        parts += [book_id, *_analysis_files(store, book_id)]
-    parts += [_corpus_path(store, name) for name in CORPUS_OUTPUTS]
-    memo = traces.recorded(_json_object, memo_path) or {}
-    if traces.current(memo.get("trace"), parts):
+        parts += [book_id, *analysis_files(store, book_id)]
+    parts += [corpus_file(store, name) for name in CORPUS_OUTPUTS]
+    if traces.memo_current(memo_path, parts):
         log.debug("corpus-stats: inputs unchanged, %d book(s) reused",
                   len(book_ids))
         return [PhaseResult(book_id, "corpus-stats", True)
@@ -971,11 +774,11 @@ def run_corpus_stats(store, config, traces, book_ids):
     lemma_counter = Counter()
     streams = {}
     results = []
-    book_schema = report.load_schema("book.schema.json")
+    book_schema = load_schema("book.schema.json")
     for book_id in book_ids:
         try:
-            payload, lemmas = _book_analysis(store, book_id, "corpus-stats",
-                                             config, book_schema, traces)
+            payload, lemmas = book_analysis(store, book_id, "corpus-stats",
+                                            config, book_schema, traces)
             payloads.append(payload)
             lemma_counter.update(lemmas)
             streams[book_id] = analytics_book.strip_stopwords(
@@ -985,16 +788,14 @@ def run_corpus_stats(store, config, traces, book_ids):
             results.append(_failed(book_id, "corpus-stats", exc))
 
     stats = build_corpus_stats(payloads, lemma_counter, config)
-    report.dump_json(stats, _corpus_path(store, report.CORPUS_JSON),
-                     traces.files)
+    dump_json(stats, corpus_file(store, CORPUS_JSON), traces.files)
 
     common = analytics_book.common_words(lemma_counter,
                                          top_common=config.vocab_top_common)
     lemma_model = {"total": common.total, "common": dict(common.ranked)}
-    report.dump_json(lemma_model, _corpus_path(store, LEMMAS_FILE),
-                     traces.files)
+    dump_json(lemma_model, corpus_file(store, LEMMAS_FILE), traces.files)
 
-    vectors_path = _corpus_path(store, VECTORS_FILE)
+    vectors_path = corpus_file(store, VECTORS_FILE)
     try:
         vectors = analytics_book.train_embeddings(
             streams, dim=config.embed_dim, epochs=config.embed_epochs,
@@ -1004,10 +805,8 @@ def run_corpus_stats(store, config, traces, book_ids):
         vectors.save(vectors_path, traces.files)
     except AnalyticsError as exc:
         log.warning("embedding training skipped: %s", exc)
-        vectors_path.unlink(missing_ok=True)
-        traces.files[vectors_path] = None
-    if all(result.ok for result in results):
-        report.dump_json({"trace": traces.digest(parts)}, memo_path)
+        traces.remove([vectors_path])
+    traces.record_memo(memo_path, parts, results)
     return results
 
 
@@ -1019,48 +818,45 @@ def run_report(store, config, traces, book_ids):
     when every book succeeded. Otherwise corpus.json, the corpus lemma
     model and the vectors are read once and every page is rendered.
     """
-    stats_path = _corpus_path(store, report.CORPUS_JSON)
+    stats_path = corpus_file(store, CORPUS_JSON)
     if not stats_path.exists():
         raise MissingPhaseError("report", "corpus-stats")
-    parts = _settings(config, CORPUS_KEYS) + [
-        _corpus_path(store, name) for name in CORPUS_OUTPUTS]
+    parts = settings(config, CORPUS_KEYS) + [
+        corpus_file(store, name) for name in CORPUS_OUTPUTS]
     for book_id in book_ids:
-        parts += [book_id, *_analysis_files(store, book_id),
-                  *(_book_dir(store, book_id) / name
-                    for name in report.BOOK_PAGES)]
-    parts += [_corpus_path(store, name) for name in report.CORPUS_PAGES]
-    memo_path = _corpus_path(store, REPORT_MEMO)
-    memo = traces.recorded(_json_object, memo_path) or {}
-    if traces.current(memo.get("trace"), parts):
+        parts += [book_id, *analysis_files(store, book_id),
+                  *(book_dir(store, book_id) / name for name in BOOK_PAGES)]
+    parts += [corpus_file(store, name) for name in CORPUS_PAGES]
+    memo_path = corpus_file(store, REPORT_MEMO)
+    if traces.memo_current(memo_path, parts):
         log.debug("report: %d page(s) reused, 0 rendered", len(book_ids))
         return [PhaseResult(book_id, "report", True) for book_id in book_ids]
-    stats = _read_json(stats_path, report.load_schema("corpus.schema.json"),
-                       "bindery.corpus/1")
-    lemmas_path = _corpus_path(store, LEMMAS_FILE)
-    lemma_model = (_read_json(lemmas_path, LEMMA_MODEL_SCHEMA,
-                              "corpus lemma model")
+    stats = read_json(stats_path, load_schema("corpus.schema.json"),
+                      "bindery.corpus/1")
+    lemmas_path = corpus_file(store, LEMMAS_FILE)
+    lemma_model = (read_json(lemmas_path, LEMMA_MODEL_SCHEMA,
+                             "corpus lemma model")
                    if lemmas_path.exists() else None)
-    vectors_path = _corpus_path(store, VECTORS_FILE)
+    vectors_path = corpus_file(store, VECTORS_FILE)
     vectors = (analytics_book.VectorStore.load(vectors_path)
                if vectors_path.exists() else None)
     corpus = corpus_context(stats, lemma_model, vectors, config)
-    book_schema = report.load_schema("book.schema.json")
+    book_schema = load_schema("book.schema.json")
     results = []
     for book_id in book_ids:
         try:
-            payload, lemmas = _book_analysis(store, book_id, "report", config,
-                                             book_schema, traces)
+            payload, lemmas = book_analysis(store, book_id, "report", config,
+                                            book_schema, traces)
             enrich_book_payload(payload, Counter(lemmas), corpus, config)
-            report.emit_book_report(payload, _book_dir(store, book_id),
+            report.emit_book_report(payload, book_dir(store, book_id),
                                     traces.files)
             results.append(PhaseResult(book_id, "report", True))
         except BinderyError as exc:
             results.append(_failed(book_id, "report", exc))
     log.debug("report: 0 page(s) reused, %d rendered",
               sum(result.ok for result in results))
-    report.emit_corpus_report(stats, _corpus_path(store, ""), traces.files)
-    if all(result.ok for result in results):
-        report.dump_json({"trace": traces.digest(parts)}, memo_path)
+    report.emit_corpus_report(stats, corpus_file(store, ""), traces.files)
+    traces.record_memo(memo_path, parts, results)
     return results
 
 

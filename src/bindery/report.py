@@ -7,15 +7,15 @@ self-contained. Re-running emission over unchanged inputs produces
 byte-identical files.
 """
 
-import hashlib
 import html
-import itertools
-import json
 import math
-import os
 from pathlib import Path
 
 from .errors import ChartError
+from .store import (AUTHORS_HTML, BOOK_HTML, BOOK_JSON, CORPUS_HTML,
+                    SUBJECTS_HTML, dump_json, write_if_changed)
+# Not used here: bench/checks.py reads the schema helpers through this module.
+from .store import load_schema, validate_schema  # noqa: F401
 
 CANVAS_W = 800
 CANVAS_H = 400
@@ -29,13 +29,6 @@ PLOT_H = CANVAS_H - MARGIN_T - MARGIN_B
 PALETTE = ("#4878b0", "#d65f5f", "#6aa84f", "#e69138", "#8e63ce",
            "#45818e", "#a64d79", "#7f7f7f", "#c27ba0", "#674ea7")
 GENDER_COLORS = {"male": "#4878b0", "female": "#e78ac3", "unknown": "#9e9e9e"}
-
-# Written by corpus-stats, its one writer, and read by report.
-CORPUS_JSON = "corpus.json"
-# What report, their one writer, writes per book and for the corpus.
-BOOK_JSON, BOOK_HTML = BOOK_PAGES = ("book.json", "index.html")
-CORPUS_HTML, AUTHORS_HTML, SUBJECTS_HTML = CORPUS_PAGES = (
-    "corpus.html", "authors.html", "subjects.html")
 
 
 def _fmt(value):
@@ -294,97 +287,6 @@ def _render_heatmap(spec, parts):
                     f'text-anchor="middle" font-size="10">{value:.2f}</text>')
 
 
-# -- file helpers -----------------------------------------------------------------
-
-
-def dump_json(payload, path, digests=None):
-    """Write canonical JSON a chunk at a time; returns True when the file
-    content changed."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    return write_if_changed(path, itertools.chain(chunks, ["\n"]), digests)
-
-
-# Bytes gathered before each write of a temporary file, and read at a time
-# when a file is digested.
-_BATCH = 1 << 16
-
-
-def write_if_changed(path, content, digests=None):
-    """Write ``content`` to ``path`` only when it differs from the file,
-    preserving timestamps on no-ops; returns True when the file changed.
-
-    ``content`` is str, bytes, or an iterable of str or bytes pieces. The
-    pieces are encoded as UTF-8, hashed and written, about 64 KB at a
-    time, to a temporary file in the same directory, so a document made
-    a piece at a time is never held whole. An existing file is compared
-    by size, then by a digest read a chunk at a time: when it holds the
-    same bytes it is left untouched and the temporary file removed, else
-    the temporary file replaces it. So a killed run, or pieces that raise
-    part-way, leave the old file or the new one, never a truncated one.
-    The temporary file is created like any other file, so the result has
-    the usual mode. ``digests``, a dict of file digests by path, gets the
-    hex SHA-256 of the bytes once the file holds them.
-    """
-    path = Path(path)
-    pieces = [content] if isinstance(content, (str, bytes)) else content
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    sha = hashlib.sha256()
-    try:
-        with tmp.open("wb") as fh:
-            for batch in _encoded_batches(pieces):
-                sha.update(batch)
-                fh.write(batch)
-            size = fh.tell()
-        digest = sha.hexdigest()
-        changed = not _holds(path, size, digest)
-        if changed:
-            os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    if digests is not None:
-        digests[path] = digest
-    return changed
-
-
-def _encoded_batches(pieces):
-    """The UTF-8 bytes of str or bytes ``pieces`` in runs of about _BATCH."""
-    batch, size = [], 0
-    for piece in pieces:
-        batch.append(piece)
-        size += len(piece)
-        if size >= _BATCH:
-            yield _encoded(batch)
-            batch, size = [], 0
-    yield _encoded(batch)
-
-
-def _encoded(batch):
-    try:
-        return "".join(batch).encode("utf-8")
-    except TypeError:  # bytes among the pieces
-        return b"".join(piece.encode("utf-8") if isinstance(piece, str)
-                        else piece for piece in batch)
-
-
-def _holds(path, size, digest):
-    """Whether the file at ``path`` has ``size`` bytes of SHA-256 ``digest``."""
-    try:
-        return os.stat(path).st_size == size and file_digest(path) == digest
-    except FileNotFoundError:
-        return False
-
-
-def file_digest(path):
-    """The hex SHA-256 of a file's bytes, read _BATCH bytes at a time, so
-    no more than one chunk of the file is held; raises OSError."""
-    sha = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_BATCH):
-            sha.update(chunk)
-    return sha.hexdigest()
-
-
 # -- HTML assembly ----------------------------------------------------------------
 
 _PAGE_STYLE = """
@@ -414,19 +316,24 @@ def _page(title, body_parts):
     yield "\n</body>\n</html>\n"
 
 
+def _table(headers, rows):
+    """An HTML table: a row of ``headers``, then ``rows`` of cell texts."""
+    def row(cells, tag):
+        return "<tr>" + "".join(f"<{tag}>{c}</{tag}>" for c in cells) + "</tr>"
+    return "\n".join(["<table>", row(headers, "th"),
+                      *(row(cells, "td") for cells in rows), "</table>"])
+
+
 def _character_table(characters):
-    rows = ["<table>", "<tr><th>Character</th><th>Gender</th><th>Mentions</th>"
-            "<th>gcc</th><th>fpcc</th><th>spcc</th><th>Aliases</th></tr>"]
+    rows = []
     for c in characters:
         aliases = ", ".join(
             f"{html.escape(a)} ({n})"
             for a, n in sorted(c["aliases"].items(), key=lambda kv: (-kv[1], kv[0])))
-        rows.append(
-            f"<tr><td>{html.escape(c['name'])}</td><td>{c['gender']}</td>"
-            f"<td>{c['count']}</td><td>{c['gcc']}</td><td>{c['fpcc']}</td>"
-            f"<td>{c['spcc']}</td><td>{aliases}</td></tr>")
-    rows.append("</table>")
-    return "\n".join(rows)
+        rows.append((html.escape(c["name"]), c["gender"], c["count"], c["gcc"],
+                     c["fpcc"], c["spcc"], aliases))
+    return _table(("Character", "Gender", "Mentions", "gcc", "fpcc", "spcc",
+                   "Aliases"), rows)
 
 
 def emit_book_report(payload, out_dir, digests=None):
@@ -511,13 +418,9 @@ def emit_book_report(payload, out_dir, digests=None):
         for key, header in (("most", "Most representative"),
                             ("least", "Least representative"),
                             ("missing", "Missing")):
-            entries = vocabulary.get(key, [])
-            if key == "missing":
-                items = "".join(f"<li>{html.escape(w)}</li>"
-                                for w, _ in entries)
-            else:
-                items = "".join(f"<li>{html.escape(w)} ({r:.2f})</li>"
-                                for w, r in entries)
+            items = "".join(f"<li>{html.escape(w)}</li>" if key == "missing"
+                            else f"<li>{html.escape(w)} ({r:.2f})</li>"
+                            for w, r in vocabulary.get(key, []))
             cols.append(f"<div><h3>{header}</h3><ul>{items}</ul></div>")
         parts.append('<div class="cols">' + "".join(cols) + "</div>")
 
@@ -537,26 +440,19 @@ def emit_book_report(payload, out_dir, digests=None):
             "overlay": overlay,
         }) + "</figure>")
         if placement and placement.get("pos_percentiles"):
-            rows = ["<table>", "<tr><th>POS</th><th>Count</th><th>Percent</th>"
-                    "<th>Corpus percentile</th></tr>"]
-            for tag in sorted(pos):
-                pct = placement["pos_percentiles"].get(tag)
-                pct_text = f"{pct:.1f}" if pct is not None else "-"
-                rows.append(f"<tr><td>{tag}</td><td>{pos[tag]['count']}</td>"
-                            f"<td>{pos[tag]['percent']:.2f}</td>"
-                            f"<td>{pct_text}</td></tr>")
-            rows.append("</table>")
-            parts.append("\n".join(rows))
+            percentiles = placement["pos_percentiles"]
+            parts.append(_table(
+                ("POS", "Count", "Percent", "Corpus percentile"),
+                [(tag, pos[tag]["count"], f"{pos[tag]['percent']:.2f}",
+                  "-" if percentiles.get(tag) is None
+                  else f"{percentiles[tag]:.1f}") for tag in sorted(pos)]))
 
     readability = payload.get("readability")
     if readability:
         parts.append("<h2>Readability</h2>")
-        rows = ["<table>", "<tr><th>Metric</th><th>Score</th></tr>"]
-        for metric in sorted(readability):
-            rows.append(f"<tr><td>{metric}</td>"
-                        f"<td>{readability[metric]:.3f}</td></tr>")
-        rows.append("</table>")
-        parts.append("\n".join(rows))
+        parts.append(_table(("Metric", "Score"),
+                            [(metric, f"{readability[metric]:.3f}")
+                             for metric in sorted(readability)]))
 
     html_path = out_dir / BOOK_HTML
     write_if_changed(html_path, _page(title, parts), digests)
@@ -586,12 +482,9 @@ def emit_corpus_report(stats, out_dir, digests=None):
     top2 = stats.get("top2")
     if top2 and top2.get("outliers") is not None:
         parts.append("<h2>Top-2 mention ratio outliers</h2>")
-        rows = ["<table>", "<tr><th>Book</th><th>Ratio</th></tr>"]
-        for outlier in top2["outliers"]:
-            rows.append(f"<tr><td>{html.escape(outlier['id'])}</td>"
-                        f"<td>{outlier['ratio']:.2f}</td></tr>")
-        rows.append("</table>")
-        parts.append("\n".join(rows))
+        parts.append(_table(("Book", "Ratio"), [
+            (html.escape(outlier["id"]), f"{outlier['ratio']:.2f}")
+            for outlier in top2["outliers"]]))
 
     gender_bins = stats.get("gender_over_time")
     if gender_bins:
@@ -644,66 +537,3 @@ def _emit_grouped_index(stats, path, field, heading, digests):
             for b in books)
         parts.append(f"<h2>{html.escape(key)}</h2><ul>{items}</ul>")
     write_if_changed(path, _page(heading, parts), digests)
-
-
-# -- JSON schema validation --------------------------------------------------------
-
-SCHEMA_DIR = Path(__file__).parent / "schemas"
-
-
-def load_schema(name):
-    return json.loads((SCHEMA_DIR / name).read_text(encoding="utf-8"))
-
-
-def validate_schema(payload, schema, path="$"):
-    """Check a document against the subset of JSON Schema the repo uses.
-
-    Supports type, enum, properties, required, items, and
-    additionalProperties. Returns a list of error strings (empty = valid).
-    """
-    errors = []
-    expected = schema.get("type")
-    if expected is not None:
-        allowed = expected if isinstance(expected, list) else [expected]
-        if not any(_type_ok(payload, t) for t in allowed):
-            errors.append(f"{path}: expected {allowed}, got {type(payload).__name__}")
-            return errors
-    if "enum" in schema and payload not in schema["enum"]:
-        errors.append(f"{path}: {payload!r} not in enum {schema['enum']}")
-    if isinstance(payload, dict):
-        for key in schema.get("required", []):
-            if key not in payload:
-                errors.append(f"{path}: missing required key {key!r}")
-        properties = schema.get("properties", {})
-        extra = schema.get("additionalProperties", True)
-        for key, value in payload.items():
-            if key in properties:
-                errors.extend(validate_schema(value, properties[key],
-                                              f"{path}.{key}"))
-            elif isinstance(extra, dict):
-                errors.extend(validate_schema(value, extra, f"{path}.{key}"))
-            elif extra is False:
-                errors.append(f"{path}: unexpected key {key!r}")
-    if isinstance(payload, list) and "items" in schema:
-        for i, item in enumerate(payload):
-            errors.extend(validate_schema(item, schema["items"], f"{path}[{i}]"))
-    return errors
-
-
-def _type_ok(value, type_name):
-    if type_name == "object":
-        return isinstance(value, dict)
-    if type_name == "array":
-        return isinstance(value, list)
-    if type_name == "string":
-        return isinstance(value, str)
-    if type_name == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if type_name == "number":
-        return (isinstance(value, (int, float))
-                and not isinstance(value, bool))
-    if type_name == "boolean":
-        return isinstance(value, bool)
-    if type_name == "null":
-        return value is None
-    return False

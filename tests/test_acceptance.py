@@ -25,7 +25,7 @@ from bindery.analytics_corpus import (pos_correlations, percentile,
 from bindery.characters import build_interaction_network
 from bindery.dedup import (CorpusEntry, CorpusIndex, dedup_corpus,
                            fingerprint, shingle_set)
-from bindery.report import load_schema, validate_schema
+from bindery.store import load_schema, validate_schema
 from bindery.xml_model import ANALYZED_POS, CharacterRecord
 
 from conftest import BOOKS, ORACLES

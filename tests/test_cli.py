@@ -1,4 +1,5 @@
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import logging
@@ -17,9 +18,11 @@ import pytest
 
 import bindery
 from bindery import analytics_book, cli, dedup, pipeline, report, xml_model
+from bindery import store as store_module
 from bindery.cli import main
 from bindery.config import Config
 from bindery.errors import BinderyError, TooShortError
+from bindery.store import Traces, analysis_parts, kept_book_ids, store_book_ids
 from conftest import BOOKS
 from generators import random_book
 
@@ -175,7 +178,7 @@ def test_sources_with_one_book_id_fail_that_id_and_write_neither(
         "error": "sources map to the same book id: "
                  f"{raw_dir / '1001.txt'}, {raw_dir / 'pg1001.txt'}"}]
     assert not (store / "pg1001").exists()
-    assert pipeline.store_book_ids(store) == ["pg1002", "pg730"]
+    assert store_book_ids(store) == ["pg1002", "pg730"]
     assert (store / "pg730" / "index.html").exists()
     assert "all: 2 book(s) ok, 1 failed" in caplog.messages
 
@@ -300,9 +303,9 @@ def test_each_command_runs_its_runner_with_the_runs_traces(
     expected += [str(store), Config.load(config_path)]
     assert list(args[:len(expected)]) == expected
     traces, *book_ids = args[len(expected):]
-    assert isinstance(traces, pipeline.Traces) and traces.force is True
+    assert isinstance(traces, Traces) and traces.force is True
     assert book_ids == ([] if command in ("ingest", "dedup", "all")
-                        else [pipeline.kept_book_ids(store)])
+                        else [kept_book_ids(store)])
 
 
 def test_progress_log_lines(raw_dir, smoke_config, tmp_path):
@@ -434,13 +437,13 @@ def test_failed_forced_annotate_leaves_analyze_the_earlier_annotation(
     steps = tmp_path / "steps"
     shutil.copytree(store, steps)
     _inject_pg1001_failure(monkeypatch, "annotate")
-    book_ids = pipeline.kept_book_ids(store)
+    book_ids = kept_book_ids(store)
     together = pipeline._run_stale(("annotate", "analyze"), store, config,
-                                   pipeline.Traces(force=True), book_ids)
+                                   Traces(force=True), book_ids)
     one_by_one = [result for runner in (pipeline.run_annotate,
                                         pipeline.run_analyze)
                   for result in runner(steps, config,
-                                       pipeline.Traces(force=True), book_ids)]
+                                       Traces(force=True), book_ids)]
     assert together == one_by_one
     assert [(r.book_id, r.phase) for r in together if not r.ok] == [
         ("pg1001", "annotate")]
@@ -449,16 +452,18 @@ def test_failed_forced_annotate_leaves_analyze_the_earlier_annotation(
 
 @pytest.fixture
 def changed_writes(monkeypatch):
-    """Counts the ``report.write_if_changed`` calls that changed a file."""
+    """Counts the calls of the store's writer, as the store, the pipeline
+    and the renderer bind it, that changed a file."""
     writes = Counter()
-    real = report.write_if_changed
+    real = store_module.write_if_changed
 
     def counting(path, content, digests=None):
         changed = real(path, content, digests)
         writes[Path(path)] += changed
         return changed
 
-    monkeypatch.setattr(report, "write_if_changed", counting)
+    for module in (store_module, pipeline, report):
+        monkeypatch.setattr(module, "write_if_changed", counting)
     return writes
 
 
@@ -467,10 +472,10 @@ def test_cold_all_writes_each_book_json_once(smoke_config, tmp_path,
     store = tmp_path / "store"
     assert run("--config", str(smoke_config), "all", "--in", str(BOOKS),
                "--out", str(store)) == 0
-    kept = pipeline.kept_book_ids(store)
+    kept = kept_book_ids(store)
     # book.xml: ingest writes it, then the shared annotate+analyze pass.
     expected = {store / book_id / "book.xml": 1 + (book_id in kept)
-                for book_id in pipeline.store_book_ids(store)}
+                for book_id in store_book_ids(store)}
     expected.update({store / book_id / name: 1 for book_id in kept
                      for name in ("book.json", "lemmas.json")})
     assert {path: n for path, n in changed_writes.items()
@@ -515,7 +520,10 @@ def test_jobs_flag_parallel_annotate(raw_dir, smoke_config, tmp_path):
     assert (store / "pg730" / "index.html").exists()
 
 
-def test_fetch_subcommand_uses_stub_mirror(tmp_path):
+@contextlib.contextmanager
+def stub_mirror(missing=0):
+    """The URL of a mirror on 127.0.0.1 that serves every book, each
+    response closed ``missing`` bytes short of its Content-Length."""
     import http.server
     import threading
 
@@ -523,7 +531,7 @@ def test_fetch_subcommand_uses_stub_mirror(tmp_path):
         def do_GET(self):
             body = b"Title: Stubbed\n\nText body.\n"
             self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
+            self.send_header("Content-Length", str(len(body) + missing))
             self.end_headers()
             self.wfile.write(body)
 
@@ -533,14 +541,30 @@ def test_fetch_subcommand_uses_stub_mirror(tmp_path):
     server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
-        mirror = f"http://127.0.0.1:{server.server_address[1]}"
-        status = run("fetch", "--ids", "730,11", "--out", str(tmp_path),
-                     "--mirror", mirror)
-        assert status == 0
-        assert (tmp_path / "pg730.txt").exists()
-        assert (tmp_path / "pg11.txt").exists()
+        yield f"http://127.0.0.1:{server.server_address[1]}"
     finally:
         server.shutdown()
+
+
+def test_fetch_subcommand_uses_stub_mirror(tmp_path):
+    with stub_mirror() as mirror:
+        status = run("fetch", "--ids", "730,11", "--out", str(tmp_path),
+                     "--mirror", mirror)
+    assert status == 0
+    assert (tmp_path / "pg730.txt").exists()
+    assert (tmp_path / "pg11.txt").exists()
+
+
+def test_cut_off_download_is_one_error_line_and_no_file(tmp_path, caplog):
+    out = tmp_path / "raw"
+    with stub_mirror(missing=10) as mirror:
+        assert run("fetch", "--ids", "730", "--out", str(out),
+                   "--mirror", mirror) == 1
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert errors[0].message.startswith("fetch 730 failed: cannot fetch ")
+    assert "IncompleteRead" in errors[0].message
+    assert not (out / "pg730.txt").exists()
 
 
 def test_hathi_pagewise_source(smoke_config, tmp_path):
@@ -599,23 +623,24 @@ def test_noop_all_full_parses_no_book(fixture_store, parse_callers):
 def test_noop_all_digests_each_file_at_most_once(fixture_store, monkeypatch):
     config, store = fixture_store
     digested = Counter()
-    real_digest = pipeline._file_digest
+    real_digest = store_module.file_digest
 
     def counting_digest(path):
         digested[path] += 1
         return real_digest(path)
 
-    monkeypatch.setattr(pipeline, "_file_digest", counting_digest)
+    monkeypatch.setattr(store_module, "file_digest", counting_digest)
     assert rerun_all(config, store) == 0
-    # The sources (for ingest), what corpus-stats reads and writes, and
-    # the pages (for report).
+    # The sources (for ingest), the index (dedup writes it again, and the
+    # writer compares it with the file), what corpus-stats reads and
+    # writes, and the pages (for report).
     assert digested == Counter([
         *BOOKS.glob("*.txt"),
-        *(store / book_id / name for book_id in pipeline.kept_book_ids(store)
+        *(store / book_id / name for book_id in kept_book_ids(store)
           for name in ("book.xml", "lemmas.json", "book.json", "index.html")),
         *(store / "_corpus" / name for name in (
-            "corpus.json", "lemmas.json", "vectors.bin", "corpus.html",
-            "authors.html", "subjects.html"))])
+            "index.jsonl", "corpus.json", "lemmas.json", "vectors.bin",
+            "corpus.html", "authors.html", "subjects.html"))])
 
 
 def test_report_ranks_the_corpus_vocabulary_once_per_run(fixture_store,
@@ -685,7 +710,7 @@ def test_forced_all_full_parses_each_kept_book_once_after_dedup(
 
 def test_every_kept_book_has_lemma_file_matching_its_xml(fixture_store):
     config, store = fixture_store
-    kept = pipeline.kept_book_ids(store)
+    kept = kept_book_ids(store)
     assert kept
     for book_id in kept:
         data = (store / book_id / "book.xml").read_bytes()
@@ -694,7 +719,7 @@ def test_every_kept_book_has_lemma_file_matching_its_xml(fixture_store):
         # The trace: the JSON text of the settings analyze reads and the
         # digest of book.xml, digested.
         parts = [getattr(Config.load(config), key)
-                 for key in pipeline.ANALYSIS_KEYS]
+                 for key in store_module.ANALYSIS_KEYS]
         parts.append(hashlib.sha256(data).hexdigest())
         assert sidecar == {
             "trace": hashlib.sha256(json.dumps(parts).encode()).hexdigest(),
@@ -759,7 +784,7 @@ def _no_payload(path):  # as written before the file held the payload
 
 def _other_config(path):  # as written under another timeline_top_k
     other = Config(timeline_top_k=1)
-    trace = pipeline.Traces(False).digest(pipeline._analysis_parts(
+    trace = Traces(False).digest(analysis_parts(
         path.parent.parent, path.parent.name, other))
     _edit_sidecar(path, lambda sidecar: sidecar.update(trace=trace))
 
@@ -962,6 +987,20 @@ def test_unknown_config_variable_is_one_error_line_and_exit_2(
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("key", ["minhash_hashes", "shingle_size",
+                                 "gender_time_bins", "top2_histogram_bins"])
+def test_count_below_one_is_a_bad_config(tmp_path, caplog, monkeypatch, key,
+                                         value):
+    monkeypatch.setenv(f"BINDERY_{key.upper()}", value)
+    caplog.set_level(logging.INFO)
+    assert run("all", "--in", str(BOOKS), "--out", str(tmp_path / "store")) == 2
+    assert [(r.levelno, r.exc_info) for r in caplog.records] == [
+        (logging.ERROR, None)]
+    assert caplog.records[0].message == f"bad config: {key} = {value}: below 1"
+    assert not (tmp_path / "store").exists()
+
+
 def test_noop_parallel_all_starts_no_pool(fixture_store, monkeypatch):
     config, store = fixture_store
     pools = []
@@ -1090,7 +1129,7 @@ def _assert_memo_matches_full_builds(config, store, parse_callers, *flags):
     memo = _index_bytes(store)
     parse_callers.clear()
     assert _dedup(config, store, "--force", *flags) == 0
-    assert parse_callers["run_dedup"] == len(pipeline.store_book_ids(store))
+    assert parse_callers["run_dedup"] == len(store_book_ids(store))
     assert _index_bytes(store) == memo
     (store / "_corpus" / "index.jsonl").unlink()
     assert _dedup(config, store, *flags) == 0
@@ -1299,7 +1338,7 @@ def _per_page_memo(path):
     """The report memo in the shape it had before its one trace: a trace
     for each kept book's pages and one for the corpus pages."""
     trace = json.loads(path.read_bytes())["trace"]
-    pages = [*pipeline.kept_book_ids(path.parent.parent), "_corpus"]
+    pages = [*kept_book_ids(path.parent.parent), "_corpus"]
     path.write_text(json.dumps(dict.fromkeys(pages, trace)), encoding="utf-8")
 
 
@@ -1353,7 +1392,7 @@ def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
         where, name, damage = change
         damage((store / book_id if where == "book" else store / "_corpus")
                / name)
-    books = len(pipeline.kept_book_ids(store))
+    books = len(kept_book_ids(store))
     reused, rendered = {"none": (books, 0), "all": (0, books),
                         "all but one": (0, books - 1),
                         "every book fails": (0, 0)}[pages]
@@ -1378,6 +1417,21 @@ def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
 def test_memo_runs_match_forced_runs(fixture_store, caplog, monkeypatch, case):
     config, store = fixture_store
     _check_memo_case(config, store, "pg730", case, caplog, monkeypatch)
+
+
+def test_mirror_base_reruns_no_corpus_phase(fixture_store, caplog,
+                                            monkeypatch, changed_writes):
+    """Only fetch reads mirror_base, so no trace covers it."""
+    config, store = fixture_store
+    books = len(kept_book_ids(store))
+    monkeypatch.setenv("BINDERY_MIRROR_BASE", "http://127.0.0.1:9/mirror")
+    caplog.set_level(logging.DEBUG)
+    assert run("--config", str(config), "-v", "all", "--in", str(BOOKS),
+               "--out", str(store)) == 0
+    assert _memo_lines(caplog) == [
+        f"corpus-stats: inputs unchanged, {books} book(s) reused",
+        f"report: {books} page(s) reused, 0 rendered"]
+    assert +changed_writes == Counter()
 
 
 def test_noop_report_calls_no_writer(fixture_store, changed_writes):
@@ -1461,7 +1515,7 @@ def test_changed_input_leaves_the_store_of_a_cold_run(
         assert {path: n for path, n in writes.items()
                 if path.name == "book.xml"} == {
             store / book_id / "book.xml": 1
-            for book_id in pipeline.kept_book_ids(store)}
+            for book_id in kept_book_ids(store)}
     if case == "analysis key":
         pages = json.loads((store / "pg730" / "book.json").read_bytes())
         assert len(pages["timeline"]["characters"]) == 1
@@ -1513,7 +1567,7 @@ def test_trace_keys_are_the_config_keys_their_phase_reads(fixture_store,
     config = RecordingConfig(**asdict(Config.load(config_path)))
     reads.clear()
     PHASE_READS[keys](config, store, tmp_path)
-    assert sorted(reads) == sorted(getattr(pipeline, keys))
+    assert sorted(reads) == sorted(getattr(store_module, keys))
 
 
 @pytest.fixture(scope="module")
@@ -1634,13 +1688,13 @@ def test_cold_all_runs_blas_on_one_thread(smoke_config, tmp_path):
     assert given[:2] == ["0", "True"] and given[3:] == ["2", "1", "1"]
 
 
-# What a run that finds nothing to do may load: the CLI, the store formats
-# and the ingest/dedup/report code that checks the store.
+# What a run that finds nothing to do may load: the CLI, the store and its
+# formats, and the ingest/dedup code that checks the store; not the renderer.
 NOOP_MODULES = ["bindery", "bindery.cli", "bindery.config", "bindery.dedup",
                 "bindery.errors", "bindery.ingest", "bindery.pipeline",
-                "bindery.report", "bindery.xml_model"]
+                "bindery.store", "bindery.xml_model"]
 PHASE_MODULES = ["bindery.analytics_book", "bindery.analytics_corpus",
-                 "bindery.characters", "bindery.linguistic",
+                 "bindery.characters", "bindery.linguistic", "bindery.report",
                  "bindery.segmentation"]
 HEAVY_MODULES = ["bindery.lexicons", "concurrent.futures.process", "numpy"]
 

@@ -1,17 +1,15 @@
 import hashlib
-import tracemalloc
 
 import pytest
 
-from bindery import report, xml_model
+from bindery import xml_model
 from bindery.config import Config
 from bindery.errors import MissingPhaseError
 from bindery.ingest import read_gutenberg
-from bindery.pipeline import (Traces, _file_digest, annotate_book, body_text_of,
-                              build_book_payload, canonicalize_body,
-                              ingest_to_book, to_raw_stage)
+from bindery.pipeline import (annotate_book, body_text_of, build_book_payload,
+                              canonicalize_body, ingest_to_book, to_raw_stage)
 from conftest import BOOKS
-from generators import long_book, random_book
+from generators import random_book
 from oracles.body_text import body_text_of as oracle_body_text_of
 
 
@@ -107,24 +105,3 @@ def test_analytics_requires_characters_phase(config):
     with pytest.raises(MissingPhaseError) as err:
         build_book_payload(book, config)
     assert "characters" in str(err.value)
-
-
-def test_digesting_a_book_holds_one_chunk_of_it(tmp_path):
-    path = tmp_path / "book.xml"
-    report.write_if_changed(path, xml_model.serialize_pieces(
-        long_book(1, sections=8, paragraphs=200)))
-    assert path.stat().st_size >= 3_000_000
-    traces = Traces(force=False)
-    tracemalloc.start()
-    try:
-        traces.digest([path])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert traces.files[path] == hashlib.sha256(path.read_bytes()).hexdigest()
-    assert peak < 256 * 1024
-
-
-def test_file_digest_of_a_missing_path_or_a_directory_is_none(tmp_path):
-    assert _file_digest(tmp_path / "missing.xml") is None
-    assert _file_digest(tmp_path) is None

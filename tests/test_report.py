@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from bindery import xml_model
 from bindery.errors import ChartError, InvariantError
-from bindery.report import (dump_json, emit_book_report, emit_corpus_report,
-                            file_digest, load_schema, render_svg_chart,
-                            validate_schema, write_if_changed)
+from bindery.report import (emit_book_report, emit_corpus_report,
+                            render_svg_chart)
+from bindery.store import (dump_json, file_digest, load_schema, validate_schema,
+                           write_if_changed)
 from bindery.xml_model import CharacterRecord
 
 from generators import long_book, random_book
@@ -261,6 +262,9 @@ def test_author_index_groups_books(tmp_path):
     html = (tmp_path / "authors.html").read_text(encoding="utf-8")
     assert "Charles Dickens" in html
     assert "Oliver Twist" in html
+
+
+# -- the store's writer and digest, which emission writes through --------------
 
 
 def test_write_if_changed_preserves_timestamps(tmp_path):
