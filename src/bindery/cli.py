@@ -16,7 +16,6 @@ from pathlib import Path
 from . import pipeline
 from .config import Config
 from .errors import BinderyError
-from .ingest import fetch_gutenberg
 from .store import Traces, append_progress, kept_book_ids
 
 log = logging.getLogger("bindery")
@@ -80,6 +79,7 @@ def main(argv=None):
         config.jobs = args.jobs
 
     if args.command == "fetch":
+        from .ingest import fetch_gutenberg  # loaded only by the runs that use it
         mirror = args.mirror or config.mirror_base
         failures = 0
         for raw_id in args.ids.split(","):

@@ -12,9 +12,14 @@ from dataclasses import dataclass, fields
 
 
 ENV_PREFIX = "BINDERY_"
-# Counts below 1 divide by zero, or make every book a duplicate.
-POSITIVE_KEYS = ("shingle_size", "minhash_hashes", "top2_histogram_bins",
-                 "gender_time_bins")
+# The range of each bounded key, (lowest, highest or None). Counts below 1
+# divide by zero or make every book a duplicate; xml_model.validate needs 3
+# mentions of each character; a threshold is a share; a negative list length
+# slices from the end.
+RANGES = {"shingle_size": (1, None), "minhash_hashes": (1, None),
+          "top2_histogram_bins": (1, None), "gender_time_bins": (1, None),
+          "min_mentions": (3, None), "dedup_content_threshold": (0, 1),
+          "vocab_list_len": (0, None), "similar_top_k": (0, None)}
 
 
 @dataclass
@@ -89,9 +94,12 @@ class Config:
             if key not in cls.field_names():
                 raise KeyError(f"unknown config key: {key!r}")
             setattr(cfg, key, _coerce(getattr(cfg, key), raw))
-        for key in POSITIVE_KEYS:
-            if getattr(cfg, key) < 1:
-                raise ValueError(f"{key} = {getattr(cfg, key)}: below 1")
+        for key, (lowest, highest) in RANGES.items():
+            value = getattr(cfg, key)
+            if not value >= lowest:  # so NaN is out of range too
+                raise ValueError(f"{key} = {value}: below {lowest}")
+            if highest is not None and value > highest:
+                raise ValueError(f"{key} = {value}: above {highest}")
         return cfg
 
 

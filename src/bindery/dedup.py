@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError, TooShortError
 from .ingest import strip_diacritics
-from .store import write_if_changed
+from .store import index_records, write_if_changed
 
 BASE_SEED = 0x5EED
 NUM_HASHES = 128
@@ -181,42 +181,24 @@ class CorpusEntry:
 class CorpusIndex:
     entries: list = field(default_factory=list)
 
-    def save(self, path):
-        """Write one JSON record per line, a record at a time."""
+    def save(self, path, digests=None):
+        """Write one JSON record per line, a record at a time; ``digests``
+        gets the file's digest (``write_if_changed``)."""
         write_if_changed(path, (json.dumps(_record(entry), sort_keys=True)
-                                + "\n" for entry in self.entries))
+                                + "\n" for entry in self.entries), digests)
 
     @classmethod
     def load(cls, path):
         """Read an index a line at a time; a malformed line or record
         raises ParseError."""
         index = cls()
-        for number, line in _numbered_lines(path):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                raise ParseError(f"{path}: malformed JSON: {exc}",
-                                 line=number) from exc
-            if (not isinstance(record, dict)
-                    or not isinstance(record.get("id"), str)):
-                raise ParseError(f"{path}: record is not an object with a "
-                                 "string id", line=number)
+        for number, record in index_records(path):
             try:
                 index.entries.append(_entry_from_record(record))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: bad record for {record['id']}: "
                                  f"{exc!r}", line=number) from exc
         return index
-
-
-def _numbered_lines(path):
-    """``(number, line)`` for each line of a file, read a line at a time and
-    numbered from 1 as ``bytes.splitlines`` splits: at LF, CR and CR LF."""
-    with open(path, "rb") as fh:
-        yield from enumerate((line for chunk in fh
-                              for line in chunk.splitlines()), start=1)
 
 
 def _record(entry):

@@ -11,17 +11,12 @@ import logging
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 from .errors import EmptyInputError, FetchError, NotFoundError, PagewiseError
+from .store import SourceKind, gutenberg_id, hathi_id, write_if_changed
 
 log = logging.getLogger(__name__)
-
-
-class SourceKind(str, Enum):
-    GUTENBERG_TEXT = "gutenberg_text"
-    HATHI_PAGEWISE = "hathi_pagewise"
 
 
 @dataclass
@@ -70,18 +65,6 @@ _META_LINE = re.compile(
     r"^(Title|Author|Release Date|Posting Date|Language|Editor|Illustrator"
     r"|Translator|Original Publication|Credits|Produced by)\s*:\s*(.*)$",
     re.IGNORECASE)
-
-
-def gutenberg_id(path):
-    """Source id of a Gutenberg text file: ``pg`` plus its number or stem."""
-    stem = Path(path).stem
-    match = re.fullmatch(r"(?:pg)?(\d+)", stem)
-    return f"pg{match.group(1) if match else stem}"
-
-
-def hathi_id(directory):
-    """Source id of a page-wise book directory: ``ht`` plus its name."""
-    return f"ht{Path(directory).name}"
 
 
 def read_gutenberg(path):
@@ -398,12 +381,10 @@ def fetch_gutenberg(book_id, mirror_base, dest, timeout=30):
         log.info("pg%s already present, skipping fetch", book_id)
         return target
     # Imported here: urllib.request pulls in ssl and http.client, which no
-    # other command needs, and the store module imports this one.
+    # other command needs.
     import http.client
     import urllib.error
     import urllib.request
-
-    from .store import write_if_changed
 
     url = f"{mirror_base.rstrip('/')}/{book_id}/pg{book_id}.txt"
     try:

@@ -6,7 +6,8 @@ analyze share one parse and one ``book.xml`` write per book. Analyze alone
 computes a book's payload and lemmas, and report alone writes
 ``book.json``. The phase modules and the renderer run on first use
 (``_lazy``) and the process pool is imported only when one starts, so an
-unchanged store is re-run without any of them, or numpy.
+unchanged store is re-run without any of them, or numpy: sources are
+found and the kept set read through ``store`` alone.
 """
 
 import hashlib
@@ -20,16 +21,18 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import dedup, ingest, xml_model
+from . import xml_model
 from .errors import (AnalyticsError, BinderyError, MissingPhaseError, ParseError,
                      TooShortError)
 from .store import (BOOK_PAGES, CORPUS_JSON, CORPUS_KEYS, CORPUS_OUTPUTS,
-                    CORPUS_PAGES, CORPUS_STATS_MEMO, INDEX_FILE, INGEST_KEYS,
-                    LEMMA_MODEL_SCHEMA, LEMMAS_FILE, REPORT_MEMO, VECTORS_FILE,
-                    Traces, analysis_files, analysis_parts, annotate_parts,
-                    book_analysis, book_dir, book_xml, corpus_file,
-                    current_analysis, dump_json, load_schema, read_json,
-                    settings, source_parts, store_book_ids, write_if_changed)
+                    CORPUS_PAGES, CORPUS_STATS_MEMO, DEDUP_MEMO, INDEX_FILE,
+                    INGEST_KEYS, LEMMA_MODEL_SCHEMA, LEMMAS_FILE, REPORT_MEMO,
+                    VECTORS_FILE, SourceKind, Traces, analysis_files,
+                    analysis_parts, annotate_parts, book_analysis, book_dir,
+                    book_xml, corpus_file, current_analysis, dedup_parts,
+                    dump_json, gutenberg_id, hathi_id, index_duplicates,
+                    load_schema, read_json, settings, source_parts,
+                    store_book_ids, write_if_changed)
 from .xml_model import AnnotatedBook, BookMeta
 
 log = logging.getLogger(__name__)
@@ -57,6 +60,8 @@ def _lazy(name):
 
 
 # The phase modules and the renderer: a no-op run reaches none of them.
+ingest = _lazy("ingest")
+dedup = _lazy("dedup")
 segmentation = _lazy("segmentation")
 linguistic = _lazy("linguistic")
 characters = _lazy("characters")
@@ -79,11 +84,10 @@ def discover_sources(in_dir):
     sources = []
     for entry in sorted(in_dir.iterdir()):
         if entry.is_file() and entry.suffix == ".txt":
-            sources.append((ingest.gutenberg_id(entry), entry,
-                            ingest.SourceKind.GUTENBERG_TEXT))
+            sources.append((gutenberg_id(entry), entry,
+                            SourceKind.GUTENBERG_TEXT))
         elif entry.is_dir() and any(p.suffix == ".txt" for p in entry.iterdir()):
-            sources.append((ingest.hathi_id(entry), entry,
-                            ingest.SourceKind.HATHI_PAGEWISE))
+            sources.append((hathi_id(entry), entry, SourceKind.HATHI_PAGEWISE))
     return sources
 
 
@@ -99,7 +103,7 @@ def canonicalize_body(text):
 def ingest_to_book(raw, config):
     """Build the ingest-stage annotated book from a raw source."""
     fb_source = raw
-    if raw.source_kind == ingest.SourceKind.GUTENBERG_TEXT:
+    if raw.source_kind == SourceKind.GUTENBERG_TEXT:
         text, _ = ingest.strip_spans(
             raw.text, ingest.annotate_gutenberg_boilerplate(raw))
         fb_source = replace(raw, pages=[text])
@@ -126,8 +130,7 @@ def ingest_to_book(raw, config):
             author=raw.metadata.get("author"),
             year=int(year) if year is not None else None,
             source_id=raw.source_id,
-            corpus=("gutenberg"
-                    if raw.source_kind == ingest.SourceKind.GUTENBERG_TEXT
+            corpus=("gutenberg" if raw.source_kind == SourceKind.GUTENBERG_TEXT
                     else "hathi"),
             subjects=[s.strip() for s in
                       str(raw.metadata.get("subjects", "")).split(";")
@@ -508,7 +511,7 @@ def _failed(book_id, phase, exc):
 
 
 def _read_source(path, kind, config):
-    if kind == ingest.SourceKind.GUTENBERG_TEXT:
+    if kind == SourceKind.GUTENBERG_TEXT:
         return ingest.read_gutenberg(path)
     return ingest.read_hathi_pagewise(path, page_separator=config.page_separator)
 
@@ -617,16 +620,42 @@ def _dedup_entry(book_id, meta, text_length, fp, minhash):
 def run_dedup(store, config, traces):
     """Fingerprint every stored book and mark duplicates in the index.
 
-    A book whose record in the previous index is still current (see
-    ``_memoized_entry``) reuses that fingerprint, so an unchanged store is
-    deduplicated from ``<meta>`` reads alone.
+    While the memo's trace (``dedup_parts``) is current, nothing is
+    fingerprinted, compared or written: each book's representative comes
+    from the index. The trace is recorded only when every book succeeded.
+    Otherwise a book whose record in the previous index is still current
+    (see ``_memoized_entry``) reuses that fingerprint, and every pair of
+    books is compared.
     """
+    book_ids = store_book_ids(store)
+    index_path = corpus_file(store, INDEX_FILE)
+    memo_path = corpus_file(store, DEDUP_MEMO)
+    parts = dedup_parts(store, book_ids, config, traces)
+    if parts is not None and traces.memo_current(memo_path, parts):
+        log.debug("dedup: inputs unchanged, %d book(s) reused", len(book_ids))
+        removed = index_duplicates(index_path)
+        results = [PhaseResult(book_id, "dedup", True) for book_id in book_ids]
+    else:
+        results, removed = _dedup_books(store, book_ids, config, traces)
+        if parts is not None:
+            traces.record_memo(memo_path, parts, results)
+    for result in results:
+        result.duplicate_of = removed.get(result.book_id)
+    if removed:
+        log.info("dedup: %d duplicate(s): %s", len(removed),
+                 ", ".join(f"{b}->{r}" for b, r in removed.items()))
+    return results
+
+
+def _dedup_books(store, book_ids, config, traces):
+    """Fingerprint ``book_ids``, group them and write the index; returns
+    the results and the duplicates, book id to representative."""
     minhash = (config.minhash_hashes, config.shingle_size, config.seed)
     memo = traces.recorded(_previous_index, store) or {}
     index = dedup.CorpusIndex()
     results = []
     reused = 0
-    for book_id in store_book_ids(store):
+    for book_id in book_ids:
         try:
             entry = _memoized_entry(store, book_id, memo.get(book_id), minhash,
                                     traces)
@@ -643,15 +672,9 @@ def run_dedup(store, config, traces):
     dedup.dedup_corpus(index,
                        title_author_match=config.dedup_title_author,
                        content_threshold=config.dedup_content_threshold)
-    index.save(corpus_file(store, INDEX_FILE))
-    removed = {e.book_id: e.representative_of for e in index.entries
-               if e.is_duplicate}
-    for result in results:
-        result.duplicate_of = removed.get(result.book_id)
-    if removed:
-        log.info("dedup: %d duplicate(s): %s", len(removed),
-                 ", ".join(f"{b}->{r}" for b, r in removed.items()))
-    return results
+    index.save(corpus_file(store, INDEX_FILE), traces.files)
+    return results, {e.book_id: e.representative_of for e in index.entries
+                     if e.is_duplicate}
 
 
 def _annotate_analyze_one(args):

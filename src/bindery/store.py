@@ -1,23 +1,25 @@
 """The on-disk store: its layout, its one writer, its readers and its traces.
 
 Layout: ``store/<book_id>/{book.xml, lemmas.json, book.json, index.html}``
-with corpus-level files under ``store/_corpus/`` (docs/formats.md). Every
-file a run leaves in a store is written here: atomically and only when its
-bytes change, through ``write_if_changed``, or appended to the progress
-log. ``Traces`` is the one rule that decides whether an output is current;
-the ``*_KEYS`` sets and ``*_parts`` rules name what each trace covers.
+with corpus-level files under ``store/_corpus/`` (docs/formats.md); book
+ids come from their sources by the one source-id rule here. Every file a
+run leaves in a store is written here: atomically and only when its bytes
+change, through ``write_if_changed``, or appended to the progress log.
+``Traces`` is the one rule that decides whether an output is current; the
+``*_KEYS`` sets and ``*_parts`` rules name what each trace covers.
 """
 
 import hashlib
 import itertools
 import json
 import os
+import re
+from enum import Enum
 from pathlib import Path
 
 from . import xml_model
 from .config import Config
-from .errors import MissingPhaseError, ParseError
-from .ingest import SourceKind
+from .errors import BinderyError, MissingPhaseError, ParseError
 
 CORPUS_DIR = "_corpus"
 INDEX_FILE = "index.jsonl"
@@ -25,6 +27,7 @@ INDEX_FILE = "index.jsonl"
 LEMMAS_FILE = "lemmas.json"
 VECTORS_FILE = "vectors.bin"
 PROGRESS_FILE = "progress.jsonl"
+DEDUP_MEMO = "dedup.memo"
 CORPUS_STATS_MEMO = "corpus-stats.memo"
 REPORT_MEMO = "report.memo"
 # Written by corpus-stats, its one writer, and read by report.
@@ -38,10 +41,13 @@ CORPUS_HTML, AUTHORS_HTML, SUBJECTS_HTML = CORPUS_PAGES = (
 SCHEMA_DIR = Path(__file__).parent / "schemas"
 
 # The config keys each trace covers: what ingest reads for one book, what
-# annotate_book reads, what build_book_payload reads, and for corpus-stats
-# and report every key but jobs and mirror_base, which only fetch reads.
+# fingerprinting and grouping read, what annotate_book reads, what
+# build_book_payload reads, and for corpus-stats and report every key but
+# jobs and mirror_base, which only fetch reads.
 INGEST_KEYS = ("front_window_frac", "front_short_line_len",
                "front_short_line_ratio", "page_separator")
+DEDUP_KEYS = ("minhash_hashes", "shingle_size", "seed", "dedup_title_author",
+              "dedup_content_threshold")
 ANNOTATE_KEYS = ("header_max_len", "numbering_gap_tolerance", "lexicon_dir",
                  "min_mentions", "pronoun_sentence_window")
 ANALYSIS_KEYS = ("lexicon_dir", "timeline_top_k", "interaction_window",
@@ -56,7 +62,24 @@ LEMMA_MODEL_SCHEMA = {
                    "additionalProperties": {"type": "integer"}}}}
 
 
-# -- layout ----------------------------------------------------------------------
+# -- sources and layout ------------------------------------------------------------
+
+
+class SourceKind(str, Enum):
+    GUTENBERG_TEXT = "gutenberg_text"
+    HATHI_PAGEWISE = "hathi_pagewise"
+
+
+def gutenberg_id(path):
+    """Source id of a Gutenberg text file: ``pg`` plus its number or stem."""
+    stem = Path(path).stem
+    match = re.fullmatch(r"(?:pg)?(\d+)", stem)
+    return f"pg{match.group(1) if match else stem}"
+
+
+def hathi_id(directory):
+    """Source id of a page-wise book directory: ``ht`` plus its name."""
+    return f"ht{Path(directory).name}"
 
 
 def book_dir(store, book_id):
@@ -77,11 +100,8 @@ def store_book_ids(store):
 
 def kept_book_ids(store):
     """Book ids that survived dedup (all books when dedup has not run)."""
-    from .dedup import CorpusIndex  # dedup saves its index through this module
     index_path = corpus_file(store, INDEX_FILE)
-    entries = (CorpusIndex.load(index_path).entries
-               if index_path.exists() else [])
-    duplicates = {e.book_id for e in entries if e.is_duplicate}
+    duplicates = index_duplicates(index_path) if index_path.exists() else {}
     return [b for b in store_book_ids(store) if b not in duplicates]
 
 
@@ -251,6 +271,39 @@ def read_json(path, schema, kind):
     return payload
 
 
+def index_records(path):
+    """``(line number, record)`` for each record of a dedup index, read a
+    line at a time; a line that is not JSON, or a record that is not an
+    object with a string id, raises ParseError naming the file and line."""
+    for number, line in _numbered_lines(path):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ParseError(f"{path}: malformed JSON: {exc}",
+                             line=number) from exc
+        if not isinstance(record, dict) or not isinstance(record.get("id"), str):
+            raise ParseError(f"{path}: record is not an object with a "
+                             "string id", line=number)
+        yield number, record
+
+
+def _numbered_lines(path):
+    """``(number, line)`` for each line of a file, read a line at a time and
+    numbered from 1 as ``bytes.splitlines`` splits: at LF, CR and CR LF."""
+    with open(path, "rb") as fh:
+        yield from enumerate((line for chunk in fh
+                              for line in chunk.splitlines()), start=1)
+
+
+def index_duplicates(path):
+    """The duplicates a dedup index marks: book id to its representative."""
+    return {record["id"]: record["representative_of"]
+            for _, record in index_records(path)
+            if record.get("representative_of") is not None}
+
+
 def _json_object(path):
     """A JSON file's object; {} if it is missing, malformed or not one."""
     try:
@@ -342,6 +395,24 @@ def source_parts(path, kind):
         return [path]
     return [part for page in sorted(path.glob("*.txt"))
             for part in (page.name, page)]
+
+
+def dedup_parts(store, book_ids, config, traces):
+    """What the dedup memo covers: the dedup keys; each book's id and the
+    ``<meta>`` fields its index record is built from; and the index. None
+    while a ``<meta>`` cannot be read or has no body digest, which alone
+    stands for the body (annotate rewrites ``book.xml`` after dedup)."""
+    parts = settings(config, DEDUP_KEYS)
+    for book_id in book_ids:
+        try:
+            meta = traces.head(book_xml(store, book_id))
+        except BinderyError:
+            return None
+        if not (meta and meta.body_sha256):
+            return None
+        parts += [book_id, meta.body_sha256, meta.title, meta.author,
+                  meta.year, meta.corpus]
+    return parts + [corpus_file(store, INDEX_FILE)]
 
 
 def annotate_parts(meta, config):

@@ -631,9 +631,9 @@ def test_noop_all_digests_each_file_at_most_once(fixture_store, monkeypatch):
 
     monkeypatch.setattr(store_module, "file_digest", counting_digest)
     assert rerun_all(config, store) == 0
-    # The sources (for ingest), the index (dedup writes it again, and the
-    # writer compares it with the file), what corpus-stats reads and
-    # writes, and the pages (for report).
+    # The sources (for ingest), the index (for dedup's trace, which then
+    # reads its representatives and writes nothing), what corpus-stats
+    # reads and writes, and the pages (for report).
     assert digested == Counter([
         *BOOKS.glob("*.txt"),
         *(store / book_id / name for book_id in kept_book_ids(store)
@@ -680,15 +680,21 @@ def test_noop_after_pool_workers_rewrote_books_reuses_everything(
 def test_all_reads_dedup_index_only_for_dedup_memo(fixture_store, monkeypatch):
     config, store = fixture_store
     loads = []
-    real_load = dedup.CorpusIndex.load.__func__
+    real_lines = store_module._numbered_lines
 
-    def counting_load(cls, path):
+    def counting_lines(path):
         loads.append(Path(path).name)
-        return real_load(cls, path)
+        return real_lines(path)
 
-    monkeypatch.setattr(dedup.CorpusIndex, "load", classmethod(counting_load))
-    assert rerun_all(config, store) == 0
-    assert loads == ["index.jsonl"]
+    monkeypatch.setattr(store_module, "_numbered_lines", counting_lines)
+    # Once for the representatives while dedup's trace is current, once
+    # for the records' fingerprints while it is not.
+    for memo in ("current", "deleted"):
+        if memo == "deleted":
+            (store / "_corpus" / "dedup.memo").unlink()
+        loads.clear()
+        assert rerun_all(config, store) == 0
+        assert loads == ["index.jsonl"], memo
     loads.clear()
     assert rerun_all(config, store, "--force") == 0
     assert loads == []
@@ -1001,6 +1007,35 @@ def test_count_below_one_is_a_bad_config(tmp_path, caplog, monkeypatch, key,
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("min_mentions", "2", "min_mentions = 2: below 3"),
+    ("dedup_content_threshold", "-1", "dedup_content_threshold = -1.0: below 0"),
+    ("dedup_content_threshold", "1.5", "dedup_content_threshold = 1.5: above 1"),
+    ("vocab_list_len", "-1", "vocab_list_len = -1: below 0"),
+    ("similar_top_k", "-1", "similar_top_k = -1: below 0"),
+])
+def test_value_out_of_range_is_a_bad_config(tmp_path, caplog, monkeypatch,
+                                            key, value, message):
+    monkeypatch.setenv(f"BINDERY_{key.upper()}", value)
+    caplog.set_level(logging.INFO)
+    assert run("all", "--in", str(BOOKS), "--out", str(tmp_path / "store")) == 2
+    assert [(r.levelno, r.exc_info) for r in caplog.records] == [
+        (logging.ERROR, None)]
+    assert caplog.records[0].message == f"bad config: {message}"
+    assert not (tmp_path / "store").exists()
+
+
+def test_values_at_the_ends_of_their_ranges_are_accepted():
+    env = {"BINDERY_MIN_MENTIONS": "3", "BINDERY_VOCAB_LIST_LEN": "0",
+           "BINDERY_SIMILAR_TOP_K": "0"}
+    for threshold in ("0", "1"):
+        env["BINDERY_DEDUP_CONTENT_THRESHOLD"] = threshold
+        config = Config.load(env=env)
+        assert config.dedup_content_threshold == float(threshold)
+    assert (config.min_mentions, config.vocab_list_len,
+            config.similar_top_k) == (3, 0, 0)
+
+
 def test_noop_parallel_all_starts_no_pool(fixture_store, monkeypatch):
     config, store = fixture_store
     pools = []
@@ -1144,6 +1179,7 @@ def test_memo_index_equals_forced_and_fresh_index(fixture_store, parse_callers,
     assert all(r["minhash"] == [128, 5, 13] for r in records)
     assert all(re.fullmatch("[0-9a-f]{64}", r["body_sha256"]) for r in records)
     caplog.set_level(logging.DEBUG)
+    (store / "_corpus" / "dedup.memo").unlink()  # so each record is reused
     assert _dedup(config, store, "-v") == 0
     assert parse_callers == {}
     assert "dedup: 5 fingerprint(s) reused, 0 computed" in caplog.messages
@@ -1171,6 +1207,9 @@ def test_memo_index_equals_full_builds_on_generated_books(tmp_path,
     undigested = sum(b"body_sha256" not in line
                      for line in _index_bytes(store).splitlines())
     assert 0 < undigested < 40
+    # A book without a body digest keeps dedup's trace from being current,
+    # so every run below reuses records one by one.
+    assert not (store / "_corpus" / "dedup.memo").exists()
     parse_callers.clear()
     assert _dedup(config_path, store) == 0
     assert parse_callers == {"run_dedup": undigested}
@@ -1272,6 +1311,135 @@ def test_truncated_index_fails_cleanly_and_dedup_rewrites_it(fixture_store,
     assert _dedup(config, store) == 0
     assert index.read_bytes() == good
     assert run("--config", str(config), "annotate", "--out", str(store)) == 0
+
+
+def test_record_of_wrong_shape_fails_only_dedups_reuse(fixture_store,
+                                                       parse_callers):
+    """The kept set needs only each record's id and representative_of."""
+    config, store = fixture_store
+    index = store / "_corpus" / "index.jsonl"
+    good = index.read_bytes()
+    records = [json.loads(line) for line in good.splitlines()]
+    records[0]["signature"] = "not a list of integers"
+    index.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run("--config", str(config), "annotate", "--out", str(store)) == 0
+    assert _dedup(config, store) == 0
+    assert parse_callers == {"run_dedup": 5}
+    assert index.read_bytes() == good
+
+
+def test_first_noop_after_cold_all_takes_the_dedup_memo(
+        raw_dir, smoke_config, tmp_path, caplog, monkeypatch):
+    store = tmp_path / "store"
+    assert run("--config", str(smoke_config), "all", "--in", str(raw_dir),
+               "--out", str(store)) == 0
+
+    def no_comparison(*args, **kwargs):
+        raise AssertionError("a no-op run fingerprinted or compared books")
+
+    for name in ("fingerprint", "dedup_corpus", "estimate_similarity"):
+        monkeypatch.setattr(dedup, name, no_comparison)
+    caplog.set_level(logging.DEBUG)
+    assert run("--config", str(smoke_config), "-v", "all", "--in",
+               str(raw_dir), "--out", str(store)) == 0
+    assert "dedup: inputs unchanged, 3 book(s) reused" in caplog.messages
+
+
+@pytest.fixture(scope="module")
+def dedup_store(tmp_path_factory):
+    """The fixture books and a reprint of pg730, ingested and deduplicated."""
+    root = tmp_path_factory.mktemp("dedup")
+    raw, store = root / "raw", root / "store"
+    shutil.copytree(BOOKS, raw)
+    shutil.copy(BOOKS / "pg730.txt", raw / "pg7300.txt")
+    assert run("ingest", "--in", str(raw), "--out", str(store)) == 0
+    assert run("dedup", "--out", str(store)) == 0
+    (store / "_corpus" / "progress.jsonl").unlink()
+    return raw, store
+
+
+def _set_header(source, **fields):
+    text = source.read_text(encoding="utf-8")
+    for name, value in fields.items():
+        text = re.sub(rf"^{name.title()}: .*$", f"{name.title()}: {value}",
+                      text, count=1, flags=re.MULTILINE)
+    source.write_text(text, encoding="utf-8")
+
+
+def _remove_reprint(raw, store):
+    (raw / "pg7300.txt").unlink()
+    shutil.rmtree(store / "pg7300")
+
+
+# name -> (change before the re-run, whether dedup's trace stays current).
+# A change is made to the sources and the store, to the environment, or to
+# the run as flags.
+DEDUP_MEMO_CASES = {
+    "unchanged": (None, True),
+    "source edited": (lambda raw, store: _edit_pg1002(raw), False),
+    "title changed": (lambda raw, store: _set_header(
+        raw / "pg1003.txt", title="A Title Changed by Hand"), False),
+    "title and author of another book": (lambda raw, store: _set_header(
+        raw / "pg1001.txt", title="Oliver Twist", author="Charles Dickens"),
+        False),
+    "book added": (lambda raw, store: shutil.copy(raw / "pg1002.txt",
+                                                  raw / "9002.txt"), False),
+    "book removed": (_remove_reprint, False),
+    "index.jsonl deleted": (
+        lambda raw, store: _delete(store / "_corpus" / "index.jsonl"), False),
+    "index.jsonl damaged": (
+        lambda raw, store: _truncate(store / "_corpus" / "index.jsonl"), False),
+    "dedup.memo damaged": (lambda raw, store: (
+        store / "_corpus" / "dedup.memo").write_text('{"trace": "'), False),
+    "seed": ({"BINDERY_SEED": "99"}, False),
+    "content threshold": ({"BINDERY_DEDUP_CONTENT_THRESHOLD": "0.5"}, False),
+    "--force": (["--force"], False),
+}
+
+
+def _duplicate_lines(caplog):
+    return [m for m in caplog.messages if " duplicate(s): " in m]
+
+
+@pytest.mark.parametrize("case", list(DEDUP_MEMO_CASES))
+def test_dedup_memo_runs_match_forced_runs(dedup_store, tmp_path, caplog,
+                                           monkeypatch, case):
+    """After each change, ingest and dedup leave the store and log the
+    duplicates of forced runs, and the next dedup takes the memo."""
+    raw, store = tmp_path / "raw", tmp_path / "store"
+    shutil.copytree(dedup_store[0], raw)
+    shutil.copytree(dedup_store[1], store)
+    change, current = DEDUP_MEMO_CASES[case]
+    flags = []
+    if isinstance(change, list):
+        flags = change
+    elif isinstance(change, dict):
+        for name, value in change.items():
+            monkeypatch.setenv(name, value)
+    elif change is not None:
+        change(raw, store)
+    forced = tmp_path / "forced"
+    shutil.copytree(store, forced)
+    caplog.set_level(logging.DEBUG)
+    duplicates, reused = [], []
+    for root, force in ((store, flags), (forced, ["--force"])):
+        caplog.clear()
+        assert run("-v", *force, "ingest", "--in", str(raw),
+                   "--out", str(root)) == 0
+        assert run("-v", *force, "dedup", "--out", str(root)) == 0
+        duplicates.append(_duplicate_lines(caplog))
+        reused.append(any(m.startswith("dedup: inputs unchanged")
+                          for m in caplog.messages))
+    assert reused == [current, False]
+    assert duplicates[0] == duplicates[1]
+    assert _store_bytes(store) == _store_bytes(forced)
+    caplog.clear()
+    assert run("-v", "dedup", "--out", str(store)) == 0
+    books = len(store_book_ids(store))
+    assert f"dedup: inputs unchanged, {books} book(s) reused" in caplog.messages
+    assert _duplicate_lines(caplog) == duplicates[0]
+    if case == "unchanged":
+        assert duplicates[0] == ["dedup: 1 duplicate(s): pg7300->pg730"]
 
 
 # -- corpus-stats and report memos ---------------------------------------------
@@ -1535,6 +1703,11 @@ def _ingest_each_source(config, store, tmp_path):
                                 config)
 
 
+def _dedup_every_book(config, store, tmp_path):
+    pipeline._dedup_books(store, store_book_ids(store), config,
+                          Traces(force=True))
+
+
 def _annotate_one(config, store, tmp_path):
     book = pipeline.to_raw_stage(xml_model.load(store / "pg730" / "book.xml"))
     pipeline.annotate_book(book, config)
@@ -1547,6 +1720,7 @@ def _analyze_one(config, store, tmp_path):
 
 # The keys a trace covers -> what its phase reads for one book.
 PHASE_READS = {"INGEST_KEYS": _ingest_each_source,
+               "DEDUP_KEYS": _dedup_every_book,
                "ANNOTATE_KEYS": _annotate_one,
                "ANALYSIS_KEYS": _analyze_one}
 
@@ -1688,13 +1862,14 @@ def test_cold_all_runs_blas_on_one_thread(smoke_config, tmp_path):
     assert given[:2] == ["0", "True"] and given[3:] == ["2", "1", "1"]
 
 
-# What a run that finds nothing to do may load: the CLI, the store and its
-# formats, and the ingest/dedup code that checks the store; not the renderer.
-NOOP_MODULES = ["bindery", "bindery.cli", "bindery.config", "bindery.dedup",
-                "bindery.errors", "bindery.ingest", "bindery.pipeline",
-                "bindery.store", "bindery.xml_model"]
+# What a run that finds nothing to do may load: the CLI, the pipeline, and
+# the store with its formats and traces; not the ingest or dedup code, which
+# only a book to ingest or fingerprint needs, nor the renderer.
+NOOP_MODULES = ["bindery", "bindery.cli", "bindery.config", "bindery.errors",
+                "bindery.pipeline", "bindery.store", "bindery.xml_model"]
 PHASE_MODULES = ["bindery.analytics_book", "bindery.analytics_corpus",
-                 "bindery.characters", "bindery.linguistic", "bindery.report",
+                 "bindery.characters", "bindery.dedup", "bindery.ingest",
+                 "bindery.linguistic", "bindery.report",
                  "bindery.segmentation"]
 HEAVY_MODULES = ["bindery.lexicons", "concurrent.futures.process", "numpy"]
 
