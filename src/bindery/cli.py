@@ -3,8 +3,10 @@
 Subcommands mirror the pipeline phases: fetch, ingest, dedup, annotate,
 analyze, corpus-stats, report, and all. Phase ordering is enforced through
 the stamp list inside each book's XML; outputs whose recorded traces are
-current are skipped unless --force. Human logs go to stderr; one JSON line
-per book per phase goes to the progress log under the store.
+current are skipped unless --force. An ``all`` whose run trace is current
+replays the results it recorded and runs no phase code. Human logs go to
+stderr; one JSON line per book per phase goes to the progress log under
+the store.
 """
 
 import argparse
@@ -16,7 +18,7 @@ from pathlib import Path
 from . import pipeline
 from .config import Config
 from .errors import BinderyError
-from .store import Traces, append_progress, kept_book_ids
+from .store import Traces, append_progress, kept_book_ids, replay_run
 
 log = logging.getLogger("bindery")
 
@@ -59,6 +61,17 @@ def build_parser():
     return parser
 
 
+def run_phase(args, store, config, traces):
+    """The results of ``pipeline.run_<command>`` over ``store``."""
+    # Looked up now, not at import: a tracer may have swapped the function.
+    runner = getattr(pipeline, "run_" + args.command.replace("-", "_"))
+    if hasattr(args, "in_dir"):
+        return runner(args.in_dir, store, config, traces)
+    if args.command == "dedup":
+        return runner(store, config, traces)
+    return runner(store, config, traces, kept_book_ids(store))
+
+
 def main(argv=None):
     # numpy is imported lazily, after this, and reads them when it loads.
     for name in BLAS_THREAD_VARIABLES:
@@ -96,15 +109,11 @@ def main(argv=None):
         log.error("%s failed: no store at %s", args.command, store)
         return 1
     traces = Traces(force=args.force)
-    # Looked up now, not at import: a tracer may have swapped the function.
-    runner = getattr(pipeline, "run_" + args.command.replace("-", "_"))
     try:
-        if hasattr(args, "in_dir"):
-            results = runner(args.in_dir, store, config, traces)
-        elif args.command == "dedup":
-            results = runner(store, config, traces)
-        else:
-            results = runner(store, config, traces, kept_book_ids(store))
+        results = (replay_run(args.in_dir, store, config, traces)
+                   if args.command == "all" else None)
+        if results is None:
+            results = run_phase(args, store, config, traces)
     except (BinderyError, OSError) as exc:
         log.error("%s failed: %s", args.command, exc)
         return 1

@@ -4,91 +4,40 @@ The store module's ``Traces`` decides every re-run and its writer writes
 every file; phase stamps in ``<meta>`` only enforce ordering. Annotate and
 analyze share one parse and one ``book.xml`` write per book. Analyze alone
 computes a book's payload and lemmas, and report alone writes
-``book.json``. The phase modules and the renderer run on first use
-(``_lazy``) and the process pool is imported only when one starts, so an
-unchanged store is re-run without any of them, or numpy: sources are
-found and the kept set read through ``store`` alone.
+``book.json``. The phase modules and the renderer, bound lazily by the
+package, run on first use, and the process pool is imported only when one
+starts, so an unchanged store is re-run without any of them, or numpy:
+sources are found and the kept set read through ``store`` alone. ``all``
+ends by recording its run trace, which lets the next ``all`` over an
+unchanged store skip this module altogether.
 """
 
 import hashlib
-import importlib.util
+import importlib
 import logging
 import re
 import resource
-import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from pathlib import Path
 
-from . import xml_model
+from . import (analytics_book, analytics_corpus, characters, dedup, ingest,
+               linguistic, report, segmentation, xml_model)
 from .errors import (AnalyticsError, BinderyError, MissingPhaseError, ParseError,
                      TooShortError)
 from .store import (BOOK_PAGES, CORPUS_JSON, CORPUS_KEYS, CORPUS_OUTPUTS,
                     CORPUS_PAGES, CORPUS_STATS_MEMO, DEDUP_MEMO, INDEX_FILE,
                     INGEST_KEYS, LEMMA_MODEL_SCHEMA, LEMMAS_FILE, REPORT_MEMO,
-                    VECTORS_FILE, SourceKind, Traces, analysis_files,
-                    analysis_parts, annotate_parts, book_analysis, book_dir,
-                    book_xml, corpus_file, current_analysis, dedup_parts,
-                    dump_json, gutenberg_id, hathi_id, index_duplicates,
-                    load_schema, read_json, settings, source_parts,
+                    VECTORS_FILE, PhaseResult, SourceKind, Traces,
+                    analysis_files, analysis_parts, annotate_parts,
+                    book_analysis, book_dir, book_xml, corpus_file,
+                    current_analysis, dedup_parts, discover_sources, dump_json,
+                    index_duplicates, load_schema, log_duplicates, read_json,
+                    record_run, run_inputs, settings, source_parts,
                     store_book_ids, write_if_changed)
 from .xml_model import AnnotatedBook, BookMeta
 
 log = logging.getLogger(__name__)
-
-
-def _lazy(name):
-    """The module ``bindery.<name>``, its code run on first attribute access.
-
-    This is the "Implementing lazy imports" recipe of the importlib docs.
-    The module is in ``sys.modules`` and set on the package at once, like
-    an imported one, but a run that never uses it never compiles or runs
-    it. A lazy load is not thread-safe; bindery uses these modules from
-    its main thread only (pool workers are processes).
-    """
-    qualified = f"{__package__}.{name}"
-    if qualified in sys.modules:
-        return sys.modules[qualified]
-    spec = importlib.util.find_spec(qualified)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[qualified] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-# The phase modules and the renderer: a no-op run reaches none of them.
-ingest = _lazy("ingest")
-dedup = _lazy("dedup")
-segmentation = _lazy("segmentation")
-linguistic = _lazy("linguistic")
-characters = _lazy("characters")
-analytics_book = _lazy("analytics_book")
-analytics_corpus = _lazy("analytics_corpus")
-report = _lazy("report")
-
-
-# -- source discovery -----------------------------------------------------------
-
-
-def discover_sources(in_dir):
-    """Raw book sources under a directory.
-
-    Plain ``.txt`` files are Gutenberg-style books; subdirectories holding
-    zero-padded page files are page-wise books. Returns a sorted list of
-    ``(book_id, path, kind)``.
-    """
-    in_dir = Path(in_dir)
-    sources = []
-    for entry in sorted(in_dir.iterdir()):
-        if entry.is_file() and entry.suffix == ".txt":
-            sources.append((gutenberg_id(entry), entry,
-                            SourceKind.GUTENBERG_TEXT))
-        elif entry.is_dir() and any(p.suffix == ".txt" for p in entry.iterdir()):
-            sources.append((hathi_id(entry), entry, SourceKind.HATHI_PAGEWISE))
-    return sources
 
 
 # -- per-book construction --------------------------------------------------------
@@ -485,29 +434,11 @@ def enrich_book_payload(payload, lemma_counts, corpus, config):
     return payload
 
 
-# -- store-level runners ---------------------------------------------------------
-
-
-@dataclass
-class PhaseResult:
-    """Outcome of one phase on one book: one line of the progress log.
-
-    A dedup result also names the book that this one duplicates, if any;
-    the progress log leaves that out.
-    """
-
-    book_id: str
-    phase: str
-    ok: bool
-    error: str | None = None
-    duplicate_of: str | None = None
+# -- phase runners ----------------------------------------------------------------
 
 
 def _failed(book_id, phase, exc):
     return PhaseResult(book_id, phase, False, str(exc))
-
-
-# -- phase runners ----------------------------------------------------------------
 
 
 def _read_source(path, kind, config):
@@ -641,9 +572,7 @@ def run_dedup(store, config, traces):
             traces.record_memo(memo_path, parts, results)
     for result in results:
         result.duplicate_of = removed.get(result.book_id)
-    if removed:
-        log.info("dedup: %d duplicate(s): %s", len(removed),
-                 ", ".join(f"{b}->{r}" for b, r in removed.items()))
+    log_duplicates(removed)
     return results
 
 
@@ -724,11 +653,18 @@ def _annotate_analyze_one(args):
             else PhaseResult(book_id, phase, True) for phase in phases]
 
 
+# The lazily bound modules ``_annotate_analyze_one`` runs.
+WORKER_MODULES = ("segmentation", "linguistic", "characters", "analytics_book")
+
+
 def _pool_map(worker, args_list, jobs):
     if jobs <= 1 or len(args_list) <= 1:
         return [worker(args) for args in args_list]
     # Imported here: loading the pool machinery costs a run that starts none.
     from concurrent.futures import ProcessPoolExecutor
+    # Run once here, before the workers fork, not once in each of them.
+    for name in WORKER_MODULES:
+        importlib.import_module(f"{__package__}.{name}")
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, args_list))
 
@@ -898,8 +834,11 @@ def run_all(in_dir, store, config, traces):
     The runners share ``traces``, and the later ones take the kept books
     from dedup's results, so the index is read only by dedup. Logs each
     runner's wall time and book count, then the peak memory of this
-    process and of its largest pool worker, at DEBUG.
+    process and of its largest pool worker, at DEBUG. Ends by recording
+    the run trace when every result is ok (``store.record_run``).
     """
+    # Found before ingest: a source added while the run runs is not covered.
+    inputs = run_inputs(in_dir, config)
     results = _timed("ingest", run_ingest, in_dir, store, config, traces)
     dedup_results = _timed("dedup", run_dedup, store, config, traces)
     results += dedup_results
@@ -910,6 +849,7 @@ def run_all(in_dir, store, config, traces):
     results += _timed("corpus-stats", run_corpus_stats, store, config, traces,
                       book_ids)
     results += _timed("report", run_report, store, config, traces, book_ids)
+    record_run(inputs, store, traces, results)
     # ru_maxrss is in KiB on Linux. For RUSAGE_CHILDREN it is that of the
     # largest child process waited for: in a CLI run, a pool worker (0 when
     # none ran).

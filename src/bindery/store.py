@@ -6,20 +6,28 @@ ids come from their sources by the one source-id rule here. Every file a
 run leaves in a store is written here: atomically and only when its bytes
 change, through ``write_if_changed``, or appended to the progress log.
 ``Traces`` is the one rule that decides whether an output is current; the
-``*_KEYS`` sets and ``*_parts`` rules name what each trace covers.
+``*_KEYS`` sets and ``*_parts`` rules name what each trace covers. The run
+trace of ``all`` (``run_parts``) lets a run that changes nothing replay the
+results it recorded through this module alone: ``xml_model``, which
+``Traces.head`` reads ``<meta>`` with, is bound lazily by the package.
 """
 
 import hashlib
 import itertools
 import json
+import logging
 import os
 import re
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from . import xml_model
 from .config import Config
 from .errors import BinderyError, MissingPhaseError, ParseError
+
+# The phase runners' logger: a replayed run repeats their dedup line.
+_runner_log = logging.getLogger(f"{__package__}.pipeline")
 
 CORPUS_DIR = "_corpus"
 INDEX_FILE = "index.jsonl"
@@ -30,6 +38,9 @@ PROGRESS_FILE = "progress.jsonl"
 DEDUP_MEMO = "dedup.memo"
 CORPUS_STATS_MEMO = "corpus-stats.memo"
 REPORT_MEMO = "report.memo"
+# The run trace of ``all`` and its results; it covers every other file of
+# the store but the progress log.
+ALL_MEMO = "all.memo"
 # Written by corpus-stats, its one writer, and read by report.
 CORPUS_JSON = "corpus.json"
 # What corpus-stats writes under _corpus/, and what every report page reads.
@@ -54,6 +65,19 @@ ANALYSIS_KEYS = ("lexicon_dir", "timeline_top_k", "interaction_window",
                  "interaction_min_co")
 CORPUS_KEYS = tuple(key for key in Config.field_names()
                     if key not in ("jobs", "mirror_base"))
+# What ``all`` records beside its run trace: each phase's book ids in the
+# order of its results, and the duplicates dedup found.
+RUN_MEMO_SCHEMA = {
+    "type": "object", "required": ["trace", "phases", "duplicates"],
+    "properties": {
+        "trace": {"type": "string"},
+        "phases": {"type": "array", "items": {
+            "type": "object", "required": ["phase", "books"],
+            "properties": {
+                "phase": {"type": "string"},
+                "books": {"type": "array", "items": {"type": "string"}}}}},
+        "duplicates": {"type": "object",
+                       "additionalProperties": {"type": "string"}}}}
 LEMMA_MODEL_SCHEMA = {
     "type": "object", "required": ["total", "common"],
     "properties": {
@@ -80,6 +104,24 @@ def gutenberg_id(path):
 def hathi_id(directory):
     """Source id of a page-wise book directory: ``ht`` plus its name."""
     return f"ht{Path(directory).name}"
+
+
+def discover_sources(in_dir):
+    """Raw book sources under a directory.
+
+    Plain ``.txt`` files are Gutenberg-style books; subdirectories holding
+    zero-padded page files are page-wise books. Returns a sorted list of
+    ``(book_id, path, kind)``.
+    """
+    in_dir = Path(in_dir)
+    sources = []
+    for entry in sorted(in_dir.iterdir()):
+        if entry.is_file() and entry.suffix == ".txt":
+            sources.append((gutenberg_id(entry), entry,
+                            SourceKind.GUTENBERG_TEXT))
+        elif entry.is_dir() and any(p.suffix == ".txt" for p in entry.iterdir()):
+            sources.append((hathi_id(entry), entry, SourceKind.HATHI_PAGEWISE))
+    return sources
 
 
 def book_dir(store, book_id):
@@ -185,6 +227,21 @@ def file_digest(path):
     except OSError:
         return None
     return sha.hexdigest()
+
+
+@dataclass
+class PhaseResult:
+    """Outcome of one phase on one book: one line of the progress log.
+
+    A dedup result also names the book that this one duplicates, if any;
+    the progress log leaves that out.
+    """
+
+    book_id: str
+    phase: str
+    ok: bool
+    error: str | None = None
+    duplicate_of: str | None = None
 
 
 def append_progress(store, results):
@@ -377,10 +434,12 @@ class Traces:
         memo = self.recorded(_json_object, path) or {}
         return self.current(memo.get("trace"), parts)
 
-    def record_memo(self, path, parts, results):
-        """Record the trace of ``parts`` at ``path`` if every result is ok."""
+    def record_memo(self, path, parts, results, extra=None):
+        """Record the trace of ``parts``, and the ``extra`` fields, at
+        ``path`` if every result is ok."""
         if all(result.ok for result in results):
-            dump_json({"trace": self.digest(parts)}, path)
+            dump_json({"trace": self.digest(parts), **(extra or {})}, path,
+                      self.files)
 
 
 def settings(config, keys):
@@ -454,3 +513,74 @@ def book_analysis(store, book_id, phase, config, book_schema, traces):
         traces.remove([path])
         raise _invalid(path, "a book analysis", errors)
     return payload, lemmas
+
+
+# -- the run trace of all ---------------------------------------------------------
+
+
+def run_parts(in_dir, store, config):
+    """What the run memo covers: ``run_inputs`` and ``stored_files``."""
+    return run_inputs(in_dir, config) + stored_files(store)
+
+
+def run_inputs(in_dir, config):
+    """Every key, and each source found now: its id, kind and parts."""
+    parts = settings(config, CORPUS_KEYS)
+    for book_id, path, kind in discover_sources(in_dir):
+        parts += [book_id, kind.value, *source_parts(path, kind)]
+    return parts
+
+
+def stored_files(store):
+    """Every file of the store but the progress log and the run memo, by
+    its path relative to the store, in path order."""
+    store = Path(store)
+    untraced = {f"{CORPUS_DIR}/{PROGRESS_FILE}", f"{CORPUS_DIR}/{ALL_MEMO}"}
+    files = sorted((path.relative_to(store).as_posix(), path)
+                   for root, _, names in os.walk(store)
+                   for path in (Path(root, name) for name in names))
+    return [part for name, path in files if name not in untraced
+            for part in (name, path)]
+
+
+def record_run(inputs, store, traces, results):
+    """Record the run trace of an ``all`` whose every result is ok, over
+    its ``run_inputs`` as found before ingest and the store it leaves, with
+    the results: each phase's book ids in order, and the duplicates."""
+    if not all(result.ok for result in results):
+        return
+    phases = {}
+    for result in results:
+        phases.setdefault(result.phase, []).append(result.book_id)
+    traces.record_memo(
+        corpus_file(store, ALL_MEMO), inputs + stored_files(store), results,
+        {"phases": [{"phase": phase, "books": books}
+                    for phase, books in phases.items()],
+         "duplicates": {r.book_id: r.duplicate_of for r in results
+                        if r.duplicate_of is not None}})
+
+
+def replay_run(in_dir, store, config, traces):
+    """The results the last ``all`` recorded while its run trace is current,
+    logged as dedup logged them; None otherwise, and under force."""
+    memo = traces.recorded(_json_object, corpus_file(store, ALL_MEMO)) or {}
+    if not ("trace" in memo and traces.current(
+            memo["trace"], run_parts(in_dir, store, config))
+            and not validate_schema(memo, RUN_MEMO_SCHEMA)):
+        return None
+    duplicates = memo["duplicates"]
+    results = [PhaseResult(book_id, entry["phase"], True,
+                           duplicate_of=(duplicates.get(book_id)
+                                         if entry["phase"] == "dedup" else None))
+               for entry in memo["phases"] for book_id in entry["books"]]
+    _runner_log.debug("all: inputs unchanged, %d book(s) reused",
+                      len({result.book_id for result in results}))
+    log_duplicates(duplicates)
+    return results
+
+
+def log_duplicates(duplicates):
+    """Log dedup's duplicates, book id to representative, if there are any."""
+    if duplicates:
+        _runner_log.info("dedup: %d duplicate(s): %s", len(duplicates),
+                         ", ".join(f"{b}->{r}" for b, r in duplicates.items()))

@@ -98,6 +98,22 @@ def rerun_all(config, store, *flags):
                "--out", str(store))
 
 
+def _replayed(caplog):
+    """Whether an ``all`` logged at DEBUG replayed its recorded results."""
+    return any(m.startswith("all: inputs unchanged") for m in caplog.messages)
+
+
+def _assert_run_trace_is_fresh(config_path, in_dir, store, *flags):
+    """The run trace ``all`` recorded is the one a new ``Traces`` digests;
+    ``flags`` are those of the run, of which ``--seed`` changes the config."""
+    config = Config.load(config_path)
+    if "--seed" in flags:
+        config.seed = int(flags[flags.index("--seed") + 1])
+    memo = json.loads((store / "_corpus" / "all.memo").read_bytes())
+    assert memo["trace"] == Traces(False).digest(
+        store_module.run_parts(in_dir, store, config))
+
+
 def test_config_file_and_env_override(tmp_path, monkeypatch):
     path = tmp_path / "c.conf"
     path.write_text("seed = 77\njobs = 3\n", encoding="utf-8")
@@ -323,6 +339,13 @@ def _store_files(store):
             for p in sorted(store.rglob("*")) if p.is_file()}
 
 
+def _without_run_memo(files):
+    """Store files but ``_corpus/all.memo``: like the progress log, it is a
+    record ``all`` keeps of itself, which phase commands do not write."""
+    return {name: data for name, data in files.items()
+            if name != "_corpus/all.memo"}
+
+
 def _inject_pg1001_failure(monkeypatch, failure):
     """Make pg1001 fail at ``failure``.
 
@@ -362,7 +385,8 @@ def _inject_pg1001_failure(monkeypatch, failure):
 
 def _assert_all_matches_steps(raw_dir, config, tmp_path, monkeypatch,
                               flags=(), failure=None):
-    """``all`` leaves the store and progress log the phases one by one do.
+    """``all`` leaves the store and progress log the phases one by one do,
+    and its run memo.
 
     Under ``--force`` both runs start from the same finished store.
     Returns the progress lines of the ``all`` run.
@@ -383,7 +407,8 @@ def _assert_all_matches_steps(raw_dir, config, tmp_path, monkeypatch,
         status_steps |= run("--config", str(config), *flags, phase, *argv,
                             "--out", str(store_steps))
     assert status_all == status_steps == (failure is not None)
-    assert _store_files(store_all) == _store_files(store_steps)
+    assert (_without_run_memo(_store_files(store_all))
+            == _without_run_memo(_store_files(store_steps)))
     return progress_lines(store_all)
 
 
@@ -630,17 +655,27 @@ def test_noop_all_digests_each_file_at_most_once(fixture_store, monkeypatch):
         return real_digest(path)
 
     monkeypatch.setattr(store_module, "file_digest", counting_digest)
-    assert rerun_all(config, store) == 0
-    # The sources (for ingest), the index (for dedup's trace, which then
-    # reads its representatives and writes nothing), what corpus-stats
-    # reads and writes, and the pages (for report).
-    assert digested == Counter([
+    assert store_book_ids(store) == kept_book_ids(store)
+    # The first run has no run trace, so the per-phase traces decide: the
+    # sources (for ingest), the index (for dedup's trace, which then reads
+    # its representatives and writes nothing), what corpus-stats reads and
+    # writes, and the pages (for report); then the three memos, for the
+    # run trace it records, and the run memo, which the writer compares
+    # with what it writes. The second run's run trace is current, and it
+    # digests the same files but the run memo, which it only reads.
+    expected = Counter([
         *BOOKS.glob("*.txt"),
         *(store / book_id / name for book_id in kept_book_ids(store)
           for name in ("book.xml", "lemmas.json", "book.json", "index.html")),
         *(store / "_corpus" / name for name in (
             "index.jsonl", "corpus.json", "lemmas.json", "vectors.bin",
-            "corpus.html", "authors.html", "subjects.html"))])
+            "corpus.html", "authors.html", "subjects.html", "dedup.memo",
+            "corpus-stats.memo", "report.memo"))])
+    for trace, memo in (("per-phase", 1), ("run", 0)):
+        digested.clear()
+        assert rerun_all(config, store) == 0
+        assert digested == expected + Counter(
+            {store / "_corpus" / "all.memo": memo}), trace
 
 
 def test_report_ranks_the_corpus_vocabulary_once_per_run(fixture_store,
@@ -670,6 +705,8 @@ def test_noop_after_pool_workers_rewrote_books_reuses_everything(
     for book_id in ("pg730", "pg1001"):  # analyze writes them back canonical
         _edit_xml(store / book_id / "lemmas.json")
     assert rerun_all(config, store, "--jobs", "2") == 0
+    _assert_run_trace_is_fresh(config, BOOKS, store)
+    (store / "_corpus" / "all.memo").unlink()  # so the per-phase traces decide
     caplog.set_level(logging.DEBUG)
     caplog.clear()
     assert rerun_all(config, store, "--jobs", "2", "-v") == 0
@@ -703,6 +740,27 @@ def test_all_reads_dedup_index_only_for_dedup_memo(fixture_store, monkeypatch):
         loads.clear()
         assert run("--config", str(config), phase, "--out", str(store)) == 0
         assert loads == ["index.jsonl"], phase
+
+
+def test_replayed_all_reads_only_the_run_memo(fixture_store, monkeypatch):
+    """While its run trace is current, ``all`` decodes no lemma file and
+    no other memo, reads no ``<meta>`` and does not read the index."""
+    config, store = fixture_store
+    assert rerun_all(config, store) == 0
+    reads = []
+
+    def reading(real):
+        def wrapper(path):
+            reads.append(Path(path).relative_to(store).as_posix())
+            return real(path)
+        return wrapper
+
+    for name in ("_json_object", "_numbered_lines"):
+        monkeypatch.setattr(store_module, name,
+                            reading(getattr(store_module, name)))
+    monkeypatch.setattr(xml_model, "load_head", reading(xml_model.load_head))
+    assert rerun_all(config, store) == 0
+    assert reads == ["_corpus/all.memo"]
 
 
 def test_forced_all_full_parses_each_kept_book_once_after_dedup(
@@ -807,7 +865,7 @@ def test_unusable_lemma_file_falls_back_to_parsing(fixture_store, damage,
     damage(store / "pg730" / "lemmas.json")
     assert rerun_all(config, store) == 0
     assert _report_outputs(store) == fresh_outputs
-    assert _store_bytes(store) == fresh
+    assert _without_run_memo(_store_bytes(store)) == fresh
     assert parse_callers == {"run_all": 1}
     parse_callers.clear()
     assert rerun_all(config, store) == 0
@@ -851,7 +909,7 @@ def test_current_lemma_file_of_wrong_shape_fails_only_that_book(
     assert rerun_all(config, store) == 0
     assert parse_callers == {"run_all": 1}
     (store / "_corpus" / "progress.jsonl").unlink()
-    assert _store_files(store) == fresh
+    assert _without_run_memo(_store_files(store)) == fresh
 
 
 def test_edited_lemmas_in_xml_win_over_lemma_file(fixture_store, tmp_path):
@@ -1340,6 +1398,7 @@ def test_first_noop_after_cold_all_takes_the_dedup_memo(
     for name in ("fingerprint", "dedup_corpus", "estimate_similarity"):
         monkeypatch.setattr(dedup, name, no_comparison)
     caplog.set_level(logging.DEBUG)
+    (store / "_corpus" / "all.memo").unlink()  # so the per-phase traces decide
     assert run("--config", str(smoke_config), "-v", "all", "--in",
                str(raw_dir), "--out", str(store)) == 0
     assert "dedup: inputs unchanged, 3 book(s) reused" in caplog.messages
@@ -1546,12 +1605,12 @@ MEMO_CASES = {
 }
 
 
-def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
-    change, hit, pages = MEMO_CASES[case]
-    flags = []
+def _make_memo_change(change, store, book_id, monkeypatch):
+    """Make a ``MEMO_CASES`` change to ``book_id`` of ``store``; returns the
+    flags of the re-run."""
     if isinstance(change, list):
-        flags = change
-    elif isinstance(change, dict):
+        return change
+    if isinstance(change, dict):
         for name, value in change.items():
             monkeypatch.setenv(name, value)
     elif change == "__version__":
@@ -1560,6 +1619,12 @@ def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
         where, name, damage = change
         damage((store / book_id if where == "book" else store / "_corpus")
                / name)
+    return []
+
+
+def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
+    change, hit, pages = MEMO_CASES[case]
+    flags = _make_memo_change(change, store, book_id, monkeypatch)
     books = len(kept_book_ids(store))
     reused, rendered = {"none": (books, 0), "all": (0, books),
                         "all but one": (0, books - 1),
@@ -1589,17 +1654,26 @@ def test_memo_runs_match_forced_runs(fixture_store, caplog, monkeypatch, case):
 
 def test_mirror_base_reruns_no_corpus_phase(fixture_store, caplog,
                                             monkeypatch, changed_writes):
-    """Only fetch reads mirror_base, so no trace covers it."""
+    """Only fetch reads mirror_base, so no trace covers it: the first
+    ``all`` writes only its run memo, which the next ``all`` replays."""
     config, store = fixture_store
     books = len(kept_book_ids(store))
-    monkeypatch.setenv("BINDERY_MIRROR_BASE", "http://127.0.0.1:9/mirror")
     caplog.set_level(logging.DEBUG)
-    assert run("--config", str(config), "-v", "all", "--in", str(BOOKS),
-               "--out", str(store)) == 0
-    assert _memo_lines(caplog) == [
-        f"corpus-stats: inputs unchanged, {books} book(s) reused",
-        f"report: {books} page(s) reused, 0 rendered"]
-    assert +changed_writes == Counter()
+
+    def all_under(mirror):
+        monkeypatch.setenv("BINDERY_MIRROR_BASE", mirror)
+        caplog.clear()
+        changed_writes.clear()
+        assert run("--config", str(config), "-v", "all", "--in", str(BOOKS),
+                   "--out", str(store)) == 0
+        return _memo_lines(caplog), +changed_writes
+
+    assert all_under("http://127.0.0.1:9/mirror") == (
+        [f"corpus-stats: inputs unchanged, {books} book(s) reused",
+         f"report: {books} page(s) reused, 0 rendered"],
+        Counter({store / "_corpus" / "all.memo": 1}))
+    assert all_under("http://127.0.0.1:9/other") == ([], Counter())
+    assert _replayed(caplog)
 
 
 def test_noop_report_calls_no_writer(fixture_store, changed_writes):
@@ -1624,6 +1698,183 @@ def test_per_page_report_memo_is_replaced_once(fixture_store, changed_writes):
                 for path in pages} == pages
     assert +changed_writes == Counter({memo: 1})
     assert list(json.loads(memo.read_bytes())) == ["trace"]
+
+
+# -- the run trace of all -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def run_store(tmp_path_factory):
+    """Three fixture books, a reprint of pg730 and a page-wise book, through
+    one ``all`` under the smoke config."""
+    root = tmp_path_factory.mktemp("run")
+    raw, store = root / "raw", root / "store"
+    raw.mkdir()
+    for name in ("pg730.txt", "pg1001.txt", "pg1002.txt"):
+        shutil.copy(BOOKS / name, raw)
+    shutil.copy(BOOKS / "pg730.txt", raw / "pg7300.txt")
+    pages = raw / "uc1.b0001"
+    pages.mkdir()
+    body = (BOOKS / "pg1003.txt").read_text(encoding="utf-8").split("***")[2]
+    half = body.index("\n\n", len(body) // 2)
+    (pages / "00000001.txt").write_text(body[:half], encoding="utf-8")
+    (pages / "00000002.txt").write_text(body[half:], encoding="utf-8")
+    (pages / "manifest.txt").write_text(
+        "title: The Glass Orchard\nauthor: Ann Prior\nyear: 1850\n",
+        encoding="utf-8")
+    config = root / "bindery.conf"
+    config.write_text("embed_min_count = 2\nembed_dim = 32\nembed_epochs = 5\n",
+                      encoding="utf-8")
+    assert run("--config", str(config), "all", "--in", str(raw),
+               "--out", str(store)) == 0
+    (store / "_corpus" / "progress.jsonl").unlink()
+    return config, raw, store
+
+
+def test_all_records_its_run_trace_and_results(run_store, tmp_path):
+    config_path, raw, recorded = run_store
+    _assert_run_trace_is_fresh(config_path, raw, recorded)
+    store = tmp_path / "store"
+    shutil.copytree(recorded, store)
+    config = Config.load(config_path)
+    results = pipeline.run_all(raw, store, config, Traces(False))
+    assert _store_bytes(store) == _store_bytes(recorded)
+    assert [r.book_id for r in results if r.duplicate_of] == ["pg7300"]
+    assert store_module.replay_run(raw, store, config,
+                                   Traces(False)) == results
+    assert store_module.replay_run(raw, store, config, Traces(True)) is None
+    memo = json.loads((store / "_corpus" / "all.memo").read_bytes())
+    kept = ["htuc1.b0001", "pg1001", "pg1002", "pg730"]
+    # Ingest takes the sources in name order, the others the stored books.
+    assert memo["phases"] == [
+        {"phase": "ingest", "books": [*kept[1:], "pg7300", "htuc1.b0001"]},
+        {"phase": "dedup", "books": [*kept, "pg7300"]},
+        *({"phase": phase, "books": kept} for phase in PHASES[2:])]
+    assert memo["duplicates"] == {"pg7300": "pg730"}
+
+
+def _stray_file(raw, store):
+    (store / "pg730" / "notes.txt").write_text("kept by hand\n")
+
+
+def _edit_page(raw, store):
+    page = raw / "uc1.b0001" / "00000002.txt"
+    page.write_text(page.read_text(encoding="utf-8") + "\nOne more line.\n",
+                    encoding="utf-8")
+
+
+def _other_value(key):
+    """Another valid value of ``key`` than the smoke config's."""
+    if key == "page_separator":
+        return " "
+    if key == "lexicon_dir":  # empty: every lexicon falls back to the bundled
+        return "/nonexistent-lexicons"
+    value = getattr(Config(embed_min_count=2, embed_dim=32, embed_epochs=5), key)
+    if isinstance(value, bool):
+        return str(not value)
+    if isinstance(value, float) and value <= 1:
+        return str(value + 0.1)
+    return str(value + 1)
+
+
+# name -> (change before the re-run, whether the run trace stays current).
+# A change is a MEMO_CASES change to pg730, a change of the sources or the
+# store, or one config key set through the environment.
+RUN_TRACE_CASES = {
+    **{f"memo case {case}": (change, case in ("unchanged", "jobs"))
+       for case, (change, _, _) in MEMO_CASES.items()},
+    "source added": (lambda raw, store: shutil.copy(BOOKS / "pg1004.txt", raw),
+                     False),
+    "source removed": (lambda raw, store: (raw / "pg1002.txt").unlink(), False),
+    "page edited": (_edit_page, False),
+    "stray file": (_stray_file, False),
+    "all.memo damaged": (lambda raw, store: _truncate(
+        store / "_corpus" / "all.memo"), False),
+    **{f"key {key}": ({f"BINDERY_{key.upper()}": _other_value(key)}, False)
+       for key in store_module.CORPUS_KEYS},
+}
+
+
+def _run_outcome(config, raw, store, flags, caplog):
+    """Exit status, progress lines and INFO-or-above log lines of ``all``
+    over ``store``, with the store's path written ``<store>``."""
+    caplog.clear()
+    status = run("--config", str(config), "-v", *flags, "all", "--in",
+                 str(raw), "--out", str(store))
+    log_lines = [(r.name, r.levelname, r.message) for r in caplog.records
+                 if r.levelno >= logging.INFO]
+    text = json.dumps([status, progress_lines(store), log_lines])
+    return json.loads(text.replace(str(store), "<store>")), _replayed(caplog)
+
+
+@pytest.mark.parametrize("case", list(RUN_TRACE_CASES))
+def test_run_trace_runs_match_runs_without_it(run_store, tmp_path, caplog,
+                                              monkeypatch, case):
+    """After each change, ``all`` leaves the store, progress lines, log
+    lines and exit status of an ``all`` that has no run memo, which the
+    per-phase traces decide; only an unchanged run replays its results."""
+    config, recorded_raw, recorded = run_store
+    raw, store, without = tmp_path / "raw", tmp_path / "store", tmp_path / "without"
+    shutil.copytree(recorded_raw, raw)
+    shutil.copytree(recorded, store)
+    change, current = RUN_TRACE_CASES[case]
+    if callable(change):
+        change(raw, store)
+        flags = []
+    else:
+        flags = _make_memo_change(change, store, "pg730", monkeypatch)
+    shutil.copytree(store, without)
+    (without / "_corpus" / "all.memo").unlink()
+    caplog.set_level(logging.DEBUG)
+    outcome, replayed = _run_outcome(config, raw, store, flags, caplog)
+    assert replayed == current
+    assert _run_outcome(config, raw, without, flags, caplog) == (outcome, False)
+    assert (_without_run_memo(_store_bytes(store))
+            == _without_run_memo(_store_bytes(without)))
+    if outcome[0] == 0:
+        assert _store_bytes(store) == _store_bytes(without)
+        _assert_run_trace_is_fresh(config, raw, store, *flags)
+
+
+def test_source_added_while_all_runs_is_left_to_the_next_all(
+        run_store, tmp_path, monkeypatch, caplog):
+    """The run trace covers the sources ingest found, not those found when
+    the run ends."""
+    config, recorded_raw, recorded = run_store
+    raw, store = tmp_path / "raw", tmp_path / "store"
+    shutil.copytree(recorded_raw, raw)
+    shutil.copytree(recorded, store)
+    (store / "_corpus" / "all.memo").unlink()
+    real_run_dedup = pipeline.run_dedup
+
+    def adding_a_source(*args):
+        shutil.copy(BOOKS / "pg1004.txt", raw)
+        return real_run_dedup(*args)
+
+    monkeypatch.setattr(pipeline, "run_dedup", adding_a_source)
+    argv = ["--config", str(config), "-v", "all", "--in", str(raw),
+            "--out", str(store)]
+    assert run(*argv) == 0
+    assert "pg1004" not in store_book_ids(store)
+    monkeypatch.setattr(pipeline, "run_dedup", real_run_dedup)
+    caplog.set_level(logging.DEBUG)
+    assert run(*argv) == 0
+    assert not _replayed(caplog)
+    assert "pg1004" in store_book_ids(store)
+    _assert_run_trace_is_fresh(config, raw, store)
+
+
+def test_all_with_a_missing_in_dir_is_one_error_line_over_a_recorded_store(
+        run_store, tmp_path, caplog):
+    _, _, recorded = run_store
+    store = tmp_path / "store"
+    shutil.copytree(recorded, store)
+    caplog.set_level(logging.INFO)
+    assert run("all", "--in", str(tmp_path / "missing"), "--out",
+               str(store)) == 1
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert len(errors) == 1 and errors[0].exc_info is None
+    assert errors[0].message.startswith("all failed: ")
 
 
 def _edit_pg1002(raw):
@@ -1864,9 +2115,12 @@ def test_cold_all_runs_blas_on_one_thread(smoke_config, tmp_path):
 
 # What a run that finds nothing to do may load: the CLI, the pipeline, and
 # the store with its formats and traces; not the ingest or dedup code, which
-# only a book to ingest or fingerprint needs, nor the renderer.
+# only a book to ingest or fingerprint needs, nor the renderer. An ``all``
+# whose run trace is current needs neither the pipeline nor the XML model.
 NOOP_MODULES = ["bindery", "bindery.cli", "bindery.config", "bindery.errors",
                 "bindery.pipeline", "bindery.store", "bindery.xml_model"]
+REPLAY_MODULES = ["bindery", "bindery.cli", "bindery.config", "bindery.errors",
+                  "bindery.store"]
 PHASE_MODULES = ["bindery.analytics_book", "bindery.analytics_corpus",
                  "bindery.characters", "bindery.dedup", "bindery.ingest",
                  "bindery.linguistic", "bindery.report",
@@ -1897,15 +2151,67 @@ def modules_run_in_new_process(*argv):
     return json.loads(out.stdout)
 
 
-@pytest.mark.parametrize("command", ["all", "ingest", "dedup"])
+@pytest.mark.parametrize("command", ["all", "ingest", "dedup", "second all"])
 def test_noop_run_leaves_phase_modules_unrun(fixture_store, command):
+    """The fixture store has no run memo, so a first ``all`` asks each
+    phase; the second replays the results the first recorded."""
     config, store = fixture_store
+    expected = NOOP_MODULES
+    if command == "second all":
+        assert rerun_all(config, store) == 0
+        command, expected = "all", REPLAY_MODULES
     where = ["--in", BOOKS] if command in ("all", "ingest") else []
     status, ran, heavy = modules_run_in_new_process(
         "--config", config, "--jobs", "2", command, *where, "--out", store)
     assert status == 0
-    assert ran == NOOP_MODULES
+    assert ran == expected
     assert heavy == []
+
+
+def test_cli_import_registers_every_traced_module():
+    """``bench/spans.py`` looks each module it traces up in ``sys.modules``
+    right after the bench imports ``bindery.cli`` and ``bindery.report``."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    script = ("import json, sys\n"
+              f"sys.path.insert(0, {str(bench)!r})\n"
+              "import spans\n"
+              "import bindery.cli, bindery.report\n"
+              "names = ['bindery.' + name for name in\n"
+              "         [*spans.TARGETS, *spans.COUNTED]]\n"
+              "print(json.dumps([len(names),\n"
+              "                  [n for n in names if n not in sys.modules]]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    count, missing = json.loads(out.stdout)
+    assert count > 0 and missing == []
+
+
+def test_pool_forks_after_the_worker_modules_ran(raw_dir, smoke_config,
+                                                 tmp_path):
+    """A run that starts a pool runs what the workers run before it forks,
+    so no worker compiles and runs it again."""
+    script = (
+        "import json, sys, concurrent.futures, bindery.cli\n"
+        "real = concurrent.futures.ProcessPoolExecutor\n"
+        "seen = []\n"
+        "class Recording(real):\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        seen.append(sorted(\n"
+        "            name for name in bindery.pipeline.WORKER_MODULES\n"
+        "            if '__builtins__' in object.__getattribute__(\n"
+        "                sys.modules['bindery.' + name], '__dict__')))\n"
+        "        super().__init__(*args, **kwargs)\n"
+        "concurrent.futures.ProcessPoolExecutor = Recording\n"
+        "status = bindery.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([status, seen]))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script, "--config", str(smoke_config),
+         "--jobs", "2", "all", "--in", str(raw_dir), "--out",
+         str(tmp_path / "store")],
+        env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [0, [sorted(pipeline.WORKER_MODULES)]]
 
 
 def test_cold_all_runs_phase_modules(raw_dir, smoke_config, tmp_path):

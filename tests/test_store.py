@@ -5,8 +5,7 @@ from pathlib import Path
 
 import bindery
 from bindery import xml_model
-from bindery.pipeline import PhaseResult
-from bindery.store import Traces, file_digest, write_if_changed
+from bindery.store import PhaseResult, Traces, file_digest, write_if_changed
 from generators import long_book, random_book
 
 # Each way a module could change a file: replace, delete, make a directory,
@@ -78,3 +77,16 @@ def test_memo_is_recorded_only_when_every_result_succeeded(tmp_path):
     assert not Traces(force=True).memo_current(memo, parts)
     write_if_changed(data, "another input")
     assert not Traces(force=False).memo_current(memo, parts)
+
+
+def test_recorded_memo_replaces_the_runs_digest_of_it(tmp_path):
+    """A memo the run digested before it recorded the memo again is
+    digested as the bytes it now holds."""
+    memo = tmp_path / "phase.memo"
+    ok = [PhaseResult("pg1", "report", True)]
+    Traces(force=False).record_memo(memo, ["an earlier input"], ok)
+    traces = Traces(force=False)
+    earlier = traces.digest([memo])
+    traces.record_memo(memo, ["a later input"], ok)
+    assert traces.files[memo] == file_digest(memo)
+    assert traces.digest([memo]) == Traces(force=False).digest([memo]) != earlier
