@@ -100,6 +100,8 @@ class Config:
                 raise ValueError(f"{key} = {value}: below {lowest}")
             if highest is not None and value > highest:
                 raise ValueError(f"{key} = {value}: above {highest}")
+        if cfg.lexicon_dir and not os.path.isdir(cfg.lexicon_dir):
+            raise ValueError(f"lexicon_dir = {cfg.lexicon_dir}: not a directory")
         return cfg
 
 

@@ -5,18 +5,20 @@ Books are fingerprinted with normalized title/author strings plus a
 entries are duplicates when title and author both match or when the
 estimated content similarity reaches the configured threshold; duplicate
 groups are closed transitively (union-find) and one representative is kept
-per group. numpy is imported only by the functions that hash, so a run
-that reuses every fingerprint does not load it.
+per group. Each index record keeps the ids its book's estimate matched, so
+a pair of books whose records are reused is not compared again. numpy is
+imported only by the functions that hash, so a run that reuses every
+fingerprint does not load it.
 """
 
 import hashlib
 import json
 import random
 import re
+import unicodedata
 from dataclasses import dataclass, field
 
 from .errors import ParseError, TooShortError
-from .ingest import strip_diacritics
 from .store import index_records, write_if_changed
 
 BASE_SEED = 0x5EED
@@ -30,6 +32,13 @@ _SPACE = re.compile(r"\s")
 # time: a fingerprint's scratch memory does not grow with the book.
 _PIECE = 4096
 _BLOCK = 256
+
+
+def strip_diacritics(value):
+    if value.isascii():
+        return value
+    decomposed = unicodedata.normalize("NFD", value)
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
 def normalize_name(value):
@@ -83,10 +92,7 @@ def shingle_set(text, shingle_size=SHINGLE_SIZE):
 class BookFingerprint:
     normalized_title: str
     normalized_author: str
-    signature: tuple
-
-    def __post_init__(self):
-        self.signature = tuple(int(v) for v in self.signature)
+    signature: tuple  # of int
 
 
 def _hash_params(num_hashes, seed):
@@ -121,8 +127,11 @@ def fingerprint(text, title="", author="", num_hashes=NUM_HASHES,
     from ``seed``, so identical texts under one seed always produce
     identical signatures. ``BASE_SEED`` is the library default; the
     pipeline passes the run seed (``config.seed``), so ``--seed`` changes
-    the signatures, and the dedup memo key in the index records it.
-    Shingles are hashed ``_BLOCK`` at a time into one preallocated
+    the signatures; an index record's ``minhash`` names the hash count,
+    shingle size and seed its signature was made with, and a record made
+    with others is not reused. The signature holds Python ints, as
+    ``CorpusIndex.load`` reads them, so a reused one is never converted
+    again. Shingles are hashed ``_BLOCK`` at a time into one preallocated
     ``_BLOCK x num_hashes`` array, so the scratch memory is the same for
     every book.
     """
@@ -171,6 +180,10 @@ class CorpusEntry:
     # Memo key: the ingest body digest and (hashes, shingle size, seed).
     body_sha256: str | None = None
     minhash: tuple | None = None
+    # Set by dedup_corpus on a fingerprinted entry: the ids its content
+    # estimate matched, under (content threshold, title/author matching).
+    matches: tuple | None = None
+    matched_under: tuple | None = None
 
     @property
     def is_duplicate(self):
@@ -219,6 +232,9 @@ def _record(entry):
     if entry.body_sha256 is not None:
         record["body_sha256"] = entry.body_sha256
         record["minhash"] = list(entry.minhash)
+        if entry.matches is not None:
+            record["matches"] = list(entry.matches)
+            record["matched_under"] = list(entry.matched_under)
     return record
 
 
@@ -228,9 +244,11 @@ def _entry_from_record(record):
         fp = BookFingerprint(
             normalized_title=record["normalized_title"],
             normalized_author=record["normalized_author"],
-            signature=tuple(record["signature"]),
+            signature=tuple(map(int, record["signature"])),
         )
     minhash = record.get("minhash")
+    matches = record.get("matches")
+    matched_under = record.get("matched_under")
     return CorpusEntry(
         book_id=record["id"],
         title=record.get("title", ""),
@@ -242,64 +260,75 @@ def _entry_from_record(record):
         representative_of=record.get("representative_of"),
         body_sha256=record.get("body_sha256"),
         minhash=tuple(minhash) if minhash is not None else None,
+        matches=tuple(map(str, matches)) if matches is not None else None,
+        matched_under=(tuple(matched_under) if matched_under is not None
+                       else None),
     )
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def dedup_corpus(index, title_author_match=True, content_threshold=0.8):
+def dedup_corpus(index, title_author_match=True, content_threshold=0.8,
+                 settled=()):
     """Mark duplicate entries, keeping one representative per group.
 
     Entries group together when their normalized title and author both
     match (and are non-empty) or their estimated content similarity
     reaches ``content_threshold``; grouping is transitive. The
     representative is the longest text, ties going to the smaller id.
+    Each fingerprinted entry gets its ``matches``, the ids its estimate
+    reached the threshold with (a pair grouped by title and author is not
+    estimated), and the two settings as ``matched_under``. ``settled``
+    names entries whose ``matches`` were found under these settings, over
+    these fingerprints: a pair of them keeps its stored outcome, so only
+    pairs with another entry are estimated.
     """
-    entries = index.entries
-    order = sorted(range(len(entries)), key=lambda i: entries[i].book_id)
-    uf = _UnionFind(len(entries))
-    for oi in range(len(order)):
-        i = order[oi]
-        fp_i = entries[i].fingerprint
-        if fp_i is None:
-            continue
-        for oj in range(oi + 1, len(order)):
-            j = order[oj]
-            fp_j = entries[j].fingerprint
-            if fp_j is None:
+    entries = sorted((e for e in index.entries if e.fingerprint is not None),
+                     key=lambda e: e.book_id)
+    settled = {e.book_id for e in entries}.intersection(settled)
+    matches = {e.book_id: (settled.intersection(e.matches)
+                           if e.book_id in settled else set())
+               for e in entries}
+    meta = {}
+    for entry in entries:
+        names = (entry.fingerprint.normalized_title,
+                 entry.fingerprint.normalized_author)
+        if title_author_match and all(names):
+            meta[entry.book_id] = names
+    fresh = [e for e in entries if e.book_id not in settled]
+    old = [e for e in entries if e.book_id in settled]
+    for k, a in enumerate(fresh):
+        for b in fresh[k + 1:] + old:
+            if a.book_id in meta and meta[a.book_id] == meta.get(b.book_id):
                 continue
-            same_meta = (title_author_match
-                         and fp_i.normalized_title
-                         and fp_i.normalized_author
-                         and fp_i.normalized_title == fp_j.normalized_title
-                         and fp_i.normalized_author == fp_j.normalized_author)
-            if same_meta or estimate_similarity(fp_i, fp_j) >= content_threshold:
-                uf.union(i, j)
+            if estimate_similarity(a.fingerprint,
+                                   b.fingerprint) >= content_threshold:
+                matches[a.book_id].add(b.book_id)
+                matches[b.book_id].add(a.book_id)
 
-    groups = {}
-    for i in range(len(entries)):
-        groups.setdefault(uf.find(i), []).append(i)
-    for members in groups.values():
-        if len(members) < 2:
-            entries[members[0]].representative_of = None
-            continue
-        rep = min(members,
-                  key=lambda i: (-entries[i].text_length, entries[i].book_id))
-        for i in members:
-            entries[i].representative_of = (
-                None if i == rep else entries[rep].book_id)
+    parent = {}  # union-find over ids, each set rooted at its smallest id
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    first = {}
+    for entry in entries:
+        links = list(matches[entry.book_id])
+        if entry.book_id in meta:
+            links.append(first.setdefault(meta[entry.book_id], entry.book_id))
+        for other in links:
+            root, child = sorted((find(entry.book_id), find(other)))
+            parent[child] = root
+        entry.matches = tuple(sorted(matches[entry.book_id]))
+        entry.matched_under = (content_threshold, title_author_match)
+    members = {}
+    for entry in entries:
+        members.setdefault(find(entry.book_id), []).append(entry)
+    for entry in index.entries:
+        entry.representative_of = None
+    for group in members.values():
+        rep = min(group, key=lambda e: (-e.text_length, e.book_id))
+        for entry in group:
+            if entry is not rep:
+                entry.representative_of = rep.book_id
     return index

@@ -9,7 +9,6 @@ original is always reconstructable from the spans plus the body remainder.
 
 import logging
 import re
-import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -400,10 +399,3 @@ def fetch_gutenberg(book_id, mirror_base, dest, timeout=30):
         raise FetchError(f"cannot fetch {url}: {exc!r}") from exc
     write_if_changed(target, data)
     return target
-
-
-def strip_diacritics(value):
-    if value.isascii():
-        return value
-    decomposed = unicodedata.normalize("NFD", value)
-    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))

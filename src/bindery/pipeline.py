@@ -26,13 +26,13 @@ from . import (analytics_book, analytics_corpus, characters, dedup, ingest,
 from .errors import (AnalyticsError, BinderyError, MissingPhaseError, ParseError,
                      TooShortError)
 from .store import (BOOK_PAGES, CORPUS_JSON, CORPUS_KEYS, CORPUS_OUTPUTS,
-                    CORPUS_PAGES, CORPUS_STATS_MEMO, DEDUP_MEMO, INDEX_FILE,
+                    CORPUS_PAGES, CORPUS_STATS_MEMO, INDEX_FILE,
                     INGEST_KEYS, LEMMA_MODEL_SCHEMA, LEMMAS_FILE, REPORT_MEMO,
                     VECTORS_FILE, PhaseResult, SourceKind, Traces,
                     analysis_files, analysis_parts, annotate_parts,
                     book_analysis, book_dir, book_xml, corpus_file,
-                    current_analysis, dedup_parts, discover_sources, dump_json,
-                    index_duplicates, load_schema, log_duplicates, read_json,
+                    current_analysis, discover_sources, dump_json,
+                    load_schema, log_duplicates, read_json,
                     record_run, run_inputs, settings, source_parts,
                     store_book_ids, write_if_changed)
 from .xml_model import AnnotatedBook, BookMeta
@@ -501,10 +501,12 @@ def _previous_index(store):
     return {entry.book_id: entry for entry in index.entries}
 
 
-def _memoized_entry(store, book_id, record, minhash, traces):
+def _memoized_entry(store, book_id, record, minhash, matched_under, traces):
     """``book_id``'s dedup entry rebuilt from its last index record while
     the body digest and ``minhash`` parameters it names are current, or
-    None; only the book's ``<meta>`` is read."""
+    None; only the book's ``<meta>`` is read. The entry keeps the record's
+    matches while they were found under ``matched_under`` and the book's
+    normalized title and author are still those of the record."""
     if (record is None or record.body_sha256 is None
             or (record.fingerprint is not None
                 and len(record.fingerprint.signature) != minhash[0])):
@@ -518,7 +520,10 @@ def _memoized_entry(store, book_id, record, minhash, traces):
             normalized_title=dedup.normalize_name(meta.title),
             normalized_author=dedup.normalize_name(meta.author),
             signature=record.fingerprint.signature)
-    return _dedup_entry(book_id, meta, record.text_length, fp, minhash)
+    entry = _dedup_entry(book_id, meta, record.text_length, fp, minhash)
+    if record.matched_under == matched_under and fp == record.fingerprint:
+        entry.matches = record.matches
+    return entry
 
 
 def _fingerprinted_entry(store, book_id, config, minhash):
@@ -549,45 +554,23 @@ def _dedup_entry(book_id, meta, text_length, fp, minhash):
 
 
 def run_dedup(store, config, traces):
-    """Fingerprint every stored book and mark duplicates in the index.
+    """Fingerprint every stored book, mark duplicates and write the index.
 
-    While the memo's trace (``dedup_parts``) is current, nothing is
-    fingerprinted, compared or written: each book's representative comes
-    from the index. The trace is recorded only when every book succeeded.
-    Otherwise a book whose record in the previous index is still current
-    (see ``_memoized_entry``) reuses that fingerprint, and every pair of
-    books is compared.
+    A book whose record in the previous index is current (see
+    ``_memoized_entry``) reuses its fingerprint, and its matches with the
+    other books that keep theirs; every other book is compared with all
+    the others.
     """
-    book_ids = store_book_ids(store)
-    index_path = corpus_file(store, INDEX_FILE)
-    memo_path = corpus_file(store, DEDUP_MEMO)
-    parts = dedup_parts(store, book_ids, config, traces)
-    if parts is not None and traces.memo_current(memo_path, parts):
-        log.debug("dedup: inputs unchanged, %d book(s) reused", len(book_ids))
-        removed = index_duplicates(index_path)
-        results = [PhaseResult(book_id, "dedup", True) for book_id in book_ids]
-    else:
-        results, removed = _dedup_books(store, book_ids, config, traces)
-        if parts is not None:
-            traces.record_memo(memo_path, parts, results)
-    for result in results:
-        result.duplicate_of = removed.get(result.book_id)
-    log_duplicates(removed)
-    return results
-
-
-def _dedup_books(store, book_ids, config, traces):
-    """Fingerprint ``book_ids``, group them and write the index; returns
-    the results and the duplicates, book id to representative."""
     minhash = (config.minhash_hashes, config.shingle_size, config.seed)
+    matched_under = (config.dedup_content_threshold, config.dedup_title_author)
     memo = traces.recorded(_previous_index, store) or {}
     index = dedup.CorpusIndex()
     results = []
     reused = 0
-    for book_id in book_ids:
+    for book_id in store_book_ids(store):
         try:
             entry = _memoized_entry(store, book_id, memo.get(book_id), minhash,
-                                    traces)
+                                    matched_under, traces)
             if entry is None:
                 entry = _fingerprinted_entry(store, book_id, config, minhash)
             else:
@@ -596,14 +579,22 @@ def _dedup_books(store, book_ids, config, traces):
             results.append(PhaseResult(book_id, "dedup", True))
         except BinderyError as exc:
             results.append(_failed(book_id, "dedup", exc))
-    log.debug("dedup: %d fingerprint(s) reused, %d computed", reused,
-              len(index.entries) - reused)
+    settled = [e.book_id for e in index.entries if e.matches is not None]
+    log.debug("dedup: %d fingerprint(s) reused, %d computed, %d book(s) "
+              "compared", reused, len(index.entries) - reused,
+              sum(e.fingerprint is not None and e.matches is None
+                  for e in index.entries))
     dedup.dedup_corpus(index,
                        title_author_match=config.dedup_title_author,
-                       content_threshold=config.dedup_content_threshold)
+                       content_threshold=config.dedup_content_threshold,
+                       settled=settled)
     index.save(corpus_file(store, INDEX_FILE), traces.files)
-    return results, {e.book_id: e.representative_of for e in index.entries
-                     if e.is_duplicate}
+    removed = {e.book_id: e.representative_of for e in index.entries
+               if e.is_duplicate}
+    for result in results:
+        result.duplicate_of = removed.get(result.book_id)
+    log_duplicates(removed)
+    return results
 
 
 def _annotate_analyze_one(args):

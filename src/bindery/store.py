@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import xml_model
 from .config import Config
-from .errors import BinderyError, MissingPhaseError, ParseError
+from .errors import MissingPhaseError, ParseError
 
 # The phase runners' logger: a replayed run repeats their dedup line.
 _runner_log = logging.getLogger(f"{__package__}.pipeline")
@@ -35,7 +35,6 @@ INDEX_FILE = "index.jsonl"
 LEMMAS_FILE = "lemmas.json"
 VECTORS_FILE = "vectors.bin"
 PROGRESS_FILE = "progress.jsonl"
-DEDUP_MEMO = "dedup.memo"
 CORPUS_STATS_MEMO = "corpus-stats.memo"
 REPORT_MEMO = "report.memo"
 # The run trace of ``all`` and its results; it covers every other file of
@@ -52,13 +51,10 @@ CORPUS_HTML, AUTHORS_HTML, SUBJECTS_HTML = CORPUS_PAGES = (
 SCHEMA_DIR = Path(__file__).parent / "schemas"
 
 # The config keys each trace covers: what ingest reads for one book, what
-# fingerprinting and grouping read, what annotate_book reads, what
-# build_book_payload reads, and for corpus-stats and report every key but
-# jobs and mirror_base, which only fetch reads.
+# annotate_book reads, what build_book_payload reads, and for corpus-stats
+# and report every key but jobs and mirror_base, which only fetch reads.
 INGEST_KEYS = ("front_window_frac", "front_short_line_len",
                "front_short_line_ratio", "page_separator")
-DEDUP_KEYS = ("minhash_hashes", "shingle_size", "seed", "dedup_title_author",
-              "dedup_content_threshold")
 ANNOTATE_KEYS = ("header_max_len", "numbering_gap_tolerance", "lexicon_dir",
                  "min_mentions", "pronoun_sentence_window")
 ANALYSIS_KEYS = ("lexicon_dir", "timeline_top_k", "interaction_window",
@@ -454,24 +450,6 @@ def source_parts(path, kind):
         return [path]
     return [part for page in sorted(path.glob("*.txt"))
             for part in (page.name, page)]
-
-
-def dedup_parts(store, book_ids, config, traces):
-    """What the dedup memo covers: the dedup keys; each book's id and the
-    ``<meta>`` fields its index record is built from; and the index. None
-    while a ``<meta>`` cannot be read or has no body digest, which alone
-    stands for the body (annotate rewrites ``book.xml`` after dedup)."""
-    parts = settings(config, DEDUP_KEYS)
-    for book_id in book_ids:
-        try:
-            meta = traces.head(book_xml(store, book_id))
-        except BinderyError:
-            return None
-        if not (meta and meta.body_sha256):
-            return None
-        parts += [book_id, meta.body_sha256, meta.title, meta.author,
-                  meta.year, meta.corpus]
-    return parts + [corpus_file(store, INDEX_FILE)]
 
 
 def annotate_parts(meta, config):

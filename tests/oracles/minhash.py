@@ -9,9 +9,8 @@ time with fresh temporaries. Kept to check the block version against.
 import numpy as np
 
 from bindery.dedup import (BASE_SEED, NUM_HASHES, SHINGLE_SIZE, _NON_ALNUM,
-                           _base_hashes, _hash_params)
+                           _base_hashes, _hash_params, strip_diacritics)
 from bindery.errors import TooShortError
-from bindery.ingest import strip_diacritics
 
 
 def shingle_set(text, shingle_size=SHINGLE_SIZE):

@@ -657,19 +657,19 @@ def test_noop_all_digests_each_file_at_most_once(fixture_store, monkeypatch):
     monkeypatch.setattr(store_module, "file_digest", counting_digest)
     assert store_book_ids(store) == kept_book_ids(store)
     # The first run has no run trace, so the per-phase traces decide: the
-    # sources (for ingest), the index (for dedup's trace, which then reads
-    # its representatives and writes nothing), what corpus-stats reads and
-    # writes, and the pages (for report); then the three memos, for the
-    # run trace it records, and the run memo, which the writer compares
-    # with what it writes. The second run's run trace is current, and it
-    # digests the same files but the run memo, which it only reads.
+    # sources (for ingest), the index (which dedup's writer compares with
+    # the records it rebuilt), what corpus-stats reads and writes, and the
+    # pages (for report); then the two memos, for the run trace it
+    # records, and the run memo, which the writer compares with what it
+    # writes. The second run's run trace is current, and it digests the
+    # same files but the run memo, which it only reads.
     expected = Counter([
         *BOOKS.glob("*.txt"),
         *(store / book_id / name for book_id in kept_book_ids(store)
           for name in ("book.xml", "lemmas.json", "book.json", "index.html")),
         *(store / "_corpus" / name for name in (
             "index.jsonl", "corpus.json", "lemmas.json", "vectors.bin",
-            "corpus.html", "authors.html", "subjects.html", "dedup.memo",
+            "corpus.html", "authors.html", "subjects.html",
             "corpus-stats.memo", "report.memo"))])
     for trace, memo in (("per-phase", 1), ("run", 0)):
         digested.clear()
@@ -724,14 +724,9 @@ def test_all_reads_dedup_index_only_for_dedup_memo(fixture_store, monkeypatch):
         return real_lines(path)
 
     monkeypatch.setattr(store_module, "_numbered_lines", counting_lines)
-    # Once for the representatives while dedup's trace is current, once
-    # for the records' fingerprints while it is not.
-    for memo in ("current", "deleted"):
-        if memo == "deleted":
-            (store / "_corpus" / "dedup.memo").unlink()
-        loads.clear()
-        assert rerun_all(config, store) == 0
-        assert loads == ["index.jsonl"], memo
+    # Once, by dedup, for the records it reuses.
+    assert rerun_all(config, store) == 0
+    assert loads == ["index.jsonl"]
     loads.clear()
     assert rerun_all(config, store, "--force") == 0
     assert loads == []
@@ -1071,6 +1066,8 @@ def test_count_below_one_is_a_bad_config(tmp_path, caplog, monkeypatch, key,
     ("dedup_content_threshold", "1.5", "dedup_content_threshold = 1.5: above 1"),
     ("vocab_list_len", "-1", "vocab_list_len = -1: below 0"),
     ("similar_top_k", "-1", "similar_top_k = -1: below 0"),
+    ("lexicon_dir", "/nonexistent-lexicons",
+     "lexicon_dir = /nonexistent-lexicons: not a directory"),
 ])
 def test_value_out_of_range_is_a_bad_config(tmp_path, caplog, monkeypatch,
                                             key, value, message):
@@ -1206,7 +1203,7 @@ def test_peak_memory_line_gives_the_largest_pool_worker_at_jobs_2(
     assert 1.0 < float(peak[2]) < 100_000.0
 
 
-# -- dedup memo ---------------------------------------------------------------
+# -- dedup memo: the records of the index ------------------------------------
 
 
 def _index_bytes(store):
@@ -1236,11 +1233,12 @@ def test_memo_index_equals_forced_and_fresh_index(fixture_store, parse_callers,
     records = [json.loads(line) for line in cold.splitlines()]
     assert all(r["minhash"] == [128, 5, 13] for r in records)
     assert all(re.fullmatch("[0-9a-f]{64}", r["body_sha256"]) for r in records)
+    assert all(r["matched_under"] == [0.8, True] for r in records)
     caplog.set_level(logging.DEBUG)
-    (store / "_corpus" / "dedup.memo").unlink()  # so each record is reused
     assert _dedup(config, store, "-v") == 0
     assert parse_callers == {}
-    assert "dedup: 5 fingerprint(s) reused, 0 computed" in caplog.messages
+    assert ("dedup: 5 fingerprint(s) reused, 0 computed, 0 book(s) compared"
+            in caplog.messages)
     assert _index_bytes(store) == cold
     _assert_memo_matches_full_builds(config, store, parse_callers)
 
@@ -1265,9 +1263,6 @@ def test_memo_index_equals_full_builds_on_generated_books(tmp_path,
     undigested = sum(b"body_sha256" not in line
                      for line in _index_bytes(store).splitlines())
     assert 0 < undigested < 40
-    # A book without a body digest keeps dedup's trace from being current,
-    # so every run below reuses records one by one.
-    assert not (store / "_corpus" / "dedup.memo").exists()
     parse_callers.clear()
     assert _dedup(config_path, store) == 0
     assert parse_callers == {"run_dedup": undigested}
@@ -1344,8 +1339,8 @@ def test_store_without_body_digests_is_fingerprinted_as_before(
     index = store / "_corpus" / "index.jsonl"
     records = [json.loads(line) for line in index.read_text().splitlines()]
     index.write_text("".join(
-        json.dumps({k: v for k, v in r.items()
-                    if k not in ("body_sha256", "minhash")},
+        json.dumps({k: v for k, v in r.items() if k not in (
+                    "body_sha256", "minhash", "matches", "matched_under")},
                    sort_keys=True) + "\n" for r in records))
     old = index.read_bytes()
     for _ in range(2):
@@ -1395,13 +1390,14 @@ def test_first_noop_after_cold_all_takes_the_dedup_memo(
     def no_comparison(*args, **kwargs):
         raise AssertionError("a no-op run fingerprinted or compared books")
 
-    for name in ("fingerprint", "dedup_corpus", "estimate_similarity"):
+    for name in ("fingerprint", "estimate_similarity"):
         monkeypatch.setattr(dedup, name, no_comparison)
     caplog.set_level(logging.DEBUG)
     (store / "_corpus" / "all.memo").unlink()  # so the per-phase traces decide
     assert run("--config", str(smoke_config), "-v", "all", "--in",
                str(raw_dir), "--out", str(store)) == 0
-    assert "dedup: inputs unchanged, 3 book(s) reused" in caplog.messages
+    assert ("dedup: 3 fingerprint(s) reused, 0 computed, 0 book(s) compared"
+            in caplog.messages)
 
 
 @pytest.fixture(scope="module")
@@ -1430,29 +1426,40 @@ def _remove_reprint(raw, store):
     shutil.rmtree(store / "pg7300")
 
 
-# name -> (change before the re-run, whether dedup's trace stays current).
-# A change is made to the sources and the store, to the environment, or to
-# the run as flags.
+def _index_in_parent_format(raw, store):
+    """The index as written before records kept their matches."""
+    index = store / "_corpus" / "index.jsonl"
+    records = [json.loads(line) for line in index.read_text().splitlines()]
+    index.write_text("".join(json.dumps(
+        {k: v for k, v in r.items() if k not in ("matches", "matched_under")},
+        sort_keys=True) + "\n" for r in records))
+
+
+# name -> (change before the re-run, how many books the re-run's dedup
+# compares with all the others; None for every book). A change is made to
+# the sources and the store, to the environment, or to the run as flags.
 DEDUP_MEMO_CASES = {
-    "unchanged": (None, True),
-    "source edited": (lambda raw, store: _edit_pg1002(raw), False),
+    "unchanged": (None, 0),
+    "source edited": (lambda raw, store: _edit_pg1002(raw), 1),
     "title changed": (lambda raw, store: _set_header(
-        raw / "pg1003.txt", title="A Title Changed by Hand"), False),
+        raw / "pg1003.txt", title="A Title Changed by Hand"), 1),
     "title and author of another book": (lambda raw, store: _set_header(
         raw / "pg1001.txt", title="Oliver Twist", author="Charles Dickens"),
-        False),
+        1),
     "book added": (lambda raw, store: shutil.copy(raw / "pg1002.txt",
-                                                  raw / "9002.txt"), False),
-    "book removed": (_remove_reprint, False),
+                                                  raw / "9002.txt"), 1),
+    "book removed": (_remove_reprint, 0),
     "index.jsonl deleted": (
-        lambda raw, store: _delete(store / "_corpus" / "index.jsonl"), False),
+        lambda raw, store: _delete(store / "_corpus" / "index.jsonl"), None),
     "index.jsonl damaged": (
-        lambda raw, store: _truncate(store / "_corpus" / "index.jsonl"), False),
-    "dedup.memo damaged": (lambda raw, store: (
-        store / "_corpus" / "dedup.memo").write_text('{"trace": "'), False),
-    "seed": ({"BINDERY_SEED": "99"}, False),
-    "content threshold": ({"BINDERY_DEDUP_CONTENT_THRESHOLD": "0.5"}, False),
-    "--force": (["--force"], False),
+        lambda raw, store: _truncate(store / "_corpus" / "index.jsonl"), None),
+    "index in the parent's format": (_index_in_parent_format, None),
+    "seed": ({"BINDERY_SEED": "99"}, None),
+    "minhash_hashes": ({"BINDERY_MINHASH_HASHES": "64"}, None),
+    "shingle_size": ({"BINDERY_SHINGLE_SIZE": "4"}, None),
+    "content threshold": ({"BINDERY_DEDUP_CONTENT_THRESHOLD": "0.5"}, None),
+    "dedup_title_author": ({"BINDERY_DEDUP_TITLE_AUTHOR": "false"}, None),
+    "--force": (["--force"], None),
 }
 
 
@@ -1460,15 +1467,26 @@ def _duplicate_lines(caplog):
     return [m for m in caplog.messages if " duplicate(s): " in m]
 
 
+_COMPARED = re.compile(r"dedup: \d+ fingerprint\(s\) reused, \d+ computed, "
+                       r"(\d+) book\(s\) compared")
+
+
+def _books_compared(caplog):
+    [count] = [int(m[1]) for m in map(_COMPARED.fullmatch, caplog.messages)
+               if m]
+    return count
+
+
 @pytest.mark.parametrize("case", list(DEDUP_MEMO_CASES))
 def test_dedup_memo_runs_match_forced_runs(dedup_store, tmp_path, caplog,
                                            monkeypatch, case):
     """After each change, ingest and dedup leave the store and log the
-    duplicates of forced runs, and the next dedup takes the memo."""
+    duplicates of forced runs, comparing only the books whose records
+    cannot be reused, and the next dedup reuses every record."""
     raw, store = tmp_path / "raw", tmp_path / "store"
     shutil.copytree(dedup_store[0], raw)
     shutil.copytree(dedup_store[1], store)
-    change, current = DEDUP_MEMO_CASES[case]
+    change, compared = DEDUP_MEMO_CASES[case]
     flags = []
     if isinstance(change, list):
         flags = change
@@ -1480,22 +1498,22 @@ def test_dedup_memo_runs_match_forced_runs(dedup_store, tmp_path, caplog,
     forced = tmp_path / "forced"
     shutil.copytree(store, forced)
     caplog.set_level(logging.DEBUG)
-    duplicates, reused = [], []
+    duplicates, counts = [], []
     for root, force in ((store, flags), (forced, ["--force"])):
         caplog.clear()
         assert run("-v", *force, "ingest", "--in", str(raw),
                    "--out", str(root)) == 0
         assert run("-v", *force, "dedup", "--out", str(root)) == 0
         duplicates.append(_duplicate_lines(caplog))
-        reused.append(any(m.startswith("dedup: inputs unchanged")
-                          for m in caplog.messages))
-    assert reused == [current, False]
+        counts.append(_books_compared(caplog))
+    books = len(store_book_ids(store))
+    assert counts == [books if compared is None else compared, books]
     assert duplicates[0] == duplicates[1]
     assert _store_bytes(store) == _store_bytes(forced)
     caplog.clear()
     assert run("-v", "dedup", "--out", str(store)) == 0
-    books = len(store_book_ids(store))
-    assert f"dedup: inputs unchanged, {books} book(s) reused" in caplog.messages
+    assert (f"dedup: {books} fingerprint(s) reused, 0 computed, 0 book(s) "
+            "compared") in caplog.messages
     assert _duplicate_lines(caplog) == duplicates[0]
     if case == "unchanged":
         assert duplicates[0] == ["dedup: 1 duplicate(s): pg7300->pg730"]
@@ -1767,8 +1785,8 @@ def _other_value(key):
     """Another valid value of ``key`` than the smoke config's."""
     if key == "page_separator":
         return " "
-    if key == "lexicon_dir":  # empty: every lexicon falls back to the bundled
-        return "/nonexistent-lexicons"
+    if key == "lexicon_dir":  # no lexicon file: each falls back to the bundled
+        return str(BOOKS)
     value = getattr(Config(embed_min_count=2, embed_dim=32, embed_epochs=5), key)
     if isinstance(value, bool):
         return str(not value)
@@ -1954,11 +1972,6 @@ def _ingest_each_source(config, store, tmp_path):
                                 config)
 
 
-def _dedup_every_book(config, store, tmp_path):
-    pipeline._dedup_books(store, store_book_ids(store), config,
-                          Traces(force=True))
-
-
 def _annotate_one(config, store, tmp_path):
     book = pipeline.to_raw_stage(xml_model.load(store / "pg730" / "book.xml"))
     pipeline.annotate_book(book, config)
@@ -1971,15 +1984,12 @@ def _analyze_one(config, store, tmp_path):
 
 # The keys a trace covers -> what its phase reads for one book.
 PHASE_READS = {"INGEST_KEYS": _ingest_each_source,
-               "DEDUP_KEYS": _dedup_every_book,
                "ANNOTATE_KEYS": _annotate_one,
                "ANALYSIS_KEYS": _analyze_one}
 
 
-@pytest.mark.parametrize("keys", list(PHASE_READS))
-def test_trace_keys_are_the_config_keys_their_phase_reads(fixture_store,
-                                                          tmp_path, keys):
-    config_path, store = fixture_store
+def _keys_read(config_path, phase):
+    """The config keys ``phase(config)`` reads."""
     names = set(Config.field_names())
     reads = set()
 
@@ -1991,8 +2001,34 @@ def test_trace_keys_are_the_config_keys_their_phase_reads(fixture_store,
 
     config = RecordingConfig(**asdict(Config.load(config_path)))
     reads.clear()
-    PHASE_READS[keys](config, store, tmp_path)
-    assert sorted(reads) == sorted(getattr(store_module, keys))
+    phase(config)
+    return sorted(reads)
+
+
+@pytest.mark.parametrize("keys", list(PHASE_READS))
+def test_trace_keys_are_the_config_keys_their_phase_reads(fixture_store,
+                                                          tmp_path, keys):
+    config_path, store = fixture_store
+    reads = _keys_read(config_path, lambda config: PHASE_READS[keys](
+        config, store, tmp_path))
+    assert reads == sorted(getattr(store_module, keys))
+
+
+def test_dedup_reads_the_keys_its_index_records_name(fixture_store):
+    """Each record names the values of every key dedup reads: those its
+    fingerprint was made with and those its matches were found under."""
+    config_path, store = fixture_store
+    reads = _keys_read(config_path, lambda config: pipeline.run_dedup(
+        store, config, Traces(force=True)))
+    assert reads == sorted(["minhash_hashes", "shingle_size", "seed",
+                            "dedup_content_threshold", "dedup_title_author"])
+    config = Config.load(config_path)
+    for line in _index_bytes(store).splitlines():
+        record = json.loads(line)
+        assert record["minhash"] == [config.minhash_hashes,
+                                     config.shingle_size, config.seed]
+        assert record["matched_under"] == [config.dedup_content_threshold,
+                                           config.dedup_title_author]
 
 
 @pytest.fixture(scope="module")
@@ -2114,9 +2150,10 @@ def test_cold_all_runs_blas_on_one_thread(smoke_config, tmp_path):
 
 
 # What a run that finds nothing to do may load: the CLI, the pipeline, and
-# the store with its formats and traces; not the ingest or dedup code, which
-# only a book to ingest or fingerprint needs, nor the renderer. An ``all``
-# whose run trace is current needs neither the pipeline nor the XML model.
+# the store with its formats and traces, and for dedup the dedup code, which
+# groups the books by their stored matches; not the ingest code, which only
+# a book to ingest needs, nor the renderer. An ``all`` whose run trace is
+# current needs neither the pipeline nor the XML model.
 NOOP_MODULES = ["bindery", "bindery.cli", "bindery.config", "bindery.errors",
                 "bindery.pipeline", "bindery.store", "bindery.xml_model"]
 REPLAY_MODULES = ["bindery", "bindery.cli", "bindery.config", "bindery.errors",
@@ -2157,6 +2194,8 @@ def test_noop_run_leaves_phase_modules_unrun(fixture_store, command):
     phase; the second replays the results the first recorded."""
     config, store = fixture_store
     expected = NOOP_MODULES
+    if command in ("all", "dedup"):
+        expected = sorted([*NOOP_MODULES, "bindery.dedup"])
     if command == "second all":
         assert rerun_all(config, store) == 0
         command, expected = "all", REPLAY_MODULES

@@ -1,18 +1,23 @@
 import hashlib
 import json
 import random
+import shutil
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from bindery import dedup, ingest, pipeline
+from bindery import dedup, ingest, pipeline, xml_model
 from bindery.config import Config
 from bindery.dedup import (BookFingerprint, CorpusEntry, CorpusIndex,
                            _base_hashes, dedup_corpus, estimate_similarity,
-                           fingerprint, normalize_name, shingle_set)
+                           fingerprint, normalize_name, shingle_set,
+                           strip_diacritics)
 from bindery.errors import ParseError, TooShortError
-from bindery.ingest import strip_diacritics
+from bindery.store import Traces
+from generators import dialogue_text, random_book
 from oracles import minhash as oracle
+from oracles.dedup_corpus import dedup_corpus as oracle_dedup_corpus
 
 
 def words(n, seed=0, prefix="w"):
@@ -290,7 +295,10 @@ def test_index_jsonl_roundtrip(tmp_path):
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert records[0]["body_sha256"] == "ab" * 32
     assert records[0]["minhash"] == [128, 5, 7]
+    assert (records[0]["matches"], records[0]["matched_under"]) == ([],
+                                                                    [0.8, True])
     assert "body_sha256" not in records[1] and "minhash" not in records[1]
+    assert "matches" not in records[1]
 
 
 @pytest.mark.parametrize("bad_line", [
@@ -302,6 +310,8 @@ def test_index_jsonl_roundtrip(tmp_path):
     ' "normalized_author": ""}',
     '{"id": "pgB", "signature": [1, 2]}',
     '{"id": "pgB", "minhash": 5}',
+    '{"id": "pgB", "matches": 5}',
+    '{"id": "pgB", "matched_under": 5}',
     b'{"id": "pg\xff"}',
 ])
 def test_malformed_index_line_is_a_parse_error_naming_it(tmp_path, bad_line):
@@ -314,3 +324,134 @@ def test_malformed_index_line_is_a_parse_error_naming_it(tmp_path, bad_line):
         CorpusIndex.load(path)
     assert err.value.line == 3
     assert str(path) in str(err.value)
+
+
+# -- incremental dedup over a store against the all-pairs oracle -----------------
+
+
+def _store_book(store, book_id, paragraphs, title, author):
+    """Write an ingest-stage book.xml, with its body digest in <meta>."""
+    blocks, offset = [], 0
+    for text in paragraphs:
+        blocks.append(xml_model.Paragraph(raw=text, offset=offset))
+        offset += len(text) + 2
+    body = "\n\n".join(paragraphs)
+    book = xml_model.AnnotatedBook(
+        meta=xml_model.BookMeta(
+            title=title, author=author, source_id=book_id, corpus="gutenberg",
+            body_sha256=hashlib.sha256(body.encode("utf-8")).hexdigest()),
+        body=[xml_model.Section(header=None, paragraphs=blocks)])
+    book.add_phase("ingest")
+    path = store / book_id / "book.xml"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(xml_model.serialize(book), encoding="utf-8")
+
+
+def _random_books(rnd, store, count):
+    books = {}
+    for i in range(count):
+        books[f"pg{i}"] = (dialogue_text(rnd).split("\n\n"), f"Book {i}",
+                           "Ann Prior")
+        _store_book(store, f"pg{i}", *books[f"pg{i}"])
+    return books
+
+
+def _change(rnd, store, books, step):
+    """One random change to the store: a book added, near-duplicated
+    (from the newest book, so chains form), removed or edited, or its
+    title and author made another book's or its own again."""
+    ids = sorted(books)
+    kind = rnd.choice(["add", "near", "near", "remove", "edit", "collide",
+                       "rename"] if len(ids) > 2 else ["add", "near"])
+    if kind == "remove":
+        book_id = rnd.choice(ids)
+        del books[book_id]
+        shutil.rmtree(store / book_id)
+        return
+    if kind in ("add", "near"):
+        book_id = f"pg{1000 + step}"
+        if kind == "add":
+            paragraphs = dialogue_text(rnd).split("\n\n")
+            if rnd.random() < 0.1:
+                paragraphs = ["Too short."]
+        else:
+            paragraphs = list(books[max(ids, key=lambda b: int(b[2:]))][0])
+            del paragraphs[rnd.randrange(len(paragraphs))]
+        meta = random_book(rnd).meta
+        title, author = ((meta.title, meta.author) if rnd.random() < 0.5
+                         else (f"Book {step}", "Ann Prior"))
+    else:
+        book_id = rnd.choice(ids)
+        paragraphs, title, author = books[book_id]
+        if kind == "edit":
+            paragraphs = paragraphs[1:] + [dialogue_text(rnd)]
+        elif kind == "collide":
+            title, author = books[rnd.choice(ids)][1:]
+        else:
+            title, author = f"Book {book_id}", "Ann Prior"
+    books[book_id] = (paragraphs, title, author)
+    _store_book(store, book_id, paragraphs, title, author)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_incremental_dedup_equals_the_all_pairs_oracle(tmp_path, seed):
+    """After each change, dedup reusing the last index writes the index a
+    forced run writes, and its groups and representatives are those of
+    the all-pairs oracle over the books then stored."""
+    rnd = random.Random(seed)
+    store, forced = tmp_path / "store", tmp_path / "forced"
+    books = _random_books(rnd, store, 8)
+    settings = [(0.8, True), (0.8, False), (0.5, True)]
+    for step in range(30):
+        _change(rnd, store, books, step)
+        threshold, title_author = settings[step // 10]
+        config = Config(dedup_content_threshold=threshold,
+                        dedup_title_author=title_author)
+        results = pipeline.run_dedup(store, config, Traces(False))
+        shutil.rmtree(forced, ignore_errors=True)
+        shutil.copytree(store, forced)
+        pipeline.run_dedup(forced, config, Traces(True))
+        index = store / "_corpus" / "index.jsonl"
+        assert index.read_bytes() == (
+            forced / "_corpus" / "index.jsonl").read_bytes(), step
+        oracle_index = CorpusIndex.load(index)
+        oracle_dedup_corpus(oracle_index, title_author_match=title_author,
+                            content_threshold=threshold)
+        expected = {e.book_id: e.representative_of
+                    for e in oracle_index.entries}
+        assert {r.book_id: r.duplicate_of for r in results} == expected, step
+        assert sorted(expected) == sorted(books)
+
+
+def test_one_added_book_is_compared_with_each_book_once(tmp_path,
+                                                        monkeypatch):
+    """Adding a book to a store of N estimates at most N pairs; a run that
+    changes nothing estimates and fingerprints nothing and leaves the
+    index untouched."""
+    store = tmp_path / "store"
+    rnd = random.Random(5)
+    books = _random_books(rnd, store, 40)
+    config = Config()
+    pipeline.run_dedup(store, config, Traces(False))
+    calls = Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("estimate_similarity", "fingerprint"):
+        monkeypatch.setattr(dedup, name, counted(name, getattr(dedup, name)))
+    index = store / "_corpus" / "index.jsonl"
+    before = index.read_bytes(), index.stat().st_mtime_ns
+    pipeline.run_dedup(store, config, Traces(False))
+    assert calls == Counter()
+    assert (index.read_bytes(), index.stat().st_mtime_ns) == before
+    paragraphs = books["pg3"][0][1:]
+    _store_book(store, "pg99", paragraphs, "Another Title", "Ann Prior")
+    results = pipeline.run_dedup(store, config, Traces(False))
+    assert calls["fingerprint"] == 1
+    assert 0 < calls["estimate_similarity"] <= len(books)
+    assert [(r.book_id, r.duplicate_of) for r in results
+            if r.duplicate_of] == [("pg99", "pg3")]
