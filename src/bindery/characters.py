@@ -9,9 +9,10 @@ combinations with more than two total mentions become characters.
 """
 
 import logging
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from . import lexicons
 from .linguistic import (AUXILIARIES, CONJUNCTIONS, DETERMINERS, INTERJECTIONS,
@@ -420,17 +421,9 @@ def build_occurrence_timeline(book, top_k=10):
     total = book.token_count()
     if total == 0:
         return {"characters": [], "chapter_breaks": []}
-    ranked = sorted(book.characters,
-                    key=lambda r: (-r.count, r.mention_token_indices[0]
-                                   if r.mention_token_indices else 0))
-    rows = []
-    for record in ranked[:top_k]:
-        rows.append({
-            "id": record.id,
-            "name": record.canonical_name,
-            "gender": record.gender,
-            "positions": [index / total for index in record.mention_token_indices],
-        })
+    rows = [{"id": r.id, "name": r.canonical_name, "gender": r.gender,
+             "positions": [index / total for index in r.mention_token_indices]}
+            for r in _ranked(book.characters)[:top_k]]
     breaks = []
     seen = 0
     for section in book.body[:-1]:
@@ -445,28 +438,33 @@ def build_interaction_network(records, window=30, min_co=5):
 
     The weight of pair (A, B) counts unordered mention pairs at most
     ``window`` tokens apart; an edge exists when the count exceeds
-    ``min_co``.
+    ``min_co``. One sweep over every mention, sorted by position, counts
+    each such pair once, from its later mention, against the mentions of
+    other characters that lie behind it within the window.
     """
-    nodes = [{"id": r.id, "name": r.canonical_name, "count": r.count,
-              "gender": r.gender} for r in sorted(records, key=lambda r: r.id)]
-    edges = []
     ordered = sorted(records, key=lambda r: r.id)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            weight = _co_count(a.mention_token_indices,
-                               b.mention_token_indices, window)
-            if weight > min_co:
-                edges.append({"a": a.id, "b": b.id, "weight": weight})
+    mentions = sorted((position, r.id) for r in ordered
+                      for position in r.mention_token_indices)
+    weights = Counter()
+    left = 0
+    for right, (position, b) in enumerate(mentions):
+        while left < right and mentions[left][0] < position - window:
+            left += 1
+        for _, a in mentions[left:right]:
+            if a != b:
+                weights[(a, b) if a < b else (b, a)] += 1
+    edges = [{"a": a, "b": b, "weight": weight}
+             for a, b in combinations([r.id for r in ordered], 2)
+             if (weight := weights.get((a, b), 0)) > min_co]
+    nodes = [{"id": r.id, "name": r.canonical_name, "count": r.count,
+              "gender": r.gender} for r in ordered]
     return {"nodes": nodes, "edges": edges}
 
 
-def _co_count(a_positions, b_positions, window):
-    count = 0
-    for a in a_positions:
-        lo = bisect_left(b_positions, a - window)
-        hi = bisect_right(b_positions, a + window)
-        count += hi - lo
-    return count
+def _ranked(records):
+    """Most mentions first; a tie goes to the earlier first mention."""
+    return sorted(records, key=lambda r: (-r.count, r.mention_token_indices[0]
+                                          if r.mention_token_indices else 0))
 
 
 def protagonist_stats(records):
@@ -477,9 +475,7 @@ def protagonist_stats(records):
     """
     if not records:
         return None, None
-    ranked = sorted(records,
-                    key=lambda r: (-r.count, r.mention_token_indices[0]
-                                   if r.mention_token_indices else 0))
+    ranked = _ranked(records)
     protagonist = ranked[0]
     if len(ranked) < 2 or ranked[1].count == 0:
         return protagonist, None

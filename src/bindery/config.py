@@ -13,13 +13,18 @@ from dataclasses import dataclass, fields
 
 ENV_PREFIX = "BINDERY_"
 # The range of each bounded key, (lowest, highest or None). Counts below 1
-# divide by zero or make every book a duplicate; xml_model.validate needs 3
-# mentions of each character; a threshold is a share; a negative list length
-# slices from the end.
+# divide by zero, index past the end, make every book a duplicate or leave
+# the vectors zero-wide or untrained; xml_model.validate needs 3 mentions of
+# each character; a threshold is a share; a negative list length slices from
+# the end; a negative window drops every edge, and a negative or NaN
+# learning rate trains away from the data or into NaN.
 RANGES = {"shingle_size": (1, None), "minhash_hashes": (1, None),
           "top2_histogram_bins": (1, None), "gender_time_bins": (1, None),
-          "min_mentions": (3, None), "dedup_content_threshold": (0, 1),
-          "vocab_list_len": (0, None), "similar_top_k": (0, None)}
+          "rank_share_ranks": (1, None), "embed_dim": (1, None),
+          "embed_epochs": (1, None), "min_mentions": (3, None),
+          "dedup_content_threshold": (0, 1), "embed_learning_rate": (0, None),
+          "interaction_window": (0, None), "vocab_list_len": (0, None),
+          "similar_top_k": (0, None), "timeline_top_k": (0, None)}
 
 
 @dataclass

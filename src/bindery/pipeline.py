@@ -605,8 +605,13 @@ def _annotate_analyze_one(args):
     those of running the phases one after another: a failed load fails
     every phase; after a failed annotate, analyze runs on the book.xml
     still on disk; after a failed analyze, the annotation is still
-    written; when every phase fails, nothing is. Annotate validates the
-    book as a standalone annotate's serialize would.
+    written; when every phase fails, nothing is. Each tree is validated
+    once, so the write takes the unchecked ``xml_model.pieces``: an
+    annotated book by annotate, which fails on an annotation that breaks
+    an invariant as a standalone annotate would; a book that analyze
+    reads from disk, alone or after a failed annotate, by its parse.
+    Analyze's one change to the tree, its phase stamp, is checked by
+    ``add_phase``.
     """
     store, book_id, config, phases = args
     path = book_xml(store, book_id)
@@ -635,7 +640,7 @@ def _annotate_analyze_one(args):
         except BinderyError as exc:
             errors["analyze"] = exc
     if len(errors) < len(phases):
-        write_if_changed(path, xml_model.serialize_pieces(book), traces.files)
+        write_if_changed(path, xml_model.pieces(book), traces.files)
     if analysis is not None:
         analysis["trace"] = traces.digest(
             analysis_parts(store, book_id, config))

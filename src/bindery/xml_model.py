@@ -268,15 +268,20 @@ def serialize(book):
 
 
 def serialize_pieces(book):
-    """The canonical XML text of a valid book, a piece at a time.
+    """:func:`pieces` of a book validated when the first piece is asked for."""
+    validate(book)
+    yield from pieces(book)
+
+
+def pieces(book):
+    """The canonical XML text of a book, a piece at a time, unchecked.
 
     The first piece runs from the declaration through ``<body>``. Then
     each section comes as its opening tags, one piece per paragraph and
     its closing tag, and the book's closing tags come last, so a writer
-    of the pieces holds one paragraph's text at a time. The book is
-    validated when the first piece is asked for.
+    of the pieces holds one paragraph's text at a time. Only a book that
+    has passed :func:`validate` since it last changed gives valid XML.
     """
-    validate(book)
     out = ['<?xml version="1.0" encoding="UTF-8"?>\n<book>\n']
     _write_meta(out, book)
     _write_matter(out, "front", book.front)

@@ -1,6 +1,8 @@
 import copy
 import random
 
+import pytest
+
 from bindery import linguistic
 from bindery.characters import (_NAME_STOPWORDS, MentionCandidate,
                                 _name_like, augment_honorifics,
@@ -9,12 +11,14 @@ from bindery.characters import (_NAME_STOPWORDS, MentionCandidate,
                                 detect_person_mentions, infer_gender,
                                 protagonist_stats)
 from bindery.ingest import read_gutenberg
-from bindery.pipeline import (characters_book, ingest_to_book, linguistic_book,
-                              segment_book)
+from bindery.pipeline import (annotate_book, characters_book, ingest_to_book,
+                              linguistic_book, segment_book)
 from bindery.xml_model import CharacterRecord
 from generators import dialogue_text, random_book
 from helpers import build_annotated, run_characters
 from oracles import character_stage as oracle
+from oracles.interaction_network import (
+    build_interaction_network as oracle_network)
 
 
 def surfaces(candidates):
@@ -389,6 +393,54 @@ def test_network_nodes_carry_gender_and_count():
     graph = build_interaction_network([a])
     assert graph["nodes"] == [{"id": 0, "name": "C0", "count": 3,
                                "gender": "male"}]
+
+
+NETWORK_SETTINGS = ((30, 5), (0, 0), (10, -1), (100, 1))
+
+
+def test_network_sweep_matches_pair_oracle_on_books(fixture_books, config):
+    """The sweep gives the per-pair network on the characters of the
+    fixtures and of 200 dialogue books, under several settings."""
+    records = [annotate_book(ingest_to_book(read_gutenberg(path), config),
+                             config).characters for path in fixture_books]
+    records += [run_characters(dialogue_text(seed=seed))[1]
+                for seed in range(200)]
+    weights = set()
+    for book_records in records:
+        for window, min_co in NETWORK_SETTINGS:
+            graph = build_interaction_network(book_records, window, min_co)
+            assert graph == oracle_network(book_records, window, min_co)
+            weights.update(e["weight"] for e in graph["edges"])
+    assert sum(len(r) > 2 for r in records) > 100
+    assert 0 in weights and max(weights) > 50
+
+
+@pytest.mark.parametrize("layout, window, min_co, edges", [
+    pytest.param({0: [5], 1: [5], 2: [40]}, 0, 0, [(0, 1, 1)],
+                 id="two characters at one position"),
+    pytest.param({0: [5, 5, 9], 1: [5, 9, 9]}, 0, 0, [(0, 1, 4)],
+                 id="window 0, repeated positions"),
+    pytest.param({0: [7, 7, 7], 1: [7, 8], 2: [3, 3, 50]}, 5, 0,
+                 [(0, 1, 6), (0, 2, 6), (1, 2, 4)],
+                 id="repeated positions within a record"),
+    pytest.param({0: [1, 2, 3], 1: [], 2: [2, 4]}, 30, -1,
+                 [(0, 1, 0), (0, 2, 6), (1, 2, 0)],
+                 id="no mentions, min_co -1"),
+    pytest.param({0: [1, 2, 3], 1: [], 2: [2, 4]}, 30, 0, [(0, 2, 6)],
+                 id="no mentions, min_co 0"),
+    pytest.param({2: [0, 10], 0: [100], 1: [5]}, 10, -1,
+                 [(0, 1, 0), (0, 2, 0), (1, 2, 2)],
+                 id="records out of id order"),
+    pytest.param({0: [1, 2, 3]}, 30, -1, [], id="one character"),
+    pytest.param({}, 30, -1, [], id="no characters"),
+])
+def test_network_hand_layouts(layout, window, min_co, edges):
+    records = [_record(char_id, positions)
+               for char_id, positions in layout.items()]
+    graph = build_interaction_network(records, window=window, min_co=min_co)
+    assert graph == oracle_network(records, window=window, min_co=min_co)
+    assert [(e["a"], e["b"], e["weight"]) for e in graph["edges"]] == edges
+    assert [n["id"] for n in graph["nodes"]] == sorted(layout)
 
 
 # -- protagonist --------------------------------------------------------------------

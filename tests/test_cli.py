@@ -1066,6 +1066,15 @@ def test_count_below_one_is_a_bad_config(tmp_path, caplog, monkeypatch, key,
     ("dedup_content_threshold", "1.5", "dedup_content_threshold = 1.5: above 1"),
     ("vocab_list_len", "-1", "vocab_list_len = -1: below 0"),
     ("similar_top_k", "-1", "similar_top_k = -1: below 0"),
+    ("rank_share_ranks", "-1", "rank_share_ranks = -1: below 1"),
+    ("rank_share_ranks", "0", "rank_share_ranks = 0: below 1"),
+    ("embed_dim", "-3", "embed_dim = -3: below 1"),
+    ("embed_dim", "0", "embed_dim = 0: below 1"),
+    ("embed_epochs", "0", "embed_epochs = 0: below 1"),
+    ("embed_learning_rate", "nan", "embed_learning_rate = nan: below 0"),
+    ("embed_learning_rate", "-0.1", "embed_learning_rate = -0.1: below 0"),
+    ("interaction_window", "-5", "interaction_window = -5: below 0"),
+    ("timeline_top_k", "-1", "timeline_top_k = -1: below 0"),
     ("lexicon_dir", "/nonexistent-lexicons",
      "lexicon_dir = /nonexistent-lexicons: not a directory"),
 ])
@@ -1082,13 +1091,19 @@ def test_value_out_of_range_is_a_bad_config(tmp_path, caplog, monkeypatch,
 
 def test_values_at_the_ends_of_their_ranges_are_accepted():
     env = {"BINDERY_MIN_MENTIONS": "3", "BINDERY_VOCAB_LIST_LEN": "0",
-           "BINDERY_SIMILAR_TOP_K": "0"}
+           "BINDERY_SIMILAR_TOP_K": "0", "BINDERY_RANK_SHARE_RANKS": "1",
+           "BINDERY_EMBED_DIM": "1", "BINDERY_EMBED_EPOCHS": "1",
+           "BINDERY_EMBED_LEARNING_RATE": "0",
+           "BINDERY_INTERACTION_WINDOW": "0", "BINDERY_TIMELINE_TOP_K": "0"}
     for threshold in ("0", "1"):
         env["BINDERY_DEDUP_CONTENT_THRESHOLD"] = threshold
         config = Config.load(env=env)
         assert config.dedup_content_threshold == float(threshold)
     assert (config.min_mentions, config.vocab_list_len,
             config.similar_top_k) == (3, 0, 0)
+    assert (config.rank_share_ranks, config.embed_dim, config.embed_epochs,
+            config.embed_learning_rate, config.interaction_window,
+            config.timeline_top_k) == (1, 1, 1, 0.0, 0, 0)
 
 
 def test_noop_parallel_all_starts_no_pool(fixture_store, monkeypatch):

@@ -2,12 +2,14 @@ import hashlib
 
 import pytest
 
-from bindery import xml_model
+from bindery import pipeline, xml_model
 from bindery.config import Config
-from bindery.errors import MissingPhaseError
+from bindery.errors import BinderyError, MissingPhaseError
 from bindery.ingest import read_gutenberg
-from bindery.pipeline import (annotate_book, body_text_of, build_book_payload,
+from bindery.pipeline import (_annotate_analyze_one, annotate_book,
+                              body_text_of, build_book_payload,
                               canonicalize_body, ingest_to_book, to_raw_stage)
+from bindery.store import book_xml
 from conftest import BOOKS
 from generators import random_book
 from oracles.body_text import body_text_of as oracle_body_text_of
@@ -105,3 +107,44 @@ def test_analytics_requires_characters_phase(config):
     with pytest.raises(MissingPhaseError) as err:
         build_book_payload(book, config)
     assert "characters" in str(err.value)
+
+
+@pytest.mark.parametrize("phases, stored, annotate_fails, calls", [
+    (("annotate", "analyze"), "ingested", False, 2),
+    (("annotate",), "ingested", False, 2),
+    (("analyze",), "annotated", False, 1),
+    (("annotate", "analyze"), "annotated", True, 2),
+])
+def test_worker_validates_each_tree_once(tmp_path, monkeypatch, phases,
+                                         stored, annotate_fails, calls):
+    """The parse checks the tree it loads and annotate the tree it
+    changes; the write validates neither again."""
+    config = Config()
+    book = ingest_to_book(read_gutenberg(BOOKS / "pg1002.txt"), config)
+    if stored == "annotated":
+        annotate_book(book, config)
+    path = book_xml(tmp_path, "pg1002")
+    path.parent.mkdir()
+    path.write_text(xml_model.serialize(book), encoding="utf-8")
+    if annotate_fails:
+        def failing(book, config):
+            raise BinderyError("injected annotate failure")
+        monkeypatch.setattr(pipeline, "characters_book", failing)
+    validated = []
+    real_validate = xml_model.validate
+
+    def counting(book):
+        validated.append(book)
+        return real_validate(book)
+
+    monkeypatch.setattr(xml_model, "validate", counting)
+    results = _annotate_analyze_one((tmp_path, "pg1002", config, phases))
+    assert [(r.phase, r.ok) for r in results] == [
+        (phase, not (annotate_fails and phase == "annotate"))
+        for phase in phases]
+    assert len(validated) == calls
+    monkeypatch.setattr(xml_model, "validate", real_validate)
+    written = xml_model.load(path)
+    assert written.phases[-1] == ("analytics" if "analyze" in phases
+                                  else "characters")
+    assert path.read_text(encoding="utf-8") == xml_model.serialize(written)
