@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import Config
+from .config import ENV_PREFIX, Config
 from .errors import BinderyError
 from .store import Traces, append_progress, kept_book_ids, replay_run
 
@@ -39,8 +39,8 @@ def build_parser():
         description="Clean, segment, and annotate novels; compute book and "
                     "corpus analytics; emit static reports.")
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="override the run seed")
-    parser.add_argument("--jobs", type=int, help="parallel workers per phase")
+    parser.add_argument("--seed", help="override the run seed")
+    parser.add_argument("--jobs", help="parallel workers per phase")
     parser.add_argument("--force", action="store_true",
                         help="redo phases even when traces are current")
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -50,7 +50,7 @@ def build_parser():
     fetch.add_argument("--ids", required=True,
                        help="comma-separated Gutenberg ids, e.g. 730,1342")
     fetch.add_argument("--out", required=True, help="destination directory")
-    fetch.add_argument("--mirror", help="mirror base URL (overrides config)")
+    fetch.add_argument("--mirror", dest="mirror_base", help="mirror base URL")
 
     for name in COMMANDS:
         cmd = sub.add_parser(name, help=f"run the {name} phase")
@@ -81,23 +81,22 @@ def main(argv=None):
         stream=sys.stderr,
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
+    # --seed, --jobs and --mirror enter as the variables of their keys.
+    flags = {ENV_PREFIX + key.upper(): flag for key, flag in vars(args).items()
+             if key in ("seed", "jobs", "mirror_base") and flag is not None}
     try:
-        config = Config.load(args.config)
+        config = Config.load(args.config, {**os.environ, **flags})
     except (KeyError, ValueError, OSError) as exc:
         log.error("bad config: %s", exc)
         return 2
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.jobs is not None:
-        config.jobs = args.jobs
 
     if args.command == "fetch":
         from .ingest import fetch_gutenberg  # loaded only by the runs that use it
-        mirror = args.mirror or config.mirror_base
         failures = 0
         for raw_id in args.ids.split(","):
             try:
-                path = fetch_gutenberg(int(raw_id.strip()), mirror, args.out)
+                path = fetch_gutenberg(int(raw_id.strip()), config.mirror_base,
+                                       args.out)
                 log.info("fetched %s", path)
             except (BinderyError, ValueError) as exc:
                 log.error("fetch %s failed: %s", raw_id.strip(), exc)

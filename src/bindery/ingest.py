@@ -133,7 +133,7 @@ def read_hathi_pagewise(directory, page_separator="\n"):
     metadata = {"encoding": encoding}
     manifest = directory / MANIFEST_NAME
     if manifest.exists():
-        for line in manifest.read_text(encoding="utf-8").splitlines():
+        for line in normalize_text(manifest.read_bytes())[0].splitlines():
             if ":" not in line:
                 continue
             key, _, value = line.partition(":")

@@ -273,7 +273,7 @@ def build_book_payload(book, config):
     }
 
 
-def build_corpus_stats(payloads, lemma_totals, config):
+def build_corpus_stats(payloads, config):
     """Corpus analytics document over the per-book payloads."""
     books = []
     char_count_lists = []
@@ -442,9 +442,14 @@ def _failed(book_id, phase, exc):
 
 
 def _read_source(path, kind, config):
-    if kind == SourceKind.GUTENBERG_TEXT:
-        return ingest.read_gutenberg(path)
-    return ingest.read_hathi_pagewise(path, page_separator=config.page_separator)
+    """The RawBook of a source; a file of it that cannot be read fails it."""
+    try:
+        if kind == SourceKind.GUTENBERG_TEXT:
+            return ingest.read_gutenberg(path)
+        return ingest.read_hathi_pagewise(
+            path, page_separator=config.page_separator)
+    except OSError as exc:
+        raise BinderyError(f"cannot read source: {exc}") from exc
 
 
 def run_ingest(in_dir, store, config, traces):
@@ -742,7 +747,7 @@ def run_corpus_stats(store, config, traces, book_ids):
         except BinderyError as exc:
             results.append(_failed(book_id, "corpus-stats", exc))
 
-    stats = build_corpus_stats(payloads, lemma_counter, config)
+    stats = build_corpus_stats(payloads, config)
     dump_json(stats, corpus_file(store, CORPUS_JSON), traces.files)
 
     common = analytics_book.common_words(lemma_counter,

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import traceback
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
 import pytest
@@ -108,7 +108,7 @@ def _assert_run_trace_is_fresh(config_path, in_dir, store, *flags):
     ``flags`` are those of the run, of which ``--seed`` changes the config."""
     config = Config.load(config_path)
     if "--seed" in flags:
-        config.seed = int(flags[flags.index("--seed") + 1])
+        config = replace(config, seed=int(flags[flags.index("--seed") + 1]))
     memo = json.loads((store / "_corpus" / "all.memo").read_bytes())
     assert memo["trace"] == Traces(False).digest(
         store_module.run_parts(in_dir, store, config))
@@ -125,6 +125,38 @@ def test_config_file_and_env_override(tmp_path, monkeypatch):
     config = Config.load(path)
     assert config.seed == 99
     assert config.dedup_title_author is False
+    # A flag outranks its variable, which outranks the file.
+    flags = ("--config", str(path), "--seed", "7", "--jobs", "2")
+    assert _cli_config(tmp_path, monkeypatch, *flags) == replace(
+        config, seed=7, jobs=2)
+    monkeypatch.setenv("BINDERY_JOBS", "4")
+    assert _cli_config(tmp_path, monkeypatch, *flags).jobs == 2
+    assert _cli_config(tmp_path, monkeypatch, *flags[:2]) == replace(
+        config, jobs=4)
+    monkeypatch.delenv("BINDERY_SEED")
+    assert _cli_config(tmp_path, monkeypatch, *flags[:2]).seed == 77
+
+
+def _cli_config(tmp_path, monkeypatch, *flags):
+    """The config a ``dedup`` run under ``flags`` gives its runner."""
+    configs = []
+
+    def recorder(store, config, traces):
+        configs.append(config)
+        return []
+
+    monkeypatch.setattr(pipeline, "run_dedup", recorder)
+    (tmp_path / "store").mkdir(exist_ok=True)
+    assert run(*flags, "dedup", "--out", str(tmp_path / "store")) == 0
+    [config] = configs
+    return config
+
+
+def test_config_is_frozen():
+    config = Config.load(env={})
+    with pytest.raises(FrozenInstanceError):
+        config.seed = 7
+    assert (replace(config, seed=7).seed, config.seed) == (7, 13)
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -615,6 +647,48 @@ def test_hathi_pagewise_source(smoke_config, tmp_path):
     assert payload["meta"]["corpus"] == "hathi"
 
 
+def _pagewise_source(raw, manifest):
+    """pg1004's body as a page-wise book under ``raw``, with ``manifest``
+    as the bytes of its manifest."""
+    book_dir = raw / "uc1.b0001"
+    book_dir.mkdir(parents=True)
+    body = (BOOKS / "pg1004.txt").read_text(encoding="utf-8").split("***")[2]
+    half = len(body) // 2
+    (book_dir / "00000001.txt").write_text(body[:half], encoding="utf-8")
+    (book_dir / "00000002.txt").write_text(body[half:], encoding="utf-8")
+    (book_dir / "manifest.txt").write_bytes(manifest)
+    return book_dir
+
+
+def test_latin1_manifest_is_decoded_like_the_pages(raw_dir, smoke_config,
+                                                   tmp_path, caplog):
+    _pagewise_source(raw_dir, "title: Café Stories\n".encode("latin-1"))
+    store = tmp_path / "store"
+    caplog.set_level(logging.INFO)
+    assert run("--config", str(smoke_config), "all",
+               "--in", str(raw_dir), "--out", str(store)) == 0
+    assert "all: 4 book(s) ok, 0 failed" in caplog.messages
+    payload = json.loads((store / "htuc1.b0001" / "book.json").read_bytes())
+    assert payload["meta"]["title"] == "Café Stories"
+
+
+def test_unreadable_page_fails_only_its_book(raw_dir, smoke_config, tmp_path,
+                                             caplog):
+    page = _pagewise_source(raw_dir, b"") / "00000003.txt"
+    page.mkdir()
+    store = tmp_path / "store"
+    caplog.set_level(logging.INFO)
+    assert run("--config", str(smoke_config), "all",
+               "--in", str(raw_dir), "--out", str(store)) == 1
+    assert "all: 3 book(s) ok, 1 failed" in caplog.messages
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert [r.exc_info for r in errors] == [None]
+    assert errors[0].message.startswith(
+        "htuc1.b0001: ingest: cannot read source: ")
+    assert str(page) in errors[0].message
+    assert store_book_ids(store) == ["pg1001", "pg1002", "pg730"]
+
+
 def test_load_head_matches_load_after_every_phase(phased_store):
     _, _, heads = phased_store
     assert len(heads) == len(PHASES) * 5
@@ -1075,6 +1149,10 @@ def test_count_below_one_is_a_bad_config(tmp_path, caplog, monkeypatch, key,
     ("embed_learning_rate", "-0.1", "embed_learning_rate = -0.1: below 0"),
     ("interaction_window", "-5", "interaction_window = -5: below 0"),
     ("timeline_top_k", "-1", "timeline_top_k = -1: below 0"),
+    ("seed", "-1", "seed = -1: below 0"),
+    ("embed_negatives", "-1", "embed_negatives = -1: below 0"),
+    ("embed_vocab_max", "-1", "embed_vocab_max = -1: below 0"),
+    ("vocab_top_common", "-1", "vocab_top_common = -1: below 0"),
     ("lexicon_dir", "/nonexistent-lexicons",
      "lexicon_dir = /nonexistent-lexicons: not a directory"),
 ])
@@ -1089,12 +1167,47 @@ def test_value_out_of_range_is_a_bad_config(tmp_path, caplog, monkeypatch,
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--seed", "-1"), "seed = -1: below 0"),
+    (("--seed", "7.5"), "seed = 7.5: invalid literal for int() with base 10: "
+                        "'7.5'"),
+    (("--jobs", "two"), "jobs = two: invalid literal for int() with base 10: "
+                        "'two'"),
+])
+def test_bad_flag_value_is_a_bad_config(tmp_path, caplog, flags, message):
+    """A flag is checked like the variable of its key."""
+    config = tmp_path / "c.conf"
+    config.write_text("embed_min_count = 1\n", encoding="utf-8")
+    caplog.set_level(logging.INFO)
+    assert run("--config", str(config), *flags, "all", "--in", str(BOOKS),
+               "--out", str(tmp_path / "store")) == 2
+    assert [(r.levelno, r.message, r.exc_info) for r in caplog.records] == [
+        (logging.ERROR, f"bad config: {message}", None)]
+    assert not (tmp_path / "store").exists()
+
+
+def test_lexicon_file_that_is_not_utf8_is_a_bad_config(tmp_path, caplog,
+                                                       monkeypatch):
+    lexicons = tmp_path / "lexicons"
+    lexicons.mkdir()
+    (lexicons / "stopwords.txt").write_bytes("the\ncafé\n".encode("latin-1"))
+    monkeypatch.setenv("BINDERY_LEXICON_DIR", str(lexicons))
+    caplog.set_level(logging.INFO)
+    assert run("all", "--in", str(BOOKS), "--out", str(tmp_path / "store")) == 2
+    assert [(r.levelno, r.message, r.exc_info) for r in caplog.records] == [
+        (logging.ERROR, f"bad config: lexicon_dir = {lexicons}: stopwords.txt "
+         "is not UTF-8 (invalid continuation byte at byte 7)", None)]
+    assert not (tmp_path / "store").exists()
+
+
 def test_values_at_the_ends_of_their_ranges_are_accepted():
     env = {"BINDERY_MIN_MENTIONS": "3", "BINDERY_VOCAB_LIST_LEN": "0",
            "BINDERY_SIMILAR_TOP_K": "0", "BINDERY_RANK_SHARE_RANKS": "1",
            "BINDERY_EMBED_DIM": "1", "BINDERY_EMBED_EPOCHS": "1",
            "BINDERY_EMBED_LEARNING_RATE": "0",
-           "BINDERY_INTERACTION_WINDOW": "0", "BINDERY_TIMELINE_TOP_K": "0"}
+           "BINDERY_INTERACTION_WINDOW": "0", "BINDERY_TIMELINE_TOP_K": "0",
+           "BINDERY_SEED": "0", "BINDERY_EMBED_NEGATIVES": "0",
+           "BINDERY_EMBED_VOCAB_MAX": "0", "BINDERY_VOCAB_TOP_COMMON": "0"}
     for threshold in ("0", "1"):
         env["BINDERY_DEDUP_CONTENT_THRESHOLD"] = threshold
         config = Config.load(env=env)
@@ -1104,6 +1217,8 @@ def test_values_at_the_ends_of_their_ranges_are_accepted():
     assert (config.rank_share_ranks, config.embed_dim, config.embed_epochs,
             config.embed_learning_rate, config.interaction_window,
             config.timeline_top_k) == (1, 1, 1, 0.0, 0, 0)
+    assert (config.seed, config.embed_negatives, config.embed_vocab_max,
+            config.vocab_top_common) == (0, 0, 0, 0)
 
 
 def test_noop_parallel_all_starts_no_pool(fixture_store, monkeypatch):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 
@@ -322,3 +324,108 @@ def test_parse_shares_equal_token_strings():
         assert _one_object_per_value(values), field
     assert tokens[0].text is tokens[3].text
     assert tokens[0].lemma is tokens[2].lemma
+
+
+def _rich_book():
+    """The first random book with two characters, a header, a raw paragraph
+    and a token, so that every check below has something to break."""
+    for seed in itertools.count():
+        book = random_book(seed=seed)
+        if (len(book.characters) > 1 and any(s.header for s in book.body)
+                and any(p.is_raw for p in book.iter_paragraphs())
+                and book.token_count()):
+            return validate(book)
+
+
+def _header(book):
+    return next(s.header for s in book.body if s.header)
+
+
+def _raw_paragraph(book):
+    return next(p for p in book.iter_paragraphs() if p.is_raw)
+
+
+def _token(book):
+    return next(book.iter_tokens())
+
+
+def _raise_count(record):
+    record.alias_counts[record.canonical_name] += 1
+
+
+# name -> (how to break a valid book, the error's message).
+BROKEN_BOOKS = {
+    "duplicate character id": (
+        lambda b: setattr(b.characters[1], "id", b.characters[0].id),
+        r"^duplicate character id \d+$"),
+    "bad gender": (lambda b: setattr(b.characters[0], "gender", "it"),
+                   "bad gender 'it'$"),
+    "canonical name not an alias": (
+        lambda b: setattr(b.characters[0], "canonical_name", "Nobody"),
+        r"canonical name 'Nobody' not among aliases$"),
+    "alias counts off": (lambda b: _raise_count(b.characters[0]),
+                         "alias counts do not sum to mention count$"),
+    "unsorted mentions": (
+        lambda b: b.characters[0].mention_token_indices.reverse(),
+        "mention indices not sorted$"),
+    "negative coreference count": (
+        lambda b: setattr(b.characters[0], "fpcc", -1),
+        "negative coreference count$"),
+    "bad header kind": (lambda b: setattr(_header(b), "kind", "canto"),
+                        "^bad header kind: 'canto'$"),
+    "header number 0": (lambda b: setattr(_header(b), "number", 0),
+                        "^header number 0 < 1$"),
+    "raw paragraph with sentences": (
+        lambda b: _raw_paragraph(b).sentences.append(Sentence()),
+        "^paragraph has both raw text and sentences$"),
+    "raw paragraph without offset": (
+        lambda b: setattr(_raw_paragraph(b), "offset", None),
+        "^raw paragraph missing offset$"),
+    "empty token": (lambda b: setattr(_token(b), "text", ""),
+                    r"^empty token at index \d+$"),
+    "negative token offset": (lambda b: setattr(_token(b), "offset", -1),
+                              r"^token \d+: negative offset$"),
+    "bad ner": (lambda b: setattr(_token(b), "ner", "PLACE"),
+                r"^token \d+: bad ner 'PLACE'$"),
+}
+
+
+@pytest.mark.parametrize("name", list(BROKEN_BOOKS))
+def test_validate_rejects_each_broken_invariant(name):
+    breaks, message = BROKEN_BOOKS[name]
+    book = _rich_book()
+    breaks(book)
+    with pytest.raises(InvariantError, match=message):
+        validate(book)
+
+
+# name -> (pattern, its replacement, the error's message): one edit of a
+# valid book's text that the parser rejects. A text without <book> has no
+# element at all, which expat rejects before the builder can.
+BROKEN_TEXTS = {
+    "no <book> root": (r"(?s)<book>.*", "", "no element found"),
+    "wrong root": (r"(?s)<book>(.*)</book>", r"<novel>\1</novel>",
+                   "expected <book> root, found <novel>"),
+    "<s> in a raw <p>": (r'(<p o="\d+">)[^<]*', r"\1<s/>",
+                         "raw paragraph cannot contain sentences"),
+    "text in <body>": ("  </body>", "  stray</body>",
+                       "unexpected text inside <body>"),
+    "character without <name>": (r"(<character [^>]*>\n)(      <name .*\n)+",
+                                 r"\1", "character has no <name> aliases"),
+    "count off": (r'(<character id="\d+" gender="\w+" count=")\d+', r"\g<1>99",
+                  r"declared count 99 != \d+ mention indices"),
+    "duplicate alias": (r"(      <name .*\n)", r"\1\1", "duplicate alias '"),
+    "bad mention list": ("<mentions>", "<mentions>x",
+                         "bad mention index list: 'x"),
+    "missing attribute": (r' gender="\w+"', "", "missing attribute 'gender'"),
+}
+
+
+@pytest.mark.parametrize("name", list(BROKEN_TEXTS))
+def test_parse_rejects_each_broken_text(name):
+    pattern, replacement, message = BROKEN_TEXTS[name]
+    text, edits = re.subn(pattern, replacement, serialize(_rich_book()),
+                          count=1)
+    assert edits == 1
+    with pytest.raises(ParseError, match=message):
+        parse(text)
