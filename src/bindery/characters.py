@@ -1,10 +1,10 @@
 """Canonical character identification and character-level analytics.
 
-Person mentions come from NER tags when an external import provided them,
-otherwise from a capitalization-run baseline. Mentions gain prefixed
-honorifics, receive three gender votes (honorific table, attributed
-pronoun majority, first-name lexicon), and single-name mentions are folded
-into the nearest compatible full name. Unique first/last/gender
+Person mentions are runs of NER-tagged tokens when an external import
+provided them, otherwise runs of the capitalization baseline. Mentions
+gain prefixed honorifics, receive three gender votes (honorific table,
+attributed pronoun majority, first-name lexicon), and single-name mentions
+are folded into the nearest compatible full name. Unique first/last/gender
 combinations with more than two total mentions become characters.
 """
 
@@ -16,13 +16,16 @@ from itertools import combinations
 
 from . import lexicons
 from .linguistic import (AUXILIARIES, CONJUNCTIONS, DETERMINERS, INTERJECTIONS,
-                         PREPOSITIONS, PRONOUNS, strip_possessive)
+                         PREPOSITIONS, PRONOUNS, nearest_mention,
+                         strip_possessive)
 from .xml_model import CharacterRecord
 
 log = logging.getLogger(__name__)
 
 MALE_PRONOUNS = frozenset(("he", "him", "his"))
 FEMALE_PRONOUNS = frozenset(("she", "her", "hers"))
+PRONOUN_GENDER = {**dict.fromkeys(MALE_PRONOUNS, "male"),
+                  **dict.fromkeys(FEMALE_PRONOUNS, "female")}
 FIRST_PERSON_PRONOUNS = frozenset(("i", "me", "my", "mine", "myself"))
 SECOND_PERSON_PRONOUNS = frozenset(("you", "your", "yours", "yourself",
                                     "yourselves"))
@@ -68,28 +71,16 @@ def _name_like(text):
 def detect_person_mentions(book, lexicon_dir=""):
     """Find person-mention candidates over the book's tokens.
 
-    Tokens carrying ``ner=PERSON`` are used directly when present.
-    Otherwise the baseline takes maximal runs of capitalized tokens:
-    non-sentence-initial tokens qualify outright, sentence-initial tokens
-    only when the same text appears capitalized mid-sentence elsewhere
-    (runs right after an honorific are always in since the honorific
-    occupies the initial position).
+    A candidate is a maximal run of tokens within a sentence. When any
+    token of the book carries ``ner=PERSON``, exactly those tokens join
+    runs. Otherwise the capitalization baseline decides: non-sentence-
+    initial name-like tokens qualify outright, sentence-initial ones only
+    when the same text appears capitalized mid-sentence elsewhere (runs
+    right after an honorific are always in since the honorific occupies
+    the initial position).
     """
     honorific_table = lexicons.honorifics(lexicon_dir)
-    if any(t.ner == "PERSON" for t in book.iter_tokens()):
-        runs = []
-        for sentence in book.iter_sentences():
-            run = []
-            for token in sentence.tokens:
-                if token.ner == "PERSON":
-                    run.append(token)
-                elif run:
-                    runs.append(run)
-                    run = []
-            if run:
-                runs.append(run)
-        return _candidates(runs)
-
+    tagged = any(t.ner == "PERSON" for t in book.iter_tokens())
     # One walk builds the runs. A sentence-initial name opens its run on
     # trial, since whether it appears mid-sentence later is not yet known;
     # it is dropped from the run after the walk if it never did.
@@ -99,8 +90,9 @@ def detect_person_mentions(book, lexicon_dir=""):
     for sentence in book.iter_sentences():
         run = []
         for position, token in enumerate(sentence.tokens):
-            ok = _name_like(token.text)
-            if ok:
+            if tagged:
+                ok = token.ner == "PERSON"
+            elif ok := _name_like(token.text):
                 name = strip_possessive(token.text)
                 lower = name.lower()
                 if lower in _NAME_STOPWORDS or lower.rstrip(".") in honorific_table:
@@ -168,22 +160,27 @@ def _resolve_name_parts(candidates, lexicon_dir=""):
             candidate.gender_name = names.get(parts[0].lower())
 
 
+def _preceding(ends, index, sentence_of, s, window):
+    """Slots in the sorted ``ends`` of the spans that end before token
+    ``index`` of sentence ``s``, nearest first, while the span ends
+    within ``window`` sentences of ``s``."""
+    slot = bisect_left(ends, index) - 1
+    while slot >= 0 and s - sentence_of[ends[slot]] <= window:
+        yield slot
+        slot -= 1
+
+
 def _attach_pronoun_votes(candidates, tokens, sentence_of, window=2):
     """Vote each gendered pronoun toward its nearest preceding candidate."""
     order = sorted(range(len(candidates)), key=lambda i: candidates[i].end)
     ends = [candidates[i].end for i in order]
     votes = defaultdict(Counter)
     for token, s in zip(tokens, sentence_of):
-        lower = token.text.lower()
-        if lower in MALE_PRONOUNS:
-            gender = "male"
-        elif lower in FEMALE_PRONOUNS:
-            gender = "female"
-        else:
-            continue
-        slot = bisect_left(ends, token.index) - 1
-        if slot >= 0:
-            if s - sentence_of[candidates[order[slot]].end] <= window:
+        gender = PRONOUN_GENDER.get(token.text.lower())
+        if gender is not None:
+            slot = next(_preceding(ends, token.index, sentence_of, s, window),
+                        None)
+            if slot is not None:
                 votes[order[slot]][gender] += 1
     for i, counter in votes.items():
         male, female = counter["male"], counter["female"]
@@ -193,17 +190,10 @@ def _attach_pronoun_votes(candidates, tokens, sentence_of, window=2):
             candidates[i].gender_pronoun = "female"
 
 
-def infer_gender(candidate_or_cluster):
-    """Resolve gender votes in preference order: honorific, pronoun, name.
-
-    Accepts a single mention candidate or an iterable of them (a cluster);
-    for clusters the honorific and name votes take the majority value and
-    pronoun votes are pooled.
-    """
-    if isinstance(candidate_or_cluster, MentionCandidate):
-        cluster = [candidate_or_cluster]
-    else:
-        cluster = list(candidate_or_cluster)
+def infer_gender(cluster):
+    """Resolve a cluster's gender votes in preference order: honorific,
+    pronoun, name. Each vote takes the majority value among the mention
+    candidates of ``cluster`` that cast it; a tie falls through."""
     for vote in ("gender_honorific", "gender_pronoun", "gender_name"):
         counter = Counter(getattr(c, vote) for c in cluster
                           if getattr(c, vote) is not None)
@@ -350,33 +340,33 @@ def attach_pronoun_counts(table, records, quotes, mention_spans, window=2):
     gender-compatible mention (within ``window`` sentences) belongs to the
     character; fpcc counts first-person pronouns inside quotes the
     character speaks; spcc counts second-person pronouns inside quotes
-    addressed to the character (the other character mentioned in the
-    quote's narration sentence). ``table`` is the book's
-    ``linguistic.token_table``, and quote ids are positions in ``quotes``.
+    addressed to the character: the nearest mention in the quote's own
+    sentences that is not the speaker's and does not overlap the quote.
+    ``table`` is the book's ``linguistic.token_table``, and quote ids are
+    positions in ``quotes``.
     """
     tokens, sentence_of = table
     by_id = {record.id: record for record in records}
     mentions = sorted(mention_spans)
     starts = [start for start, _, _ in mentions]
-    addressees = [_addressee(quote, sentence_of, mentions, starts)
-                  for quote in quotes]
+    addressees = [nearest_mention(
+        quote, sentence_of, mentions, starts, 0, lambda m, distance:
+            None if mentions[m][2] == quote.speaker_id
+            else (distance, starts[m]))
+        for quote in quotes]
     spans_sorted = sorted(mentions, key=lambda span: span[1])
     span_ends = [span[1] for span in spans_sorted]
 
     for token, s in zip(tokens, sentence_of):
         lower = token.text.lower()
-        if lower in MALE_PRONOUNS or lower in FEMALE_PRONOUNS:
-            gender = "male" if lower in MALE_PRONOUNS else "female"
-            slot = bisect_left(span_ends, token.index) - 1
-            while slot >= 0:
-                start, end, char_id = spans_sorted[slot]
-                if s - sentence_of[end] > window:
-                    break
-                record = by_id.get(char_id)
+        gender = PRONOUN_GENDER.get(lower)
+        if gender is not None:
+            for slot in _preceding(span_ends, token.index, sentence_of, s,
+                                   window):
+                record = by_id.get(spans_sorted[slot][2])
                 if record is not None and record.gender in (gender, "unknown"):
                     record.gcc += 1
                     break
-                slot -= 1
         elif lower in FIRST_PERSON_PRONOUNS and token.quote_id is not None:
             speaker = quotes[token.quote_id].speaker_id
             if speaker in by_id:
@@ -386,26 +376,6 @@ def attach_pronoun_counts(table, records, quotes, mention_spans, window=2):
             if addressee in by_id:
                 by_id[addressee].spcc += 1
     return records
-
-
-def _addressee(quote, sentence_of, mentions, starts):
-    """The mention nearest the quote in the quote's own sentences, outside
-    the quote and not the speaker's: its character id, or None."""
-    lo = bisect_left(starts, bisect_left(
-        sentence_of, sentence_of[quote.start]))
-    hi = bisect_left(starts, bisect_left(
-        sentence_of, sentence_of[quote.end] + 1))
-    best = None
-    for start, end, char_id in mentions[lo:hi]:
-        if char_id == quote.speaker_id:
-            continue
-        if quote.start <= start <= quote.end:
-            continue
-        distance = (start - quote.end) if start > quote.end else (quote.start - end)
-        key = (distance, start)
-        if best is None or key < best[0]:
-            best = (key, char_id)
-    return best[1] if best else None
 
 
 # -- character analytics ----------------------------------------------------------

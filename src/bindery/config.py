@@ -149,8 +149,6 @@ def _read_config_file(path):
 
 
 def _coerce(default, raw):
-    if not isinstance(raw, str):
-        return raw
     if isinstance(default, bool):
         lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):

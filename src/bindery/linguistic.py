@@ -344,32 +344,47 @@ def attribute_quotes(quotes, table, mentions, lexicon_dir=""):
     tokens, sentence_of = table
     mentions = sorted(mentions)
     starts = [m_start for m_start, _, _ in mentions]
-    near_verb = [_adjacent_speech_verb(tokens, m_start, m_end, verbs)
-                 for m_start, m_end, _ in mentions]
+    far_from_verb = [not _adjacent_speech_verb(tokens, m_start, m_end, verbs)
+                     for m_start, m_end, _ in mentions]
+
+    def key(m, distance):
+        return far_from_verb[m], distance, starts[m]
 
     attribution = {}
     for quote in quotes:
-        # Mentions starting in sentences s_lo - 1 to s_hi + 1.
-        lo = bisect_left(starts, bisect_left(
-            sentence_of, sentence_of[quote.start] - 1))
-        hi = bisect_left(starts, bisect_left(
-            sentence_of, sentence_of[quote.end] + 2))
-        best = None
-        for m in range(lo, hi):
-            m_start, m_end, character_id = mentions[m]
-            if m_start > quote.end:
-                distance = m_start - quote.end
-            elif m_end < quote.start:
-                distance = quote.start - m_end
-            else:
-                continue  # inside the quote itself
-            key = (0 if near_verb[m] else 1, distance, m_start)
-            if best is None or key < best[0]:
-                best = (key, character_id)
-        if best is not None:
-            quote.speaker_id = best[1]
-            attribution[quote.id] = best[1]
+        speaker = nearest_mention(quote, sentence_of, mentions, starts, 1, key)
+        if speaker is not None:
+            quote.speaker_id = speaker
+            attribution[quote.id] = speaker
     return attribution
+
+
+def nearest_mention(quote, sentence_of, mentions, starts, spread, key):
+    """The character of the mention ranked first for ``quote``, or None.
+
+    ``mentions`` are sorted ``(start, end, character_id)`` triples and
+    ``starts`` their starts. The candidates start within ``spread``
+    sentences of the quote's own and do not overlap the quote. They are
+    ranked by ``key(m, distance)``, lowest first, where ``m`` is the
+    mention's position in ``mentions`` and ``distance`` its token gap to
+    the quote; a key of None passes the mention over.
+    """
+    lo = bisect_left(starts, bisect_left(
+        sentence_of, sentence_of[quote.start] - spread))
+    hi = bisect_left(starts, bisect_left(
+        sentence_of, sentence_of[quote.end] + spread + 1))
+    best = None
+    for m in range(lo, hi):
+        m_start, m_end, character_id = mentions[m]
+        if m_start > quote.end:
+            rank = key(m, m_start - quote.end)
+        elif m_end < quote.start:
+            rank = key(m, quote.start - m_end)
+        else:
+            continue  # overlaps the quote
+        if rank is not None and (best is None or rank < best[0]):
+            best = (rank, character_id)
+    return best[1] if best else None
 
 
 def _adjacent_speech_verb(tokens, m_start, m_end, verbs):

@@ -463,8 +463,6 @@ class _BookBuilder:
         # the cycle, so expat's buffers are freed now, not at the next full
         # garbage collection.
         self.parser = None
-        if self.book is None:
-            raise ParseError("document has no <book> root")
         return self.book
 
     def _fail(self, message):

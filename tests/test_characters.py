@@ -5,7 +5,8 @@ import pytest
 
 from bindery import linguistic
 from bindery.characters import (_NAME_STOPWORDS, MentionCandidate,
-                                _name_like, augment_honorifics,
+                                _name_like, attach_pronoun_counts,
+                                augment_honorifics,
                                 build_interaction_network,
                                 build_occurrence_timeline, cluster_mentions,
                                 detect_person_mentions, infer_gender,
@@ -136,7 +137,7 @@ def test_pronoun_majority_vote():
     candidate = MentionCandidate(start=0, end=0, surface="Pip",
                                  name_parts=["Pip"])
     candidate.gender_pronoun = "male"
-    assert infer_gender(candidate) == "male"
+    assert infer_gender([candidate]) == "male"
     cluster = []
     for _ in range(10):
         c = MentionCandidate(start=0, end=0, surface="Pip", name_parts=["Pip"])
@@ -152,7 +153,7 @@ def test_pronoun_majority_vote():
 def test_ambiguous_gender_is_unknown():
     candidate = MentionCandidate(start=0, end=0, surface="Alex",
                                  name_parts=["Alex"])
-    assert infer_gender(candidate) == "unknown"
+    assert infer_gender([candidate]) == "unknown"
 
 
 def test_honorific_beats_pronoun_vote():
@@ -160,7 +161,7 @@ def test_honorific_beats_pronoun_vote():
                                  name_parts=["Smith"])
     candidate.gender_honorific = "female"
     candidate.gender_pronoun = "male"
-    assert infer_gender(candidate) == "female"
+    assert infer_gender([candidate]) == "female"
 
 
 # -- clustering ---------------------------------------------------------------------
@@ -259,6 +260,20 @@ def test_spcc_addressee():
     _, records, _ = run_characters(text)
     oliver = next(r for r in records if "Oliver" in r.canonical_name)
     assert oliver.spcc == 1
+
+
+def test_mention_overlapping_the_quote_is_neither_speaker_nor_addressee():
+    """A span running into the quote (as an imported NER layer may make)
+    is passed over for both roles, so it gains no spcc."""
+    book = build_annotated('Ann Lee nodded. Tom Ray said "you are late" to them.')
+    table = linguistic.token_table(book)
+    quotes = linguistic.extract_quotes(list(book.iter_paragraphs()))
+    assert [(q.start, q.end) for q in quotes] == [(8, 10)]
+    spans = [(0, 1, 0), (5, 8, 1)]
+    records = [_record(0, [0]), _record(1, [5])]
+    assert linguistic.attribute_quotes(quotes, table, spans) == {0: 0}
+    attach_pronoun_counts(table, records, quotes, spans)
+    assert [(r.fpcc, r.spcc) for r in records] == [(0, 0), (0, 0)]
 
 
 def test_character_stage_matches_full_scan_oracle(fixture_books, config,

@@ -22,7 +22,8 @@ from bindery import store as store_module
 from bindery.cli import main
 from bindery.config import Config
 from bindery.errors import BinderyError, TooShortError
-from bindery.store import Traces, analysis_parts, kept_book_ids, store_book_ids
+from bindery.store import (Traces, analysis_parts, kept_book_ids, load_schema,
+                           store_book_ids, validate_schema)
 from conftest import BOOKS
 from generators import random_book
 
@@ -116,15 +117,17 @@ def _assert_run_trace_is_fresh(config_path, in_dir, store, *flags):
 
 def test_config_file_and_env_override(tmp_path, monkeypatch):
     path = tmp_path / "c.conf"
-    path.write_text("seed = 77\njobs = 3\n", encoding="utf-8")
+    path.write_text("seed = 77\njobs = 3\ndedup_title_author = off\n",
+                    encoding="utf-8")
     config = Config.load(path)
     assert config.seed == 77
     assert config.jobs == 3
+    assert config.dedup_title_author is False
     monkeypatch.setenv("BINDERY_SEED", "99")
-    monkeypatch.setenv("BINDERY_DEDUP_TITLE_AUTHOR", "false")
+    monkeypatch.setenv("BINDERY_DEDUP_TITLE_AUTHOR", "true")
     config = Config.load(path)
     assert config.seed == 99
-    assert config.dedup_title_author is False
+    assert config.dedup_title_author is True
     # A flag outranks its variable, which outranks the file.
     flags = ("--config", str(path), "--seed", "7", "--jobs", "2")
     assert _cli_config(tmp_path, monkeypatch, *flags) == replace(
@@ -291,6 +294,24 @@ def test_all_without_a_kept_book_ends_with_a_zero_book_corpus(
     stats = json.loads((store / "_corpus" / "corpus.json").read_bytes())
     assert stats["books"] == []
     assert (store / "_corpus" / "corpus.html").exists()
+
+
+def test_rank_share_and_gender_over_time_on_the_fixtures(tmp_path,
+                                                         monkeypatch):
+    """With rank 1 and one year bin, every fixture book qualifies for both
+    corpus analytics, and the corpus page draws both charts."""
+    monkeypatch.setenv("BINDERY_RANK_SHARE_RANKS", "1")
+    monkeypatch.setenv("BINDERY_GENDER_TIME_BINS", "1")
+    store = tmp_path / "store"
+    assert run("all", "--in", str(BOOKS), "--out", str(store)) == 0
+    stats = json.loads((store / "_corpus" / "corpus.json").read_bytes())
+    assert validate_schema(stats, load_schema("corpus.schema.json")) == []
+    assert stats["rank_share"]["books"] == 5
+    assert stats["gender_over_time"] == [
+        {"books": 5, "pct_male": 40.0, "year_hi": 2005, "year_lo": 1996}]
+    page = (store / "_corpus" / "corpus.html").read_text(encoding="utf-8")
+    assert "<h2>Character rank share</h2>" in page
+    assert "<h2>Protagonist gender over time</h2>" in page
 
 
 @pytest.mark.parametrize("command, bad", [
@@ -1073,29 +1094,34 @@ def test_truncated_vectors_fail_report_cleanly(fixture_store, caplog):
                and "vector store" in r.message for r in caplog.records)
 
 
-@pytest.mark.parametrize("name, content, kind", [
-    ("corpus.json", "{}", "bindery.corpus/1"),
-    ("corpus.json", "[]", "bindery.corpus/1"),
-    ("lemmas.json", '{"total": 5}', "corpus lemma model"),
+@pytest.mark.parametrize("name, content, fragment", [
+    ("corpus.json", "{}", "not a bindery.corpus/1 document"),
+    ("corpus.json", "[]", "not a bindery.corpus/1 document"),
+    ("lemmas.json", '{"total": 5}', "not a corpus lemma model document"),
     ("lemmas.json", '{"total": 5, "common": {"the": "5"}}',
-     "corpus lemma model"),
-    ("lemmas.json", "[]", "corpus lemma model"),
-    ("lemmas.json", "{}", "corpus lemma model"),
-])
+     "not a corpus lemma model document"),
+    ("lemmas.json", "[]", "not a corpus lemma model document"),
+    ("lemmas.json", "{}", "not a corpus lemma model document"),
+    ("corpus.json", "{", "malformed JSON"),
+    ("lemmas.json", "x", "malformed JSON"),
+], ids=lambda value: value.removeprefix("not a ").removesuffix(" document"))
 def test_wrong_shape_corpus_file_fails_report_cleanly(fixture_store, caplog,
-                                                      name, content, kind):
+                                                      name, content, fragment):
+    """A corpus file of the wrong shape, or not JSON at all, fails the
+    report with one error line naming it. Rows are named by the file kind
+    their message names."""
     config, store = fixture_store
     (store / "_corpus" / name).write_text(content, encoding="utf-8")
     assert run("--config", str(config), "report", "--out", str(store)) == 1
     errors = [r for r in caplog.records if r.levelno == logging.ERROR]
     assert len(errors) == 1 and errors[0].exc_info is None
     assert errors[0].message.startswith("report failed: ")
-    assert f"not a {kind} document" in errors[0].message
+    assert f"{name}: {fragment}" in errors[0].message
 
 
 @pytest.mark.parametrize("content", [
     "nonsense = 1\n", "seed = many\n", "no equals sign\n", None,
-    "embed_window = 5\n"])
+    "embed_window = 5\n", "dedup_title_author = maybe\n"])
 def test_bad_config_is_one_error_line_and_exit_2(tmp_path, caplog, content):
     path = tmp_path / "bad.conf"
     if content is not None:

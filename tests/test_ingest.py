@@ -203,6 +203,47 @@ def test_back_matter_after_the_end():
     assert kept.rstrip().endswith("THE END")
 
 
+def test_metadata_block_without_markers_is_the_header():
+    # The header runs to the blank line that ends the block holding the
+    # last metadata line.
+    head = ("Title: The Marsh\n"
+            "Author: Ann Lee\n"
+            "Release Date: May 1, 1901\n"
+            "[This file was first posted on the same day]\n"
+            "\n")
+    text = head + "It rained on the marsh.\n\nThe rain stopped.\n"
+    spans = annotate_gutenberg_boilerplate(gutenberg_raw(text))
+    assert spans == [BoilerplateSpan("gutenberg_header", 0, 105)]
+    assert len(head) == 105
+
+
+def test_advertisements_after_the_last_chapter_are_back_matter():
+    body = ("A long and satisfying story fills this paragraph with plenty "
+            "of words so the advertisement tail stays inside the final "
+            "tenth of the text. " * 12)
+    tail = "BOOKS BY THE SAME AUTHOR\n\nBleak Days. Price 3s. 6d.\n"
+    text = f"CHAPTER I.\n\n{body}\n\nCHAPTER II.\n\n{body}\n\n{tail}"
+    spans = annotate_front_back_matter(gutenberg_raw(text))
+    assert spans == [BoilerplateSpan("back_matter", len(text) - 52,
+                                     len(text))]
+    assert text[len(text) - 52:] == tail
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    path = tmp_path / "pg730.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + GUTENBERG_SAMPLE.encode("utf-8"))
+    book = read_gutenberg(path)
+    assert book.text == GUTENBERG_SAMPLE
+    assert (book.metadata["title"], book.metadata["encoding"]) == (
+        "Oliver Twist", "utf-8")
+    # Offsets count from the first character after the mark.
+    spans = annotate_gutenberg_boilerplate(book)
+    assert [(s.start_offset, s.end_offset) for s in spans] == [
+        (0, 103), (149, 226)]
+    assert GUTENBERG_SAMPLE[:103].endswith("OLIVER TWIST ***\n")
+    assert GUTENBERG_SAMPLE[149:].startswith("*** END")
+
+
 class _StubHandler(http.server.BaseHTTPRequestHandler):
     requests = []
     payload = b"Title: Stub Book\n\nBody.\n"

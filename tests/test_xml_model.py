@@ -429,3 +429,10 @@ def test_parse_rejects_each_broken_text(name):
     assert edits == 1
     with pytest.raises(ParseError, match=message):
         parse(text)
+
+
+def test_add_phase_rejects_an_unknown_phase():
+    book = minimal_book()
+    with pytest.raises(ValueError, match="unknown phase: bogus"):
+        book.add_phase("bogus")
+    assert book.phases == ["ingest", "segment"]
