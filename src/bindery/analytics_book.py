@@ -45,21 +45,28 @@ class _TextStats:
     spache_unfamiliar: int = 0
     word_syllable_counts: list = None
     sentence_last_word: list = None
+    pos: Counter = None             # words by POS tag
+    lemmas: list = None             # the lemma sequence, as lemma_sequence
 
 
-def _collect_stats(book, lexicon_dir=""):
+def text_stats(book, lexicon_dir=""):
+    """The counts of one walk over a book's words (its non-punctuation
+    tokens): what readability, the POS distribution and the lemma
+    sequence are computed from."""
     dale = lexicons.dale_familiar_words(lexicon_dir)
     spache = lexicons.spache_familiar_words(lexicon_dir)
-    stats = _TextStats(word_syllable_counts=[], sentence_last_word=[])
+    stats = _TextStats(word_syllable_counts=[], sentence_last_word=[],
+                       pos=Counter(), lemmas=[])
     # Everything but the proper-noun test depends on the token text alone,
     # and a novel repeats each text about ten times: each is checked once.
     by_text = {}
     for sentence in book.iter_sentences():
-        words = [t.text for t in sentence.tokens if t.pos != "PUNCT"]
+        words = [t for t in sentence.tokens if t.pos != "PUNCT"]
         if not words:
             continue
         stats.sentences += 1
-        for position, text in enumerate(words):
+        for position, token in enumerate(words):
+            text = token.text
             counts = by_text.get(text)
             if counts is None:
                 core = _word_core(text)
@@ -80,13 +87,15 @@ def _collect_stats(book, lexicon_dir=""):
                     stats.complex_words += 1
             stats.dale_difficult += dale_difficult
             stats.spache_unfamiliar += spache_unfamiliar
+            stats.pos[token.pos] += 1
+            if token.lemma:
+                stats.lemmas.append(token.lemma)
         stats.sentence_last_word.append(stats.words - 1)
     return stats
 
 
-def readability_suite(book, lexicon_dir=""):
-    """All eight readability metrics for an annotated book."""
-    stats = _collect_stats(book, lexicon_dir=lexicon_dir)
+def readability_suite(stats):
+    """All eight readability metrics from a book's :func:`text_stats`."""
     if stats.words == 0 or stats.sentences == 0:
         raise AnalyticsError("readability undefined: no words or sentences")
     w, s = stats.words, stats.sentences
@@ -139,11 +148,11 @@ def _linsear_write(stats, window=100):
 def lemma_sequence(book):
     """The book's lemmas in token order: every non-punctuation token's lemma.
 
-    This is the one lemma rule; :func:`lemma_counts` and
-    :func:`lemma_stream` are views of it, and the per-book lemma file in
-    the store holds exactly this list.
+    The one lemma rule lives in :func:`text_stats`; :func:`lemma_counts`
+    and :func:`lemma_stream` are views of this list, and the per-book lemma
+    file in the store holds exactly it.
     """
-    return [t.lemma for t in book.iter_tokens() if t.pos != "PUNCT" and t.lemma]
+    return text_stats(book).lemmas
 
 
 def lemma_counts(book):
@@ -202,13 +211,11 @@ def representative_vocabulary(book_counts, common, list_len=20):
 # -- POS distribution -----------------------------------------------------------
 
 
-def pos_distribution(book):
-    """Count and percentage of the eight analyzed POS categories."""
-    counts = Counter()
-    for token in book.iter_tokens():
-        if token.pos in ANALYZED_POS:
-            counts[token.pos] += 1
-    total = sum(counts.values())
+def pos_distribution(stats):
+    """Count and percentage of the eight analyzed POS categories, from a
+    book's :func:`text_stats`."""
+    counts = stats.pos
+    total = sum(counts[tag] for tag in ANALYZED_POS)
     if total == 0:
         raise AnalyticsError("no tokens tagged with analyzed POS categories")
     return {tag: {"count": counts[tag], "percent": 100.0 * counts[tag] / total}

@@ -12,7 +12,7 @@ import logging
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from . import lexicons
 from .linguistic import (AUXILIARIES, CONJUNCTIONS, DETERMINERS, INTERJECTIONS,
@@ -388,18 +388,15 @@ def build_occurrence_timeline(book, top_k=10):
     token count. Breaks mark the first token of every section after the
     first.
     """
-    total = book.token_count()
+    sizes = [sum(len(s.tokens) for p in section.paragraphs for s in p.sentences)
+             for section in book.body]
+    total = sum(sizes)
     if total == 0:
         return {"characters": [], "chapter_breaks": []}
     rows = [{"id": r.id, "name": r.canonical_name, "gender": r.gender,
              "positions": [index / total for index in r.mention_token_indices]}
             for r in _ranked(book.characters)[:top_k]]
-    breaks = []
-    seen = 0
-    for section in book.body[:-1]:
-        seen += sum(len(s.tokens) for p in section.paragraphs
-                    for s in p.sentences)
-        breaks.append(seen / total)
+    breaks = [seen / total for seen in accumulate(sizes[:-1])]
     return {"characters": rows, "chapter_breaks": breaks}
 
 

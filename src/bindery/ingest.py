@@ -224,11 +224,12 @@ def _heuristic_header_end(text):
             last_meta_end = offset + len(line)
     if last_meta_end is None:
         return None
-    remainder = text[last_meta_end:]
-    match = re.search(r"\n\s*\n", remainder)
+    # From the metadata line's own newline: a blank line right after it
+    # ends the header.
+    match = re.compile(r"\n\s*\n").search(text, last_meta_end - 1)
     if match is None:
         return None
-    return last_meta_end + match.end()
+    return match.end()
 
 
 # -- front / back matter --------------------------------------------------------

@@ -219,16 +219,17 @@ def annotate_book(book, config):
 
 
 def build_book_payload(book, config):
-    """The per-book analytics document (corpus-relative fields left null)."""
+    """The per-book analytics document (corpus-relative fields left null)
+    and the book's lemma sequence, both from one walk over its words."""
     _require(book, "analytics", "characters")
     protagonist, ratio = characters.protagonist_stats(book.characters)
+    stats = analytics_book.text_stats(book, lexicon_dir=config.lexicon_dir)
     try:
-        readability = analytics_book.readability_suite(
-            book, lexicon_dir=config.lexicon_dir)
+        readability = analytics_book.readability_suite(stats)
     except AnalyticsError:
         readability = None
     try:
-        pos = analytics_book.pos_distribution(book)
+        pos = analytics_book.pos_distribution(stats)
     except AnalyticsError:
         pos = None
     timeline = characters.build_occurrence_timeline(
@@ -236,7 +237,7 @@ def build_book_payload(book, config):
     network = characters.build_interaction_network(
         book.characters, window=config.interaction_window,
         min_co=config.interaction_min_co)
-    return {
+    payload = {
         "schema": "bindery.book/1",
         "id": book.meta.source_id,
         "meta": {
@@ -252,7 +253,7 @@ def build_book_payload(book, config):
             "sections": len(book.body),
             "paragraphs": sum(1 for _ in book.iter_paragraphs()),
             "sentences": sum(1 for _ in book.iter_sentences()),
-            "tokens": book.token_count(),
+            "tokens": sum(len(s.tokens) for s in book.iter_sentences()),
         },
         "characters": [{
             "id": r.id, "name": r.canonical_name, "gender": r.gender,
@@ -271,6 +272,7 @@ def build_book_payload(book, config):
         "similar": None,
         "placement": None,
     }
+    return payload, stats.lemmas
 
 
 def build_corpus_stats(payloads, config):
@@ -639,8 +641,8 @@ def _annotate_analyze_one(args):
         try:
             if "annotate" in errors:
                 book = xml_model.load(path)
-            analysis = {"payload": build_book_payload(book, config),
-                        "lemmas": analytics_book.lemma_sequence(book)}
+            payload, lemmas = build_book_payload(book, config)
+            analysis = {"payload": payload, "lemmas": lemmas}
             book.add_phase("analytics")
         except BinderyError as exc:
             errors["analyze"] = exc

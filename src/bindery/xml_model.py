@@ -136,9 +136,6 @@ class AnnotatedBook:
         for sentence in self.iter_sentences():
             yield from sentence.tokens
 
-    def token_count(self):
-        return sum(1 for _ in self.iter_tokens())
-
     def has_phase(self, phase):
         return phase in self.phases
 
@@ -156,6 +153,9 @@ _ILLEGAL_CTRL = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 # The ``<meta>`` fields that hold a hex SHA-256, in document order.
 DIGEST_FIELDS = ("body_sha256", "ingest_trace", "annotate_trace")
+# The ``<meta>`` fields the parser stores as their text, unconverted.
+_META_TEXT = frozenset(
+    ("title", "author", "source_id", "corpus", "encoding", *DIGEST_FIELDS))
 
 
 def _check_text(value, what):
@@ -559,25 +559,27 @@ class _BookBuilder:
     def _close_text_element(self, name, text):
         attrs = self._attrs
         meta = self.book.meta
-        if name == "title":
-            meta.title = text
-        elif name == "author":
-            meta.author = text
+        if name == "t":
+            token = Token(
+                text=sys.intern(text),
+                index=self._int(attrs, "i"),
+                offset=self._int(attrs, "o"),
+                pos=_interned(attrs.get("pos")),
+                lemma=_interned(attrs.get("lemma")),
+                ner=_interned(attrs.get("ner")),
+                character_id=self._int(attrs, "char") if "char" in attrs else None,
+                quote_id=self._int(attrs, "q") if "q" in attrs else None,
+            )
+            self._sentence.tokens.append(token)
+        elif name in _META_TEXT:
+            setattr(meta, name, text)
         elif name == "year":
             try:
                 meta.year = int(text)
             except ValueError:
                 self._fail(f"bad year: {text!r}")
-        elif name == "source_id":
-            meta.source_id = text
-        elif name == "corpus":
-            meta.corpus = text
         elif name == "subject":
             meta.subjects.append(text)
-        elif name == "encoding":
-            meta.encoding = text
-        elif name in DIGEST_FIELDS:
-            setattr(meta, name, text)
         elif name == "phases":
             self.book.phases = text.split()
         elif name == "block":
@@ -601,18 +603,6 @@ class _BookBuilder:
             self._section.header = Header(kind=kind, number=number, text=text)
         elif name == "p":
             self._paragraph.raw = text
-        elif name == "t":
-            token = Token(
-                text=sys.intern(text),
-                index=self._int(attrs, "i"),
-                offset=self._int(attrs, "o"),
-                pos=_interned(attrs.get("pos")),
-                lemma=_interned(attrs.get("lemma")),
-                ner=_interned(attrs.get("ner")),
-                character_id=self._int(attrs, "char") if "char" in attrs else None,
-                quote_id=self._int(attrs, "q") if "q" in attrs else None,
-            )
-            self._sentence.tokens.append(token)
 
     def _req(self, attrs, key):
         if key not in attrs:

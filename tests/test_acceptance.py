@@ -18,7 +18,7 @@ import pytest
 
 from bindery import xml_model
 from bindery.analytics_book import (most_similar, readability_suite,
-                                    train_embeddings)
+                                    text_stats, train_embeddings)
 from bindery.analytics_corpus import (pos_correlations, percentile,
                                       rank_share_curve,
                                       reference_distributions)
@@ -151,7 +151,7 @@ def test_criterion_05_readability_hand_oracles():
     """All 8 metrics on 3 fixed snippets within +/-0.01 of hand values."""
     for snippet, expected in ((SNIPPET_1, EXPECTED_1), (SNIPPET_2, EXPECTED_2),
                               (SNIPPET_3, EXPECTED_3)):
-        scores = readability_suite(build_annotated(snippet))
+        scores = readability_suite(text_stats(build_annotated(snippet)))
         assert set(scores) == set(expected)
         for metric, value in expected.items():
             assert scores[metric] == pytest.approx(value, abs=0.01), metric

@@ -1,18 +1,18 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bindery import lexicons
-from bindery.analytics_book import (VectorStore, _collect_stats,
-                                    _linsear_write, _TextStats, common_words,
-                                    lemma_counts, lemma_sequence,
+from bindery.analytics_book import (VectorStore, _linsear_write, _TextStats,
+                                    common_words, lemma_counts, lemma_sequence,
                                     lemma_stream, most_similar,
                                     pos_distribution, readability_suite,
                                     representative_vocabulary, strip_stopwords,
-                                    train_embeddings)
+                                    text_stats, train_embeddings)
 from bindery.config import Config
 from bindery.errors import AnalyticsError, ParseError
 from bindery.ingest import read_gutenberg
@@ -92,14 +92,14 @@ EXPECTED_3 = {
     (SNIPPET_3, EXPECTED_3),
 ])
 def test_readability_matches_hand_computation(snippet, expected):
-    scores = readability_suite(build_annotated(snippet))
+    scores = readability_suite(text_stats(build_annotated(snippet)))
     for metric, value in expected.items():
         assert scores[metric] == pytest.approx(value, abs=0.01), metric
 
 
 def test_readability_empty_book_raises():
     with pytest.raises(AnalyticsError):
-        readability_suite(build_annotated("..."))
+        readability_suite(text_stats(build_annotated("...")))
 
 
 def test_linsear_multiwindow_averaging():
@@ -109,7 +109,7 @@ def test_linsear_multiwindow_averaging():
     words = text.split()
     chunks = [" ".join(words[i:i + 10]) + "." for i in range(0, 200, 10)]
     book = build_annotated(" ".join(chunks))
-    scores = readability_suite(book)
+    scores = readability_suite(text_stats(book))
     assert scores["linsear_write"] == pytest.approx(4.0, abs=0.01)
 
 
@@ -168,14 +168,14 @@ def test_empty_corpus_raises():
 
 def test_pos_all_nouns():
     book = build_annotated("cat dog fish")
-    dist = pos_distribution(book)
+    dist = pos_distribution(text_stats(book))
     assert dist["NOUN"]["percent"] == 100.0
     assert dist["VERB"]["count"] == 0
 
 
 def test_pos_percentages():
     book = build_annotated("cat dog fish quickly")
-    dist = pos_distribution(book)
+    dist = pos_distribution(text_stats(book))
     assert dist["NOUN"]["percent"] == pytest.approx(75.0)
     assert dist["ADV"]["percent"] == pytest.approx(25.0)
 
@@ -183,7 +183,7 @@ def test_pos_percentages():
 def test_pos_percentages_sum_to_100():
     book = build_annotated(
         'He quickly gave the beautiful book to Mary, and she said "oh" sadly.')
-    dist = pos_distribution(book)
+    dist = pos_distribution(text_stats(book))
     assert sum(v["percent"] for v in dist.values()) == pytest.approx(100.0,
                                                                      abs=1e-9)
 
@@ -266,12 +266,12 @@ def test_dale_chall_bump_only_above_five_percent():
     familiar = ("the cat sat on the mat and the dog ran to the tree by "
                 "the hill with a bird").split()  # 19 familiar words
     at_five = build_annotated(" ".join(familiar + ["zymurgy"]) + " .")
-    scores = readability_suite(at_five)
+    scores = readability_suite(text_stats(at_five))
     assert scores["dale_chall"] == pytest.approx(
         0.1579 * 5 + 0.0496 * 20, abs=1e-9)  # PDW == 5: no adjustment
     above_five = build_annotated(
         " ".join(familiar[:-1] + ["zymurgy", "quixotry"]) + " .")
-    scores = readability_suite(above_five)
+    scores = readability_suite(text_stats(above_five))
     assert scores["dale_chall"] == pytest.approx(
         0.1579 * 10 + 0.0496 * 20 + 3.6365, abs=1e-9)  # PDW 10 > 5
 
@@ -343,9 +343,10 @@ def test_lemma_sequence_views_match_token_loop_oracle(annotated_fixtures):
 
 def test_readability_stats_match_per_token_oracle(annotated_fixtures):
     books = annotated_fixtures + [random_book(seed=seed) for seed in range(200)]
-    assert sum(_collect_stats(book).complex_words for book in books) > 0
+    assert sum(text_stats(book).complex_words for book in books) > 0
     for book in books:
-        assert _collect_stats(book) == oracle_collect_stats(book)
+        assert (replace(text_stats(book), pos=None, lemmas=None)
+                == oracle_collect_stats(book))
 
 
 def _random_stats(seed):
@@ -367,7 +368,7 @@ def _random_stats(seed):
 
 def test_linsear_write_equals_full_scan_oracle(annotated_fixtures):
     books = annotated_fixtures + [random_book(seed=seed) for seed in range(200)]
-    stats = [_collect_stats(book) for book in books]
+    stats = [text_stats(book) for book in books]
     stats += [_random_stats(seed) for seed in range(200)]
     assert max(s.words for s in stats) > 1000
     for item in stats:

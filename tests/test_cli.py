@@ -879,7 +879,7 @@ def test_every_kept_book_has_lemma_file_matching_its_xml(fixture_store):
             "trace": hashlib.sha256(json.dumps(parts).encode()).hexdigest(),
             "lemmas": analytics_book.lemma_sequence(book),
             "payload": json.loads(json.dumps(pipeline.build_book_payload(
-                book, Config.load(config))))}
+                book, Config.load(config))[0]))}
         # book.json is that payload, enriched by report.
         enriched = json.loads((store / book_id / "book.json").read_bytes())
         assert sidecar["payload"] == dict(

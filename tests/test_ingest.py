@@ -217,6 +217,17 @@ def test_metadata_block_without_markers_is_the_header():
     assert len(head) == 105
 
 
+@pytest.mark.parametrize("head, body, end", [
+    # A blank line right after the last metadata line ends the header.
+    ("Title: X\nAuthor: Y\n\n", "Body one.\n\nBody two.\n", 20),
+    ("Title: X\nAuthor: Y\nLanguage: Z\n\n\n", "Body one.\n", 33),
+])
+def test_metadata_header_ends_at_the_first_blank_line(head, body, end):
+    spans = annotate_gutenberg_boilerplate(gutenberg_raw(head + body))
+    assert spans == [BoilerplateSpan("gutenberg_header", 0, end)]
+    assert len(head) == end
+
+
 def test_advertisements_after_the_last_chapter_are_back_matter():
     body = ("A long and satisfying story fills this paragraph with plenty "
             "of words so the advertisement tail stays inside the final "

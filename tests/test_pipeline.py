@@ -1,8 +1,11 @@
 import hashlib
+import re
+import shutil
+from pathlib import Path
 
 import pytest
 
-from bindery import pipeline, xml_model
+from bindery import analytics_book, pipeline, xml_model
 from bindery.config import Config
 from bindery.errors import BinderyError, MissingPhaseError
 from bindery.ingest import read_gutenberg
@@ -10,9 +13,11 @@ from bindery.pipeline import (_annotate_analyze_one, annotate_book,
                               body_text_of, build_book_payload,
                               canonicalize_body, ingest_to_book, to_raw_stage)
 from bindery.store import book_xml
+from bindery.xml_model import AnnotatedBook
 from conftest import BOOKS
 from generators import random_book
 from oracles.body_text import body_text_of as oracle_body_text_of
+from oracles.book_payload import build_book_payload as oracle_build_book_payload
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +112,56 @@ def test_analytics_requires_characters_phase(config):
     with pytest.raises(MissingPhaseError) as err:
         build_book_payload(book, config)
     assert "characters" in str(err.value)
+
+
+def test_build_book_payload_matches_separate_walk_oracle(annotated_fixtures,
+                                                        config):
+    books = [book for book, _ in annotated_fixtures.values()]
+    for seed in range(200):
+        book = random_book(seed=seed)
+        book.add_phase("characters")
+        books.append(book)
+    for book in books:
+        assert (build_book_payload(book, config)
+                == oracle_build_book_payload(book, config))
+
+
+def test_build_book_payload_walks_the_tokens_once(monkeypatch, config):
+    book = annotate_book(
+        ingest_to_book(read_gutenberg(BOOKS / "pg730.txt"), config), config)
+    calls = {"iter_tokens": 0, "text_stats": 0}
+    iter_tokens = AnnotatedBook.iter_tokens
+    text_stats = analytics_book.text_stats
+
+    def counted_iter_tokens(self):
+        calls["iter_tokens"] += 1
+        return iter_tokens(self)
+
+    def counted_text_stats(*args, **kwargs):
+        calls["text_stats"] += 1
+        return text_stats(*args, **kwargs)
+
+    monkeypatch.setattr(AnnotatedBook, "iter_tokens", counted_iter_tokens)
+    monkeypatch.setattr(analytics_book, "text_stats", counted_text_stats)
+    payload, lemmas = build_book_payload(book, config)
+    assert calls == {"iter_tokens": 0, "text_stats": 1}
+    assert payload["readability"] and payload["pos"] and lemmas
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    (tmp_path / "raw").mkdir()
+    shutil.copy(BOOKS / "pg730.txt", tmp_path / "raw" / "pg730.txt")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    payload, lemmas = build_book_payload(
+        xml_model.load(tmp_path / "book.xml"), Config())
+    score, words = capsys.readouterr().out.splitlines()[-1].split()
+    assert float(score) == payload["readability"]["flesch_reading_ease"]
+    assert int(words) == len(lemmas) > 0
 
 
 @pytest.mark.parametrize("phases, stored, annotate_fails, calls", [

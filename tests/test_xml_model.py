@@ -333,7 +333,7 @@ def _rich_book():
         book = random_book(seed=seed)
         if (len(book.characters) > 1 and any(s.header for s in book.body)
                 and any(p.is_raw for p in book.iter_paragraphs())
-                and book.token_count()):
+                and next(book.iter_tokens(), None)):
             return validate(book)
 
 
