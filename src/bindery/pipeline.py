@@ -275,6 +275,12 @@ def build_book_payload(book, config):
     return payload, stats.lemmas
 
 
+def _gender_counts(payload):
+    """The numbers of male and of female characters in a book payload."""
+    genders = Counter(c["gender"] for c in payload["characters"])
+    return genders["male"], genders["female"]
+
+
 def build_corpus_stats(payloads, config):
     """Corpus analytics document over the per-book payloads."""
     books = []
@@ -303,8 +309,7 @@ def build_corpus_stats(payloads, config):
         if payload["pos"]:
             pos_rows.append({tag: payload["pos"][tag]["percent"]
                              for tag in payload["pos"]})
-        males = sum(1 for c in payload["characters"] if c["gender"] == "male")
-        females = sum(1 for c in payload["characters"] if c["gender"] == "female")
+        males, females = _gender_counts(payload)
         if males + females > 0:
             gender_pcts["male"].append(100.0 * males / (males + females))
             gender_pcts["female"].append(100.0 * females / (males + females))
@@ -420,8 +425,7 @@ def enrich_book_payload(payload, lemma_counts, corpus, config):
                 payload["pos"][tag]["percent"], corpus.pos_distributions[tag])
             for tag in tags}
         placement["pos_mean"] = {tag: corpus.pos_means[tag] for tag in tags}
-    males = sum(1 for c in payload["characters"] if c["gender"] == "male")
-    females = sum(1 for c in payload["characters"] if c["gender"] == "female")
+    males, females = _gender_counts(payload)
     population = corpus.male_population
     if males + females > 0:
         pct_male = 100.0 * males / (males + females)

@@ -154,8 +154,8 @@ _SHA256_HEX = re.compile(r"[0-9a-f]{64}")
 # The ``<meta>`` fields that hold a hex SHA-256, in document order.
 DIGEST_FIELDS = ("body_sha256", "ingest_trace", "annotate_trace")
 # The ``<meta>`` fields the parser stores as their text, unconverted.
-_META_TEXT = frozenset(
-    ("title", "author", "source_id", "corpus", "encoding", *DIGEST_FIELDS))
+_META_TEXT = ("title", "author", "source_id", "corpus", "encoding",
+              *DIGEST_FIELDS)
 
 
 def _check_text(value, what):
@@ -391,29 +391,6 @@ def _token_line(token):
 
 # -- parsing ------------------------------------------------------------------
 
-_STRUCTURAL_CHILDREN = {
-    "book": {"meta", "front", "back", "characters", "body"},
-    "meta": {"title", "author", "year", "source_id", "corpus",
-             "subject", "encoding", *DIGEST_FIELDS, "phases"},
-    "front": {"block"},
-    "back": {"block"},
-    "characters": {"character"},
-    "character": {"name", "mentions"},
-    "body": {"section"},
-    "section": {"header", "p"},
-    "p": {"s"},
-    "s": {"t"},
-}
-
-_TEXT_ELEMENTS = {
-    "title", "author", "year", "source_id", "corpus", "subject", "encoding",
-    *DIGEST_FIELDS, "phases", "block", "name", "mentions", "header", "t",
-}
-
-
-def _interned(value):
-    return None if value is None else sys.intern(value)
-
 
 class _MetaRead(Exception):
     """Raised by a head-only builder once ``</meta>`` has been checked."""
@@ -422,28 +399,22 @@ class _MetaRead(Exception):
 class _BookBuilder:
     """Expat handler assembling an AnnotatedBook and tracking line numbers.
 
-    With ``head_only`` the builder stops at the end of ``<meta>`` by
-    raising :class:`_MetaRead`; everything before that point gets the
-    same checks as a full parse.
+    It checks each element against its parent's entry in :data:`_ELEMENTS`
+    and runs the element's own. With ``head_only`` it stops at the end of
+    ``<meta>`` by raising :class:`_MetaRead`; everything before that point
+    gets the same checks as a full parse.
     """
 
     def __init__(self, head_only=False):
         self.head_only = head_only
+        self.stack = []
+        self.text_parts = []
+        self.book = None
         self.parser = expat.ParserCreate("UTF-8")
         self.parser.buffer_text = True
         self.parser.StartElementHandler = self._start
         self.parser.EndElementHandler = self._end
-        self.parser.CharacterDataHandler = self._chars
-        self.stack = []
-        self.text_parts = []
-        self.book = None
-        self._character = None
-        self._section = None
-        self._paragraph = None
-        self._sentence = None
-        self._p_is_raw = False
-        self._seen_meta = False
-        self._attrs = {}
+        self.parser.CharacterDataHandler = self.text_parts.append
 
     def feed(self, data, final):
         try:
@@ -451,12 +422,6 @@ class _BookBuilder:
         except expat.ExpatError as exc:
             raise ParseError(f"malformed XML: {expat.errors.messages[exc.code]}",
                              line=exc.lineno) from exc
-
-    def parse(self, data):
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        self.feed(data, True)
-        return self.result()
 
     def result(self):
         # The parser's handlers hold this builder: dropping the parser ends
@@ -469,140 +434,31 @@ class _BookBuilder:
         raise ParseError(message, line=self.parser.CurrentLineNumber)
 
     def _start(self, name, attrs):
-        parent = self.stack[-1] if self.stack else None
-        if parent is None:
-            if name != "book":
-                self._fail(f"expected <book> root, found <{name}>")
+        if self.stack:
+            parent_name, parent, _ = self.stack[-1]
+            if name not in _ELEMENTS[parent_name][0]:
+                self._fail(f"unknown element <{name}> inside <{parent_name}>")
+            if "".join(self.text_parts).strip():
+                self._fail(f"unexpected text inside <{parent_name}>")
+            self.text_parts.clear()
+        elif name != "book":
+            self._fail(f"expected <book> root, found <{name}>")
         else:
-            allowed = _STRUCTURAL_CHILDREN.get(parent, set())
-            if name not in allowed:
-                self._fail(f"unknown element <{name}> inside <{parent}>")
-        if parent and self.text_parts:
-            pending = "".join(self.text_parts)
-            if pending.strip():
-                self._fail(f"unexpected text inside <{parent}>")
-        self.stack.append(name)
-        self.text_parts = []
-        self._attrs = attrs
-        if name == "book":
-            self.book = AnnotatedBook()
-        elif name == "meta":
-            if self._seen_meta:
-                self._fail("duplicate <meta>")
-            self._seen_meta = True
-        elif name == "character":
-            self._character = CharacterRecord(
-                id=self._int(attrs, "id"),
-                canonical_name="",
-                gender=self._req(attrs, "gender"),
-                gcc=self._int(attrs, "gcc"),
-                fpcc=self._int(attrs, "fpcc"),
-                spcc=self._int(attrs, "spcc"),
-            )
-            self._declared_count = self._int(attrs, "count")
-        elif name == "section":
-            self._section = Section()
-        elif name == "p":
-            self._p_is_raw = "o" in attrs
-            self._paragraph = Paragraph()
-            if self._p_is_raw:
-                self._paragraph.offset = self._int(attrs, "o")
-        elif name == "s":
-            if self._p_is_raw:
-                self._fail("raw paragraph cannot contain sentences")
-            self._sentence = Sentence()
-
-    def _chars(self, data):
-        self.text_parts.append(data)
+            parent = None
+        start = _ELEMENTS[name][1]
+        node = None if start is None else start(parent, attrs, self)
+        self.stack.append((name, node, attrs))
 
     def _end(self, name):
-        self.stack.pop()
+        _, node, attrs = self.stack.pop()
         text = "".join(self.text_parts)
-        self.text_parts = []
-        if name in _TEXT_ELEMENTS or (name == "p" and self._p_is_raw):
-            self._close_text_element(name, text)
-        elif text.strip():
+        self.text_parts.clear()
+        children, _, end = _ELEMENTS[name]
+        # An element that may hold children holds no text, but a raw <p>.
+        if children and text.strip() and not (name == "p" and "o" in attrs):
             self._fail(f"unexpected text inside <{name}>")
-        if name == "character":
-            record = self._character
-            if not record.alias_counts:
-                self._fail("character has no <name> aliases")
-            if self._declared_count != record.count:
-                self._fail(
-                    f"character {record.id}: declared count {self._declared_count} "
-                    f"!= {record.count} mention indices")
-            self.book.characters.append(record)
-            self._character = None
-        elif name == "section":
-            self.book.body.append(self._section)
-            self._section = None
-        elif name == "p":
-            self._section.paragraphs.append(self._paragraph)
-            self._paragraph = None
-            self._p_is_raw = False
-        elif name == "s":
-            self._paragraph.sentences.append(self._sentence)
-            self._sentence = None
-        elif name == "meta":
-            try:
-                _validate_meta(self.book.meta, self.book.phases)
-            except InvariantError as exc:
-                self._fail(str(exc))
-            if self.head_only:
-                raise _MetaRead
-        elif name == "book":
-            try:
-                validate(self.book)
-            except InvariantError as exc:
-                raise ParseError(str(exc)) from exc
-
-    def _close_text_element(self, name, text):
-        attrs = self._attrs
-        meta = self.book.meta
-        if name == "t":
-            token = Token(
-                text=sys.intern(text),
-                index=self._int(attrs, "i"),
-                offset=self._int(attrs, "o"),
-                pos=_interned(attrs.get("pos")),
-                lemma=_interned(attrs.get("lemma")),
-                ner=_interned(attrs.get("ner")),
-                character_id=self._int(attrs, "char") if "char" in attrs else None,
-                quote_id=self._int(attrs, "q") if "q" in attrs else None,
-            )
-            self._sentence.tokens.append(token)
-        elif name in _META_TEXT:
-            setattr(meta, name, text)
-        elif name == "year":
-            try:
-                meta.year = int(text)
-            except ValueError:
-                self._fail(f"bad year: {text!r}")
-        elif name == "subject":
-            meta.subjects.append(text)
-        elif name == "phases":
-            self.book.phases = text.split()
-        elif name == "block":
-            target = self.book.front if self.stack[-1] == "front" else self.book.back
-            target.append(text)
-        elif name == "name":
-            count = self._int(attrs, "count")
-            if not self._character.alias_counts:
-                self._character.canonical_name = text
-            if text in self._character.alias_counts:
-                self._fail(f"duplicate alias {text!r}")
-            self._character.alias_counts[text] = count
-        elif name == "mentions":
-            try:
-                self._character.mention_token_indices = [int(x) for x in text.split()]
-            except ValueError:
-                self._fail(f"bad mention index list: {text!r}")
-        elif name == "header":
-            kind = self._req(attrs, "kind")
-            number = self._int(attrs, "n") if "n" in attrs else None
-            self._section.header = Header(kind=kind, number=number, text=text)
-        elif name == "p":
-            self._paragraph.raw = text
+        if end is not None:
+            end(self.stack[-1][1] if self.stack else None, text, node, attrs, self)
 
     def _req(self, attrs, key):
         if key not in attrs:
@@ -617,9 +473,147 @@ class _BookBuilder:
             self._fail(f"attribute {key}={raw!r} is not an integer")
 
 
+def _open_book(parent, attrs, b):
+    # ``meta`` stays None until ``<meta>`` opens, so a second one shows.
+    b.book = AnnotatedBook(meta=None)
+    return b.book
+
+
+def _close_book(parent, text, book, attrs, b):
+    book.meta = book.meta or BookMeta()
+    try:
+        validate(book)
+    except InvariantError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _open_meta(book, attrs, b):
+    if book.meta is not None:
+        b._fail("duplicate <meta>")
+    book.meta = BookMeta()
+    return book.meta
+
+
+def _close_meta(book, text, meta, attrs, b):
+    try:
+        _validate_meta(meta, book.phases)
+    except InvariantError as exc:
+        b._fail(str(exc))
+    if b.head_only:
+        raise _MetaRead
+
+
+def _close_year(meta, text, node, attrs, b):
+    try:
+        meta.year = int(text)
+    except ValueError:
+        b._fail(f"bad year: {text!r}")
+
+
+def _open_character(characters, attrs, b):
+    record = CharacterRecord(
+        b._int(attrs, "id"), "", b._req(attrs, "gender"), gcc=b._int(attrs, "gcc"),
+        fpcc=b._int(attrs, "fpcc"), spcc=b._int(attrs, "spcc"))
+    b._int(attrs, "count")  # compared with the mentions at the end tag
+    return record
+
+
+def _close_character(characters, text, record, attrs, b):
+    if not record.alias_counts:
+        b._fail("character has no <name> aliases")
+    declared = int(attrs["count"])
+    if declared != record.count:
+        b._fail(f"character {record.id}: declared count {declared} "
+                f"!= {record.count} mention indices")
+    characters.append(record)
+
+
+def _close_name(record, text, node, attrs, b):
+    count = b._int(attrs, "count")
+    if not record.alias_counts:
+        record.canonical_name = text
+    if text in record.alias_counts:
+        b._fail(f"duplicate alias {text!r}")
+    record.alias_counts[text] = count
+
+
+def _close_mentions(record, text, node, attrs, b):
+    try:
+        record.mention_token_indices = [int(x) for x in text.split()]
+    except ValueError:
+        b._fail(f"bad mention index list: {text!r}")
+
+
+def _close_header(section, text, node, attrs, b):
+    number = b._int(attrs, "n") if "n" in attrs else None
+    section.header = Header(kind=b._req(attrs, "kind"), number=number, text=text)
+
+
+def _close_paragraph(section, text, paragraph, attrs, b):
+    if "o" in attrs:
+        paragraph.raw = text
+    section.paragraphs.append(paragraph)
+
+
+def _open_sentence(paragraph, attrs, b):
+    if paragraph.offset is not None:
+        b._fail("raw paragraph cannot contain sentences")
+    return Sentence()
+
+
+def _close_token(sentence, text, node, attrs, b):
+    try:
+        index, offset = int(attrs["i"]), int(attrs["o"])
+        char = int(attrs["char"]) if "char" in attrs else None
+        quote = int(attrs["q"]) if "q" in attrs else None
+    except (KeyError, ValueError):  # name the first bad attribute
+        index, offset = b._int(attrs, "i"), b._int(attrs, "o")
+        char = b._int(attrs, "char") if "char" in attrs else None
+        quote = b._int(attrs, "q") if "q" in attrs else None
+    pos, lemma, ner = attrs.get("pos"), attrs.get("lemma"), attrs.get("ner")
+    sentence.tokens.append(Token(
+        sys.intern(text), index, offset, pos and sys.intern(pos),
+        lemma and sys.intern(lemma), ner and sys.intern(ner), char, quote))
+
+
+# name -> (the children it may hold, start, end). An element with no
+# children holds text. Each open element is a ``(name, node, attrs)`` entry
+# of the builder's stack: ``start(parent, attrs, builder)`` returns its node,
+# the object its children are filed into, and ``end(parent, text, node,
+# attrs, builder)`` files it into ``parent``, its parent's node.
+_ELEMENTS = {
+    "book": ({"meta", "front", "back", "characters", "body"}, _open_book, _close_book),
+    "meta": ({*_META_TEXT, "year", "subject", "phases"}, _open_meta, _close_meta),
+    **{name: ((), None, lambda meta, text, *_, name=name: setattr(meta, name, text))
+       for name in _META_TEXT},
+    "year": ((), None, _close_year),
+    "subject": ((), None, lambda meta, text, *_: meta.subjects.append(text)),
+    "phases": ((), None, lambda meta, text, node, attrs, b:
+               setattr(b.book, "phases", text.split())),
+    "front": ({"block"}, lambda book, *_: book.front, None),
+    "back": ({"block"}, lambda book, *_: book.back, None),
+    "block": ((), None, lambda blocks, text, *_: blocks.append(text)),
+    "characters": ({"character"}, lambda book, *_: book.characters, None),
+    "character": ({"name", "mentions"}, _open_character, _close_character),
+    "name": ((), None, _close_name),
+    "mentions": ((), None, _close_mentions),
+    "body": ({"section"}, lambda book, *_: book.body, None),
+    "section": ({"header", "p"}, lambda *_: Section(),
+                lambda body, text, section, *_: body.append(section)),
+    "header": ((), None, _close_header),
+    "p": ({"s"}, lambda section, attrs, b: Paragraph(
+        offset=b._int(attrs, "o") if "o" in attrs else None), _close_paragraph),
+    "s": ({"t"}, _open_sentence, lambda paragraph, text, sentence, *_:
+          paragraph.sentences.append(sentence)),
+    "t": ((), None, _close_token),
+}
+
+
 def parse(text):
     """Parse canonical annotation XML back into an AnnotatedBook."""
-    return _BookBuilder().parse(text)
+    builder = _BookBuilder()
+    builder.feed(text.encode("utf-8") if isinstance(text, str) else text, True)
+    return builder.result()
 
 
 def load(path):

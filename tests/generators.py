@@ -188,3 +188,49 @@ def dialogue_text(rnd=None, seed=None):
             text += f' "{rnd.choice(_UTTERANCES)}, {rnd.choice(_UTTERANCES)}.'
         paragraphs.append(text)
     return "\n\n".join(paragraphs)
+
+
+_BODY_WORDS = ["the", "marsh", "lay", "still", "under", "rain", "and", "Hannah",
+               "walked", "home", "past", "old", "mill", "by", "water", "grey"]
+_LICENSE_LINES = ["Updated editions will replace the previous one.",
+                  "This eBook is for the use of anyone anywhere.",
+                  "Creating the works from print editions is a long task."]
+
+
+def gutenberg_source(rnd=None, seed=None):
+    """The bytes of a Gutenberg-style text and its license spans.
+
+    The text may open with a ``Title:``/``Author:``/``Release Date:``
+    block followed by one to three blank lines, and may carry START and
+    END markers; its body paragraphs hold no colon and no asterisk, so
+    they look like neither metadata nor a marker. Line ends may be CRLF
+    and the bytes may open with a byte-order mark. The spans are
+    ``(kind, start, end)`` over the text as ``ingest.normalize_text``
+    gives it back.
+    """
+    rnd = rnd or random.Random(seed)
+    title = rnd.choice(["The Marsh", "North of the Weir", "A Glass Orchard"])
+    text = ""
+    if rnd.random() < 0.6:
+        fields = [f"Title: {title}", "Author: Ann Prior",
+                  f"Release Date: May {rnd.randint(1, 28)}, 19{rnd.randint(10, 99)}"]
+        kept = [line for line in fields if rnd.random() < 0.7] or fields[:1]
+        text = "\n".join(kept) + "\n" + "\n" * rnd.randint(1, 3)
+    header_end = len(text)  # the block and its blank lines, if any
+    if rnd.random() < 0.6:
+        this = rnd.choice(["THE", "THIS"])
+        text += f"*** START OF {this} PROJECT GUTENBERG EBOOK {title.upper()} ***\n"
+        header_end = len(text)
+        text += "\n"
+    paragraphs = [" ".join(rnd.choice(_BODY_WORDS) for _ in range(rnd.randint(3, 30)))
+                  .capitalize() + "." for _ in range(rnd.randint(1, 6))]
+    text += "\n\n".join(paragraphs) + "\n\n"
+    spans = [("gutenberg_header", 0, header_end)] if header_end else []
+    if rnd.random() < 0.6:
+        footer_start = len(text)
+        text += (f"*** END OF THE PROJECT GUTENBERG EBOOK {title.upper()} ***\n"
+                 + "\n".join(rnd.sample(_LICENSE_LINES, rnd.randint(1, 3))) + "\n")
+        spans.append(("gutenberg_footer", footer_start, len(text)))
+    data = text.replace("\n", "\r\n") if rnd.random() < 0.5 else text
+    bom = "\ufeff" if rnd.random() < 0.5 else ""
+    return (bom + data).encode("utf-8"), spans

@@ -10,6 +10,7 @@ from bindery.ingest import (BoilerplateSpan, RawBook, SourceKind,
                             annotate_gutenberg_boilerplate, fetch_gutenberg,
                             normalize_text, read_gutenberg,
                             read_hathi_pagewise, strip_spans)
+from generators import gutenberg_source
 
 GUTENBERG_SAMPLE = """Title: Oliver Twist
 Author: Charles Dickens
@@ -310,3 +311,17 @@ def test_strip_spans_partitions_text():
     assert body == "aaabbbccc"
     assert blocks == {"gutenberg_header": ["HEADER"],
                       "gutenberg_footer": ["FOOTER"]}
+
+
+def test_gutenberg_spans_match_generated_ground_truth():
+    seen = set()
+    for seed in range(300):
+        data, truth = gutenberg_source(seed=seed)
+        text, _ = normalize_text(data)
+        spans = annotate_gutenberg_boilerplate(gutenberg_raw(text))
+        assert [(s.kind, s.start_offset, s.end_offset) for s in spans] == truth, seed
+        seen.add((text.startswith(("Title", "Author", "Release")),
+                  "*** START" in text, "*** END" in text,
+                  data.startswith(b"\xef\xbb\xbf"), b"\r\n" in data))
+    # Every mix of block, markers, byte-order mark and CRLF came up.
+    assert len(seen) == 32

@@ -4,12 +4,17 @@ import re
 
 import pytest
 
+from bindery.config import Config
 from bindery.errors import InvariantError, ParseError
+from bindery.ingest import read_gutenberg
+from bindery.pipeline import annotate_book, ingest_to_book
 from bindery.xml_model import (DIGEST_FIELDS, AnnotatedBook, BookMeta,
                                CharacterRecord, Header, Paragraph, Section,
                                Sentence, Token, load, load_head, parse,
                                serialize, validate)
+from conftest import BOOKS
 from generators import random_book
+from oracles import parse as oracle
 
 
 def minimal_book():
@@ -418,6 +423,19 @@ BROKEN_TEXTS = {
     "bad mention list": ("<mentions>", "<mentions>x",
                          "bad mention index list: 'x"),
     "missing attribute": (r' gender="\w+"', "", "missing attribute 'gender'"),
+    # Whole messages, line included.
+    "element not allowed in <s>": (r"(<s>\n)", r"\1<b/>",
+                                   r"^unknown element <b> inside <s> \(line 44\)$"),
+    "text before a <t>": (r"<s>\n", r"<s>x\n",
+                          r"^unexpected text inside <s> \(line 44\)$"),
+    "bad year": (r"  <meta>\n", r"  <meta>\n    <year>x</year>\n",
+                 r"^bad year: 'x' \(line 4\)$"),
+    "non-integer index": (r'i="0"', r'i="zero"',
+                          r"^attribute i='zero' is not an integer \(line 44\)$"),
+    "token without offset": (r'(<t i="\d+") o="\d+"', r"\1",
+                             r"^missing attribute 'o' \(line 44\)$"),
+    "second <meta>": (r"</meta>\n", r"</meta>\n  <meta/>\n",
+                      r"^duplicate <meta> \(line 13\)$"),
 }
 
 
@@ -431,8 +449,72 @@ def test_parse_rejects_each_broken_text(name):
         parse(text)
 
 
+
 def test_add_phase_rejects_an_unknown_phase():
     book = minimal_book()
     with pytest.raises(ValueError, match="unknown phase: bogus"):
         book.add_phase("bogus")
     assert book.phases == ["ingest", "segment"]
+
+
+# -- the per-name oracle ----------------------------------------------------------
+
+_SUBSTITUTES = b'<>&"=x0'
+
+
+def _mutate(rnd, data):
+    """One seeded edit of a file's bytes: a deleted or duplicated run of
+    bytes, one byte replaced by a markup character, or a dropped or
+    swapped line."""
+    kind = rnd.randrange(5)
+    at = rnd.randrange(len(data))
+    end = at + rnd.randint(1, 8)
+    if kind == 0:
+        return data[:at] + data[end:]
+    if kind == 1:
+        return data[:end] + data[at:]
+    if kind == 2:
+        return data[:at] + bytes([rnd.choice(_SUBSTITUTES)]) + data[at + 1:]
+    lines = data.splitlines(keepends=True)
+    i, j = rnd.randrange(len(lines)), rnd.randrange(len(lines))
+    if kind == 3:
+        del lines[i]
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return b"".join(lines)
+
+
+def _outcome(read, source):
+    """What a reader gives: its result, or its error's type and text."""
+    try:
+        return read(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_parse_and_load_head_match_the_per_name_oracle(tmp_path):
+    config = Config()
+    books = [annotate_book(ingest_to_book(read_gutenberg(path), config), config)
+             for path in sorted(BOOKS.glob("pg*.txt"))]
+    rnd = random.Random(1000)  # criterion 10's books
+    books += [random_book(rnd) for _ in range(1000)]
+    for book in books:
+        text = serialize(book)
+        assert parse(text) == oracle.parse(text) == book
+
+    rnd = random.Random(3232)
+    path = tmp_path / "book.xml"
+    accepted, messages = 0, set()
+    for _ in range(2000):
+        data = _mutate(rnd, serialize(random_book(rnd)).encode("utf-8"))
+        expected = _outcome(oracle.parse, data)
+        assert _outcome(parse, data) == expected
+        path.write_bytes(data)
+        assert _outcome(load_head, path) == _outcome(oracle.load_head, path)
+        if isinstance(expected, tuple):
+            messages.add(re.sub(r"\d+|'.*'|<\w+>", "N", expected[1]))
+        else:
+            accepted += 1
+    # The edits reach the builder's checks, not just expat's, and leave
+    # some books whole.
+    assert len(messages) >= 20 and accepted >= 100, (accepted, messages)
