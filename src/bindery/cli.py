@@ -5,8 +5,8 @@ analyze, corpus-stats, report, and all. Phase ordering is enforced through
 the stamp list inside each book's XML; outputs whose recorded traces are
 current are skipped unless --force. An ``all`` whose run trace is current
 replays the results it recorded and runs no phase code. Human logs go to
-stderr; one JSON line per book per phase goes to the progress log under
-the store.
+stderr; the progress log under the store holds one JSON line per book per
+phase of the last command.
 """
 
 import argparse
@@ -18,7 +18,8 @@ from pathlib import Path
 from . import pipeline
 from .config import ENV_PREFIX, Config
 from .errors import BinderyError
-from .store import Traces, append_progress, kept_book_ids, replay_run
+from .store import (Traces, kept_book_ids, record_run, replay_run, run_inputs,
+                    write_progress)
 
 log = logging.getLogger("bindery")
 
@@ -108,15 +109,22 @@ def main(argv=None):
         log.error("%s failed: no store at %s", args.command, store)
         return 1
     traces = Traces(force=args.force)
+    inputs = results = None
     try:
-        results = (replay_run(args.in_dir, store, config, traces)
-                   if args.command == "all" else None)
+        if args.command == "all":
+            results = replay_run(args.in_dir, store, config, traces)
+            if results is None:  # found before ingest, as the run trace says
+                inputs = run_inputs(args.in_dir, config)
         if results is None:
             results = run_phase(args, store, config, traces)
+        # The run trace follows the log: a run killed before the log is
+        # whole leaves no trace to replay.
+        write_progress(store, results)
+        if inputs is not None:
+            record_run(inputs, store, traces, results)
     except (BinderyError, OSError) as exc:
         log.error("%s failed: %s", args.command, exc)
         return 1
-    append_progress(store, results)
     failed = [r for r in results if not r.ok]
     failed_books = {r.book_id for r in failed}
     ok_books = {r.book_id for r in results} - failed_books

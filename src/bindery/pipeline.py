@@ -33,8 +33,8 @@ from .store import (BOOK_PAGES, CORPUS_JSON, CORPUS_KEYS, CORPUS_OUTPUTS,
                     book_analysis, book_dir, book_xml, corpus_file,
                     current_analysis, discover_sources, dump_json,
                     load_schema, log_duplicates, read_json,
-                    record_run, run_inputs, settings, source_parts,
-                    store_book_ids, write_if_changed)
+                    settings, source_parts, store_book_ids,
+                    write_if_changed)
 from .xml_model import AnnotatedBook, BookMeta
 
 log = logging.getLogger(__name__)
@@ -613,8 +613,8 @@ def _annotate_analyze_one(args):
 
     The book is parsed once and its book.xml written once, then the lemma
     file: the bare payload, the lemmas and their trace. The results are
-    those of running the phases one after another: a failed load fails
-    every phase; after a failed annotate, analyze runs on the book.xml
+    those of running the phases one after another: a failed load or write
+    fails every phase; after a failed annotate, analyze runs on the book.xml
     still on disk; after a failed analyze, the annotation is still
     written; when every phase fails, nothing is. Each tree is validated
     once, so the write takes the unchecked ``xml_model.pieces``: an
@@ -650,12 +650,15 @@ def _annotate_analyze_one(args):
             book.add_phase("analytics")
         except BinderyError as exc:
             errors["analyze"] = exc
-    if len(errors) < len(phases):
-        write_if_changed(path, xml_model.pieces(book), traces.files)
-    if analysis is not None:
-        analysis["trace"] = traces.digest(
-            analysis_parts(store, book_id, config))
-        dump_json(analysis, book_dir(store, book_id) / LEMMAS_FILE)
+    try:
+        if len(errors) < len(phases):
+            write_if_changed(path, xml_model.pieces(book), traces.files)
+        if analysis is not None:
+            analysis["trace"] = traces.digest(
+                analysis_parts(store, book_id, config))
+            dump_json(analysis, book_dir(store, book_id) / LEMMAS_FILE)
+    except BinderyError as exc:
+        return [_failed(book_id, phase, exc) for phase in phases]
     return [_failed(book_id, phase, errors[phase]) if phase in errors
             else PhaseResult(book_id, phase, True) for phase in phases]
 
@@ -841,11 +844,9 @@ def run_all(in_dir, store, config, traces):
     The runners share ``traces``, and the later ones take the kept books
     from dedup's results, so the index is read only by dedup. Logs each
     runner's wall time and book count, then the peak memory of this
-    process and of its largest pool worker, at DEBUG. Ends by recording
-    the run trace when every result is ok (``store.record_run``).
+    process and of its largest pool worker, at DEBUG. The CLI records the
+    run trace after it (``store.record_run``).
     """
-    # Found before ingest: a source added while the run runs is not covered.
-    inputs = run_inputs(in_dir, config)
     results = _timed("ingest", run_ingest, in_dir, store, config, traces)
     dedup_results = _timed("dedup", run_dedup, store, config, traces)
     results += dedup_results
@@ -856,7 +857,6 @@ def run_all(in_dir, store, config, traces):
     results += _timed("corpus-stats", run_corpus_stats, store, config, traces,
                       book_ids)
     results += _timed("report", run_report, store, config, traces, book_ids)
-    record_run(inputs, store, traces, results)
     # ru_maxrss is in KiB on Linux. For RUSAGE_CHILDREN it is that of the
     # largest child process waited for: in a CLI run, a pool worker (0 when
     # none ran).

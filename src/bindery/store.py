@@ -3,8 +3,8 @@
 Layout: ``store/<book_id>/{book.xml, lemmas.json, book.json, index.html}``
 with corpus-level files under ``store/_corpus/`` (docs/formats.md); book
 ids come from their sources by the one source-id rule here. Every file a
-run leaves in a store is written here: atomically and only when its bytes
-change, through ``write_if_changed``, or appended to the progress log.
+run leaves in a store, the progress log of its last command included, is
+written here by ``write_if_changed``: atomically, when its bytes change.
 ``Traces`` is the one rule that decides whether an output is current; the
 ``*_KEYS`` sets and ``*_parts`` rules name what each trace covers. The run
 trace of ``all`` (``run_parts``) lets a run that changes nothing replay the
@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import xml_model
 from .config import Config
-from .errors import MissingPhaseError, ParseError
+from .errors import BinderyError, MissingPhaseError, ParseError
 
 # The phase runners' logger: a replayed run repeats their dedup line.
 _runner_log = logging.getLogger(f"{__package__}.pipeline")
@@ -38,7 +38,7 @@ PROGRESS_FILE = "progress.jsonl"
 CORPUS_STATS_MEMO = "corpus-stats.memo"
 REPORT_MEMO = "report.memo"
 # The run trace of ``all`` and its results; it covers every other file of
-# the store but the progress log.
+# the store but the progress log and the writer's temporary files.
 ALL_MEMO = "all.memo"
 # Written by corpus-stats, its one writer, and read by report.
 CORPUS_JSON = "corpus.json"
@@ -163,29 +163,34 @@ def write_if_changed(path, content, digests=None):
     preserving timestamps on no-ops; returns True when the file changed.
 
     ``content`` is str, bytes, or an iterable of str or bytes pieces,
-    encoded as UTF-8, hashed and written about 64 KB at a time to a
-    temporary file beside ``path`` (made as any file is, so with the usual
-    mode), which replaces the file unless the file's digest is the same.
-    So a killed run, or pieces that raise part-way, leave the old file or
-    the new one, never a truncated one. ``digests``, a dict of file digests
-    by path, gets the hex SHA-256 of the bytes once the file holds them.
+    encoded as UTF-8, hashed and written about 64 KB at a time to the
+    temporary file ``.<name>.tmp`` beside ``path`` (made as any file is),
+    which replaces the file unless the file's digest is the same. So a
+    killed run, or pieces that raise part-way, leave the old file or the
+    new one, never a truncated one, and the next write of ``path`` (one
+    process writes it at a time) removes the temporary file. An OSError is
+    a BinderyError naming ``path``. ``digests``, a dict of file digests by
+    path, gets the hex SHA-256 of the bytes once the file holds them.
     """
     path = Path(path)
     pieces = [content] if isinstance(content, (str, bytes)) else content
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.tmp")
     sha = hashlib.sha256()
     try:
-        with tmp.open("wb") as fh:
-            for batch in _encoded_batches(pieces):
-                sha.update(batch)
-                fh.write(batch)
-        digest = sha.hexdigest()
-        changed = file_digest(path) != digest
-        if changed:
-            os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with tmp.open("wb") as fh:
+                for batch in _encoded_batches(pieces):
+                    sha.update(batch)
+                    fh.write(batch)
+            digest = sha.hexdigest()
+            changed = file_digest(path) != digest
+            if changed:
+                os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise BinderyError(f"cannot write {path}: {exc.strerror or exc}") from exc
     if digests is not None:
         digests[path] = digest
     return changed
@@ -227,11 +232,9 @@ def file_digest(path):
 
 @dataclass
 class PhaseResult:
-    """Outcome of one phase on one book: one line of the progress log.
-
-    A dedup result also names the book that this one duplicates, if any;
-    the progress log leaves that out.
-    """
+    """Outcome of one phase on one book: one line of the progress log its
+    command writes. A dedup result also names the book that this one
+    duplicates, if any, which the log leaves out."""
 
     book_id: str
     phase: str
@@ -240,18 +243,14 @@ class PhaseResult:
     duplicate_of: str | None = None
 
 
-def append_progress(store, results):
-    """Append one JSON line per phase result to the store's progress log."""
-    path = corpus_file(store, PROGRESS_FILE)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        for result in results:
-            fh.write(json.dumps({
-                "book": result.book_id,
-                "phase": result.phase,
-                "status": "ok" if result.ok else "error",
-                "error": result.error,
-            }, sort_keys=True) + "\n")
+def write_progress(store, results):
+    """Make the progress log one JSON line per phase result, in order."""
+    write_if_changed(corpus_file(store, PROGRESS_FILE), (json.dumps({
+        "book": result.book_id,
+        "phase": result.phase,
+        "status": "ok" if result.ok else "error",
+        "error": result.error,
+    }, sort_keys=True) + "\n" for result in results))
 
 
 # -- readers ----------------------------------------------------------------------
@@ -510,14 +509,15 @@ def run_inputs(in_dir, config):
 
 
 def stored_files(store):
-    """Every file of the store but the progress log and the run memo, by
-    its path relative to the store, in path order."""
+    """Every file of the store but the progress log, the run memo and the
+    writer's temporary files, by path relative to the store, in order."""
     store = Path(store)
     untraced = {f"{CORPUS_DIR}/{PROGRESS_FILE}", f"{CORPUS_DIR}/{ALL_MEMO}"}
     files = sorted((path.relative_to(store).as_posix(), path)
                    for root, _, names in os.walk(store)
                    for path in (Path(root, name) for name in names))
-    return [part for name, path in files if name not in untraced
+    return [part for name, path in files
+            if name not in untraced and not path.match(".*.tmp")
             for part in (name, path)]
 
 

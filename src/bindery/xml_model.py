@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from xml.parsers import expat
 
-from .errors import InvariantError, ParseError
+from .errors import BinderyError, InvariantError, ParseError
 
 POS_TAGS = (
     "NOUN", "ADJ", "VERB", "ADV", "PRON", "INTJ",
@@ -617,8 +617,18 @@ def parse(text):
 
 
 def load(path):
-    with open(path, "rb") as fh:
-        return parse(fh.read())
+    """The book stored at ``path``; BinderyError naming it if it cannot be
+    read, ParseError if it is not canonical annotation XML."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    return parse(data)
+
+
+def _unreadable(path, exc):
+    return BinderyError(f"cannot read {path}: {exc.strerror or exc}")
 
 
 _HEAD_CHUNK = 1 << 16
@@ -635,13 +645,15 @@ def load_head(path):
     unread body cannot be serialized over the real one.
     """
     builder = _BookBuilder(head_only=True)
-    with open(path, "rb") as fh:
-        try:
+    try:
+        with open(path, "rb") as fh:
             while chunk := fh.read(_HEAD_CHUNK):
                 builder.feed(chunk, False)
             builder.feed(b"", True)
-        except _MetaRead:
-            pass
+    except _MetaRead:
+        pass
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
     book = builder.result()
     return book.meta, book.phases
 

@@ -1,3 +1,4 @@
+import shutil
 import sys
 from pathlib import Path
 
@@ -20,6 +21,28 @@ def config():
 @pytest.fixture
 def fixture_books():
     return sorted(BOOKS.glob("pg*.txt"))
+
+
+@pytest.fixture
+def raw_dir(tmp_path):
+    """Three fixture books in a source directory of their own."""
+    src = tmp_path / "raw"
+    src.mkdir()
+    for name in ("pg730.txt", "pg1001.txt", "pg1002.txt"):
+        shutil.copy(BOOKS / name, src / name)
+    return src
+
+
+@pytest.fixture
+def smoke_config(tmp_path):
+    path = tmp_path / "bindery.conf"
+    path.write_text(
+        "# smoke-scale overrides\n"
+        "embed_min_count = 2\n"
+        "embed_dim = 32\n"
+        "embed_epochs = 5\n",
+        encoding="utf-8")
+    return path
 
 
 def pytest_configure(config):

@@ -192,12 +192,15 @@ def dialogue_text(rnd=None, seed=None):
 
 _BODY_WORDS = ["the", "marsh", "lay", "still", "under", "rain", "and", "Hannah",
                "walked", "home", "past", "old", "mill", "by", "water", "grey"]
+# Words with Latin-1 letters beyond ASCII, none of them a C1 control.
+_LATIN1_WORDS = ["café", "naïve", "Müller", "façade", "señor", "£5", "déjà",
+                 "Zoë", "½"]
 _LICENSE_LINES = ["Updated editions will replace the previous one.",
                   "This eBook is for the use of anyone anywhere.",
                   "Creating the works from print editions is a long task."]
 
 
-def gutenberg_source(rnd=None, seed=None):
+def gutenberg_source(rnd=None, seed=None, latin1=False):
     """The bytes of a Gutenberg-style text and its license spans.
 
     The text may open with a ``Title:``/``Author:``/``Release Date:``
@@ -206,9 +209,12 @@ def gutenberg_source(rnd=None, seed=None):
     they look like neither metadata nor a marker. Line ends may be CRLF
     and the bytes may open with a byte-order mark. The spans are
     ``(kind, start, end)`` over the text as ``ingest.normalize_text``
-    gives it back.
+    gives it back. With ``latin1`` the body holds Latin-1 letters beyond
+    ASCII, at least one, and there is no byte-order mark, so the text has
+    a Latin-1 encoding too; the bytes are still UTF-8.
     """
     rnd = rnd or random.Random(seed)
+    words = _BODY_WORDS + _LATIN1_WORDS if latin1 else _BODY_WORDS
     title = rnd.choice(["The Marsh", "North of the Weir", "A Glass Orchard"])
     text = ""
     if rnd.random() < 0.6:
@@ -222,8 +228,10 @@ def gutenberg_source(rnd=None, seed=None):
         text += f"*** START OF {this} PROJECT GUTENBERG EBOOK {title.upper()} ***\n"
         header_end = len(text)
         text += "\n"
-    paragraphs = [" ".join(rnd.choice(_BODY_WORDS) for _ in range(rnd.randint(3, 30)))
+    paragraphs = [" ".join(rnd.choice(words) for _ in range(rnd.randint(3, 30)))
                   .capitalize() + "." for _ in range(rnd.randint(1, 6))]
+    if latin1:
+        paragraphs.append(f"By {rnd.choice(_LATIN1_WORDS)}.")
     text += "\n\n".join(paragraphs) + "\n\n"
     spans = [("gutenberg_header", 0, header_end)] if header_end else []
     if rnd.random() < 0.6:
@@ -232,5 +240,49 @@ def gutenberg_source(rnd=None, seed=None):
                  + "\n".join(rnd.sample(_LICENSE_LINES, rnd.randint(1, 3))) + "\n")
         spans.append(("gutenberg_footer", footer_start, len(text)))
     data = text.replace("\n", "\r\n") if rnd.random() < 0.5 else text
-    bom = "\ufeff" if rnd.random() < 0.5 else ""
+    bom = "\ufeff" if not latin1 and rnd.random() < 0.5 else ""
     return (bom + data).encode("utf-8"), spans
+
+
+def pagewise_source(directory, rnd=None, seed=None):
+    """Write a page-wise book into ``directory``; returns its pages in
+    page order, the metadata ``ingest.read_hathi_pagewise`` must find and
+    the page numbers missing between the first page and the last.
+
+    Page numbers start anywhere from 0 to 20 and may skip one. Each name is zero-padded to its own width, so name order and number
+    order differ. Pages are LF or CRLF body prose, given back as LF. A
+    ``manifest.txt`` may give a title, an author, a year and another key,
+    with any case of key and blanks around values, and lines without a
+    colon, which are not metadata.
+    """
+    rnd = rnd or random.Random(seed)
+    numbers = list(range(rnd.randint(0, 20), 40))[:rnd.randint(2, 8)]
+    missing = []
+    if len(numbers) > 2 and rnd.random() < 0.5:
+        missing = [numbers.pop(rnd.randrange(1, len(numbers) - 1))]
+    pages = []
+    for number in numbers:
+        text = "\n\n".join(" ".join(rnd.choice(_BODY_WORDS + _LATIN1_WORDS)
+                                    for _ in range(rnd.randint(1, 12)))
+                           for _ in range(rnd.randint(1, 3))) + "\n"
+        pages.append(text)
+        data = text.replace("\n", "\r\n") if rnd.random() < 0.3 else text
+        name = str(number).zfill(rnd.randint(len(str(number)), 8))
+        (directory / f"{name}.txt").write_text(data, encoding="utf-8",
+                                               newline="")
+    metadata = {"encoding": "utf-8"}
+    if rnd.random() < 0.7:
+        fields = {"title": rnd.choice(["The Marsh", "Déjà Vu", "A Weir"]),
+                  "author": rnd.choice(["Ann Prior", "Zoë Hale"]),
+                  "year": rnd.randint(1800, 1920),
+                  "publisher": "Müller & Sons"}
+        lines = ["A manifest line without a colon"]
+        for key, value in fields.items():
+            if rnd.random() < 0.7:
+                metadata[key] = value
+                spelled = rnd.choice([key, key.upper(), key.capitalize()])
+                lines.append(f"{spelled}:{rnd.choice(['', ' ', '  '])}{value}  ")
+        rnd.shuffle(lines)
+        (directory / "manifest.txt").write_text("\n".join(lines) + "\n",
+                                                encoding="utf-8")
+    return pages, metadata, missing

@@ -30,27 +30,6 @@ from generators import random_book
 PHASES = ("ingest", "dedup", "annotate", "analyze", "corpus-stats", "report")
 
 
-@pytest.fixture
-def raw_dir(tmp_path):
-    src = tmp_path / "raw"
-    src.mkdir()
-    for name in ("pg730.txt", "pg1001.txt", "pg1002.txt"):
-        shutil.copy(BOOKS / name, src / name)
-    return src
-
-
-@pytest.fixture
-def smoke_config(tmp_path):
-    path = tmp_path / "bindery.conf"
-    path.write_text(
-        "# smoke-scale overrides\n"
-        "embed_min_count = 2\n"
-        "embed_dim = 32\n"
-        "embed_epochs = 5\n",
-        encoding="utf-8")
-    return path
-
-
 def run(*argv):
     return main(list(argv))
 
@@ -195,6 +174,34 @@ def test_rerun_is_noop(raw_dir, smoke_config, tmp_path):
                "--in", str(raw_dir), "--out", str(store)) == 0
     for path, stamp in stamps.items():
         assert path.stat().st_mtime_ns == stamp, f"{path} was rewritten"
+
+
+def test_progress_log_holds_the_last_commands_lines(raw_dir, smoke_config,
+                                                    tmp_path):
+    """Each command that gets to its results rewrites the log with them: a
+    repeat that has the same results leaves its bytes and mtime, and a
+    command that fails as a whole leaves it as it was."""
+    store = tmp_path / "store"
+    log = store / "_corpus" / "progress.jsonl"
+    flags = ["--config", str(smoke_config)]
+
+    def log_state():
+        return log.read_bytes(), log.stat().st_mtime_ns
+
+    assert run(*flags, "all", "--in", str(raw_dir), "--out", str(store)) == 0
+    cold = log_state()
+    assert len(progress_lines(store)) == 3 * len(PHASES)
+    for _ in range(2):
+        assert run(*flags, "all", "--in", str(raw_dir),
+                   "--out", str(store)) == 0
+        assert log_state() == cold
+    assert run(*flags, "report", "--out", str(store)) == 0
+    assert [(l["book"], l["phase"]) for l in progress_lines(store)] == [
+        (book_id, "report") for book_id in ("pg1001", "pg1002", "pg730")]
+    report_log = log_state()
+    (store / "_corpus" / "corpus.json").unlink()
+    assert run(*flags, "report", "--out", str(store)) == 1
+    assert log_state() == report_log
 
 
 def test_analyze_before_annotate_names_missing_stamp(raw_dir, tmp_path,
@@ -393,8 +400,8 @@ def _store_files(store):
 
 
 def _without_run_memo(files):
-    """Store files but ``_corpus/all.memo``: like the progress log, it is a
-    record ``all`` keeps of itself, which phase commands do not write."""
+    """Store files but ``_corpus/all.memo``, a record ``all`` keeps of
+    itself, which phase commands do not write."""
     return {name: data for name, data in files.items()
             if name != "_corpus/all.memo"}
 
@@ -438,8 +445,8 @@ def _inject_pg1001_failure(monkeypatch, failure):
 
 def _assert_all_matches_steps(raw_dir, config, tmp_path, monkeypatch,
                               flags=(), failure=None):
-    """``all`` leaves the store and progress log the phases one by one do,
-    and its run memo.
+    """``all`` leaves the store the phases one by one do, and its run memo;
+    its progress log holds the lines each phase's log held after it ran.
 
     Under ``--force`` both runs start from the same finished store.
     Returns the progress lines of the ``all`` run.
@@ -455,14 +462,18 @@ def _assert_all_matches_steps(raw_dir, config, tmp_path, monkeypatch,
     status_all = run("--config", str(config), *flags, "all",
                      "--in", str(raw_dir), "--out", str(store_all))
     status_steps = 0
+    step_lines = []
     for phase in PHASES:
         argv = ["--in", str(raw_dir)] if phase == "ingest" else []
         status_steps |= run("--config", str(config), *flags, phase, *argv,
                             "--out", str(store_steps))
+        step_lines += progress_lines(store_steps)
     assert status_all == status_steps == (failure is not None)
-    assert (_without_run_memo(_store_files(store_all))
-            == _without_run_memo(_store_files(store_steps)))
-    return progress_lines(store_all)
+    assert (_without_run_memo(_store_bytes(store_all))
+            == _without_run_memo(_store_bytes(store_steps)))
+    lines = progress_lines(store_all)
+    assert lines == step_lines
+    return lines
 
 
 def test_phase_sequence_matches_all(raw_dir, smoke_config, tmp_path,
@@ -531,13 +542,15 @@ def test_failed_forced_annotate_leaves_analyze_the_earlier_annotation(
 @pytest.fixture
 def changed_writes(monkeypatch):
     """Counts the calls of the store's writer, as the store, the pipeline
-    and the renderer bind it, that changed a file."""
+    and the renderer bind it, that changed a file other than the progress
+    log, which each command rewrites with its own lines."""
     writes = Counter()
     real = store_module.write_if_changed
 
     def counting(path, content, digests=None):
         changed = real(path, content, digests)
-        writes[Path(path)] += changed
+        if Path(path).name != "progress.jsonl":
+            writes[Path(path)] += changed
         return changed
 
     for module in (store_module, pipeline, report):
@@ -734,6 +747,45 @@ def parse_callers(monkeypatch):
     return callers
 
 
+@pytest.mark.parametrize("name", ["book.xml", "lemmas.json", "book.json",
+                                  "index.html"])
+def test_a_book_file_that_cannot_be_opened_fails_only_its_book(
+        fixture_store, phased_store, caplog, name):
+    """A directory in place of one of pg1001's files, which can be neither
+    read nor replaced, fails pg1001 alone: every error line names it, and
+    the other books' files are those of a clean run."""
+    config, store = fixture_store
+    clean = phased_store[1]
+    (store / "pg1001" / name).unlink()
+    (store / "pg1001" / name).mkdir()
+    caplog.set_level(logging.INFO)
+    assert rerun_all(config, store) == 1
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert errors
+    assert all(r.message.startswith("pg1001: ") and r.exc_info is None
+               for r in errors)
+    assert any(f"pg1001/{name}" in r.message for r in errors)
+    for book_id in kept_book_ids(clean):
+        for kept in ("book.xml", "lemmas.json"):
+            if book_id != "pg1001":
+                assert ((store / book_id / kept).read_bytes()
+                        == (clean / book_id / kept).read_bytes())
+
+
+def test_a_corpus_file_that_cannot_be_written_fails_the_run(fixture_store,
+                                                            caplog):
+    config, store = fixture_store
+    corpus_json = store / "_corpus" / "corpus.json"
+    corpus_json.unlink()
+    corpus_json.mkdir()
+    assert rerun_all(config, store) == 1
+    assert [(r.levelno, r.message) for r in caplog.records
+            if r.levelno >= logging.WARNING] == [
+        (logging.ERROR, f"all failed: cannot write {corpus_json}: "
+                        "Is a directory")]
+    assert not (store / "_corpus" / "progress.jsonl").exists()
+
+
 def test_noop_all_full_parses_no_book(fixture_store, parse_callers):
     config, store = fixture_store
     assert rerun_all(config, store) == 0
@@ -757,9 +809,10 @@ def test_noop_all_digests_each_file_at_most_once(fixture_store, monkeypatch):
     # pages (for report); then the two memos, for the run trace it
     # records, and the run memo, which the writer compares with what it
     # writes. The second run's run trace is current, and it digests the
-    # same files but the run memo, which it only reads.
+    # same files but the run memo, which it only reads. Each run's writer
+    # compares the progress log with the lines it writes.
     expected = Counter([
-        *BOOKS.glob("*.txt"),
+        *BOOKS.glob("*.txt"), store / "_corpus" / "progress.jsonl",
         *(store / book_id / name for book_id in kept_book_ids(store)
           for name in ("book.xml", "lemmas.json", "book.json", "index.html")),
         *(store / "_corpus" / name for name in (
@@ -1694,29 +1747,31 @@ def _assert_memo_runs_match_forced(config, store, caplog, flags, expected):
     memo lines.
 
     The two phases run on ``store`` with their memos and, with --force, on
-    a copy; exit statuses, progress lines and store bytes must agree.
-    Returns the statuses.
+    a copy; exit statuses, the progress lines of each command and store
+    bytes must agree. Returns the statuses and the progress lines of the
+    two runs on ``store``, one command's after the other's.
     """
     (store / "_corpus" / "progress.jsonl").unlink(missing_ok=True)
     forced = store.parent / "forced"
     shutil.copytree(store, forced)
     caplog.set_level(logging.DEBUG)
-    statuses = []
+    statuses, logs = [], []
     for root, force in ((store, ()), (forced, ("--force",))):
         caplog.clear()
-        statuses.append([run("--config", str(config), "-v", *flags, *force,
-                             phase, "--out", str(root))
-                         for phase in ("corpus-stats", "report")])
+        statuses.append([])
+        logs.append("")
+        for phase in ("corpus-stats", "report"):
+            statuses[-1].append(run("--config", str(config), "-v", *flags,
+                                    *force, phase, "--out", str(root)))
+            logs[-1] += (root / "_corpus" / "progress.jsonl").read_text(
+                encoding="utf-8").replace(str(root), "<store>")
         if root == store:
             assert _memo_lines(caplog) == expected
     assert statuses[0] == statuses[1]
-    logs = [(root / "_corpus" / "progress.jsonl").read_text(
-        encoding="utf-8").replace(str(root), "<store>")
-        for root in (store, forced)]
     assert logs[0] == logs[1]
     assert _store_bytes(store) == _store_bytes(forced)
     shutil.rmtree(forced)
-    return statuses[0]
+    return statuses[0], [json.loads(line) for line in logs[0].splitlines()]
 
 
 def _edit_bare_field(path):
@@ -1807,17 +1862,17 @@ def _check_memo_case(config, store, book_id, case, caplog, monkeypatch):
     expected = ([f"corpus-stats: inputs unchanged, {books} book(s) reused"]
                 if hit else [])
     expected.append(f"report: {reused} page(s) reused, {rendered} rendered")
-    statuses = _assert_memo_runs_match_forced(config, store, caplog, flags,
-                                              expected)
+    statuses, lines = _assert_memo_runs_match_forced(config, store, caplog,
+                                                     flags, expected)
     assert statuses == ([1, 1] if fails else [0, 0])
     if pages == "every book fails":
-        assert {(l["phase"], l["error"]) for l in progress_lines(store)} == {
+        assert {(l["phase"], l["error"]) for l in lines} == {
             (phase, ANALYZE_NEEDED.format(phase))
             for phase in ("corpus-stats", "report")}
     if fails:  # a re-run reports the failures and renders every page again
         rerun = [f"report: 0 page(s) reused, {rendered} rendered"]
         assert _assert_memo_runs_match_forced(
-            config, store, caplog, flags, rerun) == statuses
+            config, store, caplog, flags, rerun)[0] == statuses
 
 
 @pytest.mark.parametrize("case", list(MEMO_CASES))

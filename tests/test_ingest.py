@@ -10,7 +10,7 @@ from bindery.ingest import (BoilerplateSpan, RawBook, SourceKind,
                             annotate_gutenberg_boilerplate, fetch_gutenberg,
                             normalize_text, read_gutenberg,
                             read_hathi_pagewise, strip_spans)
-from generators import gutenberg_source
+from generators import gutenberg_source, pagewise_source
 
 GUTENBERG_SAMPLE = """Title: Oliver Twist
 Author: Charles Dickens
@@ -325,3 +325,44 @@ def test_gutenberg_spans_match_generated_ground_truth():
                   data.startswith(b"\xef\xbb\xbf"), b"\r\n" in data))
     # Every mix of block, markers, byte-order mark and CRLF came up.
     assert len(seen) == 32
+
+
+def test_a_latin1_source_reads_as_its_utf8_form(tmp_path):
+    path = tmp_path / "pg1.txt"
+    for seed in range(200):
+        data, truth = gutenberg_source(seed=seed, latin1=True)
+        books = {}
+        for encoding in ("utf-8", "latin-1"):
+            path.write_bytes(data.decode("utf-8").encode(encoding))
+            books[encoding] = read_gutenberg(path)
+        utf8, latin1 = books["utf-8"], books["latin-1"]
+        assert latin1.pages == utf8.pages, seed
+        assert utf8.metadata["encoding"] == "utf-8"
+        assert latin1.metadata == {**utf8.metadata, "encoding": "latin-1"}, seed
+        for book in (utf8, latin1):
+            spans = annotate_gutenberg_boilerplate(book)
+            assert [(s.kind, s.start_offset, s.end_offset)
+                    for s in spans] == truth, seed
+
+
+def test_pagewise_reader_matches_generated_ground_truth(tmp_path, caplog):
+    seen = set()
+    for seed in range(200):
+        directory = tmp_path / f"b{seed}"
+        directory.mkdir()
+        pages, metadata, missing = pagewise_source(directory, seed=seed)
+        separator = ["\n", "\n\n", " "][seed % 3]
+        caplog.clear()
+        book = read_hathi_pagewise(directory, page_separator=separator)
+        assert book.pages == pages, seed
+        assert book.metadata == metadata, seed
+        assert book.text == separator.join(pages), seed
+        assert [r.message for r in caplog.records] == (
+            [f"{directory}: page number gaps at {missing}"] if missing
+            else []), seed
+        names = [p.name for p in sorted(directory.iterdir())
+                 if p.name != "manifest.txt"]
+        seen.add((bool(missing), (directory / "manifest.txt").exists(),
+                  names != sorted(names, key=lambda name: int(name[:-4]))))
+    # Every mix of a gap, a manifest and name order unlike page order came up.
+    assert len(seen) == 8

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bindery import xml_model
-from bindery.errors import ChartError, InvariantError
+from bindery.errors import BinderyError, ChartError, InvariantError
 from bindery.report import (emit_book_report, emit_corpus_report,
                             render_svg_chart)
 from bindery.store import (dump_json, file_digest, load_schema, validate_schema,
@@ -304,7 +305,8 @@ def test_write_if_changed_is_atomic(tmp_path, monkeypatch):
         return DiesHalfway(fh) if "w" in mode else fh
 
     monkeypatch.setattr(Path, "open", opens_dying)
-    with pytest.raises(OSError):
+    with pytest.raises(BinderyError,
+                       match=re.escape(f"cannot write {path}: disk full")):
         write_if_changed(path, "new bytes, longer than the old ones")
     assert path.read_text() == "old bytes"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["book.xml",
