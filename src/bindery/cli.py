@@ -18,7 +18,7 @@ from pathlib import Path
 from . import pipeline
 from .config import ENV_PREFIX, Config
 from .errors import BinderyError
-from .store import (Traces, kept_book_ids, record_run, replay_run, run_inputs,
+from .store import (PHASES, Traces, kept_book_ids, record_run, replay_run,
                     write_progress)
 
 log = logging.getLogger("bindery")
@@ -28,10 +28,9 @@ log = logging.getLogger("bindery")
 # threads only spin. A value set in the environment wins.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                          "MKL_NUM_THREADS")
-# The phase subcommands: ``pipeline.run_<name>`` runs each. ingest and all
-# read --in and make the store; dedup takes it whole, the rest its kept books.
-COMMANDS = ("ingest", "dedup", "annotate", "analyze", "corpus-stats", "report",
-            "all")
+# The phase subcommands: ``pipeline.run_<name>`` runs each, and its row of
+# the table of traces says what it takes beside the store.
+COMMANDS = tuple(PHASES)
 
 
 def build_parser():
@@ -55,7 +54,7 @@ def build_parser():
 
     for name in COMMANDS:
         cmd = sub.add_parser(name, help=f"run the {name} phase")
-        if name in ("ingest", "all"):
+        if PHASES[name].takes == "in":
             cmd.add_argument("--in", dest="in_dir", required=True,
                              help="directory of raw book sources")
         cmd.add_argument("--out", required=True, help="store directory")
@@ -66,9 +65,10 @@ def run_phase(args, store, config, traces):
     """The results of ``pipeline.run_<command>`` over ``store``."""
     # Looked up now, not at import: a tracer may have swapped the function.
     runner = getattr(pipeline, "run_" + args.command.replace("-", "_"))
-    if hasattr(args, "in_dir"):
+    takes = PHASES[args.command].takes
+    if takes == "in":
         return runner(args.in_dir, store, config, traces)
-    if args.command == "dedup":
+    if takes == "store":
         return runner(store, config, traces)
     return runner(store, config, traces, kept_book_ids(store))
 
@@ -114,7 +114,7 @@ def main(argv=None):
         if args.command == "all":
             results = replay_run(args.in_dir, store, config, traces)
             if results is None:  # found before ingest, as the run trace says
-                inputs = run_inputs(args.in_dir, config)
+                inputs = PHASES["all"].parts(config, args.in_dir)
         if results is None:
             results = run_phase(args, store, config, traces)
         # The run trace follows the log: a run killed before the log is

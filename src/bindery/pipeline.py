@@ -1,15 +1,15 @@
 """Pipeline orchestration over the on-disk store of ``bindery.store``.
 
-The store module's ``Traces`` decides every re-run and its writer writes
-every file; phase stamps in ``<meta>`` only enforce ordering. Annotate and
-analyze share one parse and one ``book.xml`` write per book. Analyze alone
-computes a book's payload and lemmas, and report alone writes
-``book.json``. The phase modules and the renderer, bound lazily by the
-package, run on first use, and the process pool is imported only when one
-starts, so an unchanged store is re-run without any of them, or numpy:
-sources are found and the kept set read through ``store`` alone. ``all``
-ends by recording its run trace, which lets the next ``all`` over an
-unchanged store skip this module altogether.
+The runners take what each trace covers from the store's table of traces
+(``PHASES``), ask its ``Traces`` whether an output is current, and leave
+every write to its writer; phase stamps in ``<meta>`` only enforce
+ordering. Annotate and analyze share one parse and one ``book.xml`` write
+per book, and corpus-stats and report one memo skeleton. The phase modules
+and the renderer, bound lazily by the package, run on first use, and the
+process pool is imported only when one starts, so an unchanged store is
+re-run without any of them, or numpy. ``all`` ends by recording its run
+trace, which lets the next ``all`` over an unchanged store skip this
+module altogether.
 """
 
 import hashlib
@@ -25,16 +25,12 @@ from . import (analytics_book, analytics_corpus, characters, dedup, ingest,
                linguistic, report, segmentation, xml_model)
 from .errors import (AnalyticsError, BinderyError, MissingPhaseError, ParseError,
                      TooShortError)
-from .store import (BOOK_PAGES, CORPUS_JSON, CORPUS_KEYS, CORPUS_OUTPUTS,
-                    CORPUS_PAGES, CORPUS_STATS_MEMO, INDEX_FILE,
-                    INGEST_KEYS, LEMMA_MODEL_SCHEMA, LEMMAS_FILE, REPORT_MEMO,
+from .store import (BOOK_PAGES, CORPUS_JSON, INDEX_FILE, LEMMAS_FILE, PHASES,
                     VECTORS_FILE, PhaseResult, SourceKind, Traces,
-                    analysis_files, analysis_parts, annotate_parts,
-                    book_analysis, book_dir, book_xml, corpus_file,
-                    current_analysis, discover_sources, dump_json,
-                    load_schema, log_duplicates, read_json,
-                    settings, source_parts, store_book_ids,
-                    write_if_changed)
+                    analysis_files, book_analysis, book_dir, book_xml,
+                    corpus_file, current_analysis, discover_sources,
+                    dump_json, load_schema, log_duplicates, read_json,
+                    store_book_ids, write_if_changed)
 from .xml_model import AnnotatedBook, BookMeta
 
 log = logging.getLogger(__name__)
@@ -218,20 +214,22 @@ def annotate_book(book, config):
 # -- analytics payloads -------------------------------------------------------------
 
 
+def _or_none(compute, *args, **kwargs):
+    """``compute(*args, **kwargs)``, or None where it has no defined result."""
+    try:
+        return compute(*args, **kwargs)
+    except AnalyticsError:
+        return None
+
+
 def build_book_payload(book, config):
     """The per-book analytics document (corpus-relative fields left null)
     and the book's lemma sequence, both from one walk over its words."""
     _require(book, "analytics", "characters")
     protagonist, ratio = characters.protagonist_stats(book.characters)
     stats = analytics_book.text_stats(book, lexicon_dir=config.lexicon_dir)
-    try:
-        readability = analytics_book.readability_suite(stats)
-    except AnalyticsError:
-        readability = None
-    try:
-        pos = analytics_book.pos_distribution(stats)
-    except AnalyticsError:
-        pos = None
+    readability = _or_none(analytics_book.readability_suite, stats)
+    pos = _or_none(analytics_book.pos_distribution, stats)
     timeline = characters.build_occurrence_timeline(
         book, top_k=config.timeline_top_k)
     network = characters.build_interaction_network(
@@ -283,11 +281,7 @@ def _gender_counts(payload):
 
 def build_corpus_stats(payloads, config):
     """Corpus analytics document over the per-book payloads."""
-    books = []
-    char_count_lists = []
-    ratios = []
-    years = []
-    pos_rows = []
+    books, char_count_lists, ratios, years, pos_rows = [], [], [], [], []
     gender_pcts = {"male": [], "female": []}
     for payload in payloads:
         books.append({
@@ -330,17 +324,9 @@ def build_corpus_stats(payloads, config):
         bins=config.top2_histogram_bins)
     top2["threshold"] = config.top2_outlier_threshold
 
-    try:
-        gender_bins = analytics_corpus.gender_over_time(
-            years, bins=config.gender_time_bins)
-    except AnalyticsError:
-        gender_bins = None
-
-    try:
-        correlations = analytics_corpus.pos_correlations(pos_rows)
-    except AnalyticsError:
-        correlations = None
-
+    gender_bins = _or_none(analytics_corpus.gender_over_time, years,
+                           bins=config.gender_time_bins)
+    correlations = _or_none(analytics_corpus.pos_correlations, pos_rows)
     pos_distributions = {}
     for row in pos_rows:
         for tag, pct in row.items():
@@ -458,44 +444,56 @@ def _read_source(path, kind, config):
         raise BinderyError(f"cannot read source: {exc}") from exc
 
 
+def _heads(store, book_ids, phases, traces, results):
+    """``(book_id, meta)`` of each book whose ``<meta>`` is read, None under
+    force or with no book.xml; the others fail ``phases`` into ``results``."""
+    for book_id in book_ids:
+        try:
+            meta = traces.recorded(traces.head, book_xml(store, book_id))
+        except BinderyError as exc:
+            results += [_failed(book_id, phase, exc) for phase in phases]
+        else:
+            yield book_id, meta
+
+
 def run_ingest(in_dir, store, config, traces):
     """Ingest every source of ``in_dir`` whose book's ingest trace is not
     current into the book's book.xml.
 
     Sources that map to one book id (``1001.txt`` and ``pg1001.txt``) fail
     that id with one error naming them all. A book whose sources fail
-    loses its stored book.xml, lemma file and pages, so no later phase
-    takes it for the book it was and no stale page stays; a book.xml whose
-    ``<meta>`` cannot be read fails and stays.
+    loses its stored book.xml, lemma file and pages (its error names any
+    it cannot remove), so no later phase takes it for the book it was and
+    no stale page stays; a book.xml whose ``<meta>`` cannot be read stays.
     """
     sources = {}
     for book_id, path, kind in discover_sources(in_dir):
         sources.setdefault(book_id, []).append((path, kind))
     results = []
-    for book_id, found in sources.items():
-        xml_path = book_xml(store, book_id)
-        try:
-            meta = traces.recorded(traces.head, xml_path)
-        except BinderyError as exc:
-            results.append(_failed(book_id, "ingest", exc))
-            continue
+    for book_id, meta in _heads(store, sources, ("ingest",), traces, results):
+        found = sources[book_id]
         try:
             if len(found) > 1:
                 raise BinderyError("sources map to the same book id: "
                                    + ", ".join(str(p) for p, _ in found))
             [(path, kind)] = found
-            parts = settings(config, INGEST_KEYS) + source_parts(path, kind)
+            parts = PHASES["ingest"].parts(config, path, kind)
             if not traces.current(meta and meta.ingest_trace, parts):
                 book = ingest_to_book(_read_source(path, kind, config), config)
                 book.meta.ingest_trace = traces.digest(parts)
+                xml_path = book_xml(store, book_id)
                 traces.forget([xml_path])
                 write_if_changed(xml_path, xml_model.serialize_pieces(book))
             results.append(PhaseResult(book_id, "ingest", True))
         except BinderyError as exc:
-            traces.remove([*analysis_files(store, book_id),
-                           *(book_dir(store, book_id) / name
-                             for name in BOOK_PAGES)])
-            results.append(_failed(book_id, "ingest", exc))
+            error = str(exc)
+            try:
+                traces.remove([*analysis_files(store, book_id),
+                               *(book_dir(store, book_id) / name
+                                 for name in BOOK_PAGES)])
+            except BinderyError as removal:
+                error += f"; {removal}"
+            results.append(_failed(book_id, "ingest", error))
     return results
 
 
@@ -525,12 +523,10 @@ def _memoized_entry(store, book_id, record, minhash, matched_under, traces):
     meta = traces.head(book_xml(store, book_id))
     if (record.body_sha256, record.minhash) != (meta.body_sha256, minhash):
         return None
-    fp = None
-    if record.fingerprint is not None:
-        fp = dedup.BookFingerprint(
-            normalized_title=dedup.normalize_name(meta.title),
-            normalized_author=dedup.normalize_name(meta.author),
-            signature=record.fingerprint.signature)
+    fp = record.fingerprint and dedup.BookFingerprint(
+        normalized_title=dedup.normalize_name(meta.title),
+        normalized_author=dedup.normalize_name(meta.author),
+        signature=record.fingerprint.signature)
     entry = _dedup_entry(book_id, meta, record.text_length, fp, minhash)
     if record.matched_under == matched_under and fp == record.fingerprint:
         entry.matches = record.matches
@@ -553,14 +549,9 @@ def _fingerprinted_entry(store, book_id, config, minhash):
 
 def _dedup_entry(book_id, meta, text_length, fp, minhash):
     return dedup.CorpusEntry(
-        book_id=book_id,
-        title=meta.title or "",
-        author=meta.author or "",
-        year=meta.year,
-        corpus=meta.corpus or "",
-        text_length=text_length,
-        fingerprint=fp,
-        body_sha256=meta.body_sha256,
+        book_id=book_id, title=meta.title or "", author=meta.author or "",
+        year=meta.year, corpus=meta.corpus or "", text_length=text_length,
+        fingerprint=fp, body_sha256=meta.body_sha256,
         minhash=minhash if meta.body_sha256 is not None else None)
 
 
@@ -572,8 +563,7 @@ def run_dedup(store, config, traces):
     other books that keep theirs; every other book is compared with all
     the others.
     """
-    minhash = (config.minhash_hashes, config.shingle_size, config.seed)
-    matched_under = (config.dedup_content_threshold, config.dedup_title_author)
+    minhash, matched_under = PHASES["dedup"].parts(config)
     memo = traces.recorded(_previous_index, store) or {}
     index = dedup.CorpusIndex()
     results = []
@@ -582,11 +572,9 @@ def run_dedup(store, config, traces):
         try:
             entry = _memoized_entry(store, book_id, memo.get(book_id), minhash,
                                     matched_under, traces)
-            if entry is None:
-                entry = _fingerprinted_entry(store, book_id, config, minhash)
-            else:
-                reused += 1
-            index.entries.append(entry)
+            reused += entry is not None
+            index.entries.append(entry or _fingerprinted_entry(
+                store, book_id, config, minhash))
             results.append(PhaseResult(book_id, "dedup", True))
         except BinderyError as exc:
             results.append(_failed(book_id, "dedup", exc))
@@ -609,20 +597,18 @@ def run_dedup(store, config, traces):
 
 
 def _annotate_analyze_one(args):
-    """Run ``phases``, annotate and/or analyze in that order, on one book.
+    """Run ``phases``, annotate and/or analyze in that order, on one book:
+    one parse, one book.xml write, then the lemma file (the bare payload,
+    the lemmas and their trace).
 
-    The book is parsed once and its book.xml written once, then the lemma
-    file: the bare payload, the lemmas and their trace. The results are
-    those of running the phases one after another: a failed load or write
-    fails every phase; after a failed annotate, analyze runs on the book.xml
-    still on disk; after a failed analyze, the annotation is still
-    written; when every phase fails, nothing is. Each tree is validated
-    once, so the write takes the unchecked ``xml_model.pieces``: an
-    annotated book by annotate, which fails on an annotation that breaks
-    an invariant as a standalone annotate would; a book that analyze
-    reads from disk, alone or after a failed annotate, by its parse.
-    Analyze's one change to the tree, its phase stamp, is checked by
-    ``add_phase``.
+    The results are those of running the phases one after another: a
+    failed load or write fails every phase; after a failed annotate,
+    analyze runs on the book.xml still on disk; after a failed analyze,
+    the annotation is still written; when every phase fails, nothing is.
+    Each tree is validated once, so the write takes the unchecked
+    ``xml_model.pieces``: annotate validates the book it annotates, as a
+    standalone annotate would, a book analyze reads is checked by its
+    parse, and analyze's one change, its phase stamp, by ``add_phase``.
     """
     store, book_id, config, phases = args
     path = book_xml(store, book_id)
@@ -636,7 +622,7 @@ def _annotate_analyze_one(args):
         try:
             annotate_book(book, config)
             book.meta.annotate_trace = traces.digest(
-                annotate_parts(book.meta, config))
+                PHASES["annotate"].parts(config, book.meta))
             xml_model.validate(book)
         except BinderyError as exc:
             errors["annotate"] = exc
@@ -655,7 +641,7 @@ def _annotate_analyze_one(args):
             write_if_changed(path, xml_model.pieces(book), traces.files)
         if analysis is not None:
             analysis["trace"] = traces.digest(
-                analysis_parts(store, book_id, config))
+                PHASES["analyze"].parts(config, store, book_id))
             dump_json(analysis, book_dir(store, book_id) / LEMMAS_FILE)
     except BinderyError as exc:
         return [_failed(book_id, phase, exc) for phase in phases]
@@ -689,18 +675,12 @@ def _run_stale(phases, store, config, traces, book_ids):
     worker process may rewrite its files. Returns one result per book per
     phase, phase by phase.
     """
-    results = {}
+    done = []
     stale = []
-    for book_id in book_ids:
-        try:  # None under force
-            meta = traces.recorded(traces.head, book_xml(store, book_id))
-        except BinderyError as exc:
-            results.update(((book_id, phase), _failed(book_id, phase, exc))
-                           for phase in phases)
-            continue
+    for book_id, meta in _heads(store, book_ids, phases, traces, done):
         todo = []
         if "annotate" in phases and not (meta and traces.current(
-                meta.annotate_trace, annotate_parts(meta, config))):
+                meta.annotate_trace, PHASES["annotate"].parts(config, meta))):
             todo.append("annotate")
         if "analyze" in phases and (todo or not (meta and current_analysis(
                 store, book_id, config, traces))):
@@ -709,7 +689,8 @@ def _run_stale(phases, store, config, traces, book_ids):
             traces.forget(analysis_files(store, book_id))
             stale.append((store, book_id, config, tuple(todo)))
     for book_results in _pool_map(_annotate_analyze_one, stale, config.jobs):
-        results.update(((r.book_id, r.phase), r) for r in book_results)
+        done += book_results
+    results = {(r.book_id, r.phase): r for r in done}
     return [results.get((book_id, phase)) or PhaseResult(book_id, phase, True)
             for phase in phases for book_id in book_ids]
 
@@ -722,111 +703,100 @@ def run_analyze(store, config, traces, book_ids):
     return _run_stale(("analyze",), store, config, traces, book_ids)
 
 
-def run_corpus_stats(store, config, traces, book_ids):
-    """Write corpus.json, the corpus lemma model and the book vectors of
-    the books ``book_ids``; with no book analyzed, a zero-book corpus.
-
-    Nothing is read, trained or written while the memo's trace is current.
-    It is recorded only when every book succeeded.
-    """
-    memo_path = corpus_file(store, CORPUS_STATS_MEMO)
-    parts = settings(config, CORPUS_KEYS)
-    for book_id in book_ids:
-        parts += [book_id, *analysis_files(store, book_id)]
-    parts += [corpus_file(store, name) for name in CORPUS_OUTPUTS]
+def _run_memoized(phase, store, config, traces, book_ids, start, reused):
+    """corpus-stats or report over ``book_ids``: while the memo that
+    ``PHASES[phase]`` names is current, every book is ok and ``reused`` is
+    logged. Otherwise ``start()`` gives ``each``, run on each book's
+    analysis (an error fails the book), and ``finish``, run on the results;
+    the memo is recorded if every book succeeded."""
+    memo_path = corpus_file(store, PHASES[phase].kept_in)
+    parts = PHASES[phase].parts(config, store, book_ids)
     if traces.memo_current(memo_path, parts):
-        log.debug("corpus-stats: inputs unchanged, %d book(s) reused",
-                  len(book_ids))
-        return [PhaseResult(book_id, "corpus-stats", True)
-                for book_id in book_ids]
-    payloads = []
-    lemma_counter = Counter()
-    streams = {}
-    results = []
+        log.debug(reused, len(book_ids))
+        return [PhaseResult(book_id, phase, True) for book_id in book_ids]
+    each, finish = start()
     book_schema = load_schema("book.schema.json")
+    results = []
     for book_id in book_ids:
         try:
-            payload, lemmas = book_analysis(store, book_id, "corpus-stats",
-                                            config, book_schema, traces)
-            payloads.append(payload)
-            lemma_counter.update(lemmas)
-            streams[book_id] = analytics_book.strip_stopwords(
-                lemmas, lexicon_dir=config.lexicon_dir)
-            results.append(PhaseResult(book_id, "corpus-stats", True))
+            each(book_id, *book_analysis(store, book_id, phase, config,
+                                         book_schema, traces))
+            results.append(PhaseResult(book_id, phase, True))
         except BinderyError as exc:
-            results.append(_failed(book_id, "corpus-stats", exc))
-
-    stats = build_corpus_stats(payloads, config)
-    dump_json(stats, corpus_file(store, CORPUS_JSON), traces.files)
-
-    common = analytics_book.common_words(lemma_counter,
-                                         top_common=config.vocab_top_common)
-    lemma_model = {"total": common.total, "common": dict(common.ranked)}
-    dump_json(lemma_model, corpus_file(store, LEMMAS_FILE), traces.files)
-
-    vectors_path = corpus_file(store, VECTORS_FILE)
-    try:
-        vectors = analytics_book.train_embeddings(
-            streams, dim=config.embed_dim, epochs=config.embed_epochs,
-            min_count=config.embed_min_count,
-            vocab_max=config.embed_vocab_max, negatives=config.embed_negatives,
-            learning_rate=config.embed_learning_rate, seed=config.seed)
-        vectors.save(vectors_path, traces.files)
-    except AnalyticsError as exc:
-        log.warning("embedding training skipped: %s", exc)
-        traces.remove([vectors_path])
+            results.append(_failed(book_id, phase, exc))
+    finish(results)
     traces.record_memo(memo_path, parts, results)
     return results
+
+
+def run_corpus_stats(store, config, traces, book_ids):
+    """Write corpus.json, the corpus lemma model and the book vectors of
+    the books ``book_ids``; with no book analyzed, a zero-book corpus."""
+    payloads, lemma_counter, streams = [], Counter(), {}
+
+    def each(book_id, payload, lemmas):
+        payloads.append(payload)
+        lemma_counter.update(lemmas)
+        streams[book_id] = analytics_book.strip_stopwords(
+            lemmas, lexicon_dir=config.lexicon_dir)
+
+    def finish(results):
+        dump_json(build_corpus_stats(payloads, config),
+                  corpus_file(store, CORPUS_JSON), traces.files)
+        common = analytics_book.common_words(
+            lemma_counter, top_common=config.vocab_top_common)
+        dump_json({"total": common.total, "common": dict(common.ranked)},
+                  corpus_file(store, LEMMAS_FILE), traces.files)
+        vectors_path = corpus_file(store, VECTORS_FILE)
+        try:
+            analytics_book.train_embeddings(
+                streams, dim=config.embed_dim, epochs=config.embed_epochs,
+                min_count=config.embed_min_count,
+                vocab_max=config.embed_vocab_max,
+                negatives=config.embed_negatives,
+                learning_rate=config.embed_learning_rate,
+                seed=config.seed).save(vectors_path, traces.files)
+        except AnalyticsError as exc:
+            log.warning("embedding training skipped: %s", exc)
+            traces.remove([vectors_path])
+    return _run_memoized("corpus-stats", store, config, traces, book_ids,
+                         lambda: (each, finish),
+                         "corpus-stats: inputs unchanged, %d book(s) reused")
 
 
 def run_report(store, config, traces, book_ids):
-    """Write the pages of the books ``book_ids`` and the corpus pages.
-
-    Nothing is read or rendered while the memo's trace is current; it
-    covers every page and what they are made from, and is recorded only
-    when every book succeeded. Otherwise corpus.json, the corpus lemma
-    model and the vectors are read once and every page is rendered.
-    """
+    """Write the pages of the books ``book_ids`` and the corpus pages,
+    reading corpus.json, the corpus lemma model and the vectors once."""
     stats_path = corpus_file(store, CORPUS_JSON)
     if not stats_path.exists():
         raise MissingPhaseError("report", "corpus-stats")
-    parts = settings(config, CORPUS_KEYS) + [
-        corpus_file(store, name) for name in CORPUS_OUTPUTS]
-    for book_id in book_ids:
-        parts += [book_id, *analysis_files(store, book_id),
-                  *(book_dir(store, book_id) / name for name in BOOK_PAGES)]
-    parts += [corpus_file(store, name) for name in CORPUS_PAGES]
-    memo_path = corpus_file(store, REPORT_MEMO)
-    if traces.memo_current(memo_path, parts):
-        log.debug("report: %d page(s) reused, 0 rendered", len(book_ids))
-        return [PhaseResult(book_id, "report", True) for book_id in book_ids]
-    stats = read_json(stats_path, load_schema("corpus.schema.json"),
-                      "bindery.corpus/1")
-    lemmas_path = corpus_file(store, LEMMAS_FILE)
-    lemma_model = (read_json(lemmas_path, LEMMA_MODEL_SCHEMA,
-                             "corpus lemma model")
-                   if lemmas_path.exists() else None)
-    vectors_path = corpus_file(store, VECTORS_FILE)
-    vectors = (analytics_book.VectorStore.load(vectors_path)
-               if vectors_path.exists() else None)
-    corpus = corpus_context(stats, lemma_model, vectors, config)
-    book_schema = load_schema("book.schema.json")
-    results = []
-    for book_id in book_ids:
-        try:
-            payload, lemmas = book_analysis(store, book_id, "report", config,
-                                            book_schema, traces)
+
+    def start():
+        stats = read_json(stats_path, load_schema("corpus.schema.json"),
+                          "bindery.corpus/1")
+        lemmas_path = corpus_file(store, LEMMAS_FILE)
+        lemma_model = (read_json(lemmas_path,
+                                 load_schema("lemma-model.schema.json"),
+                                 "corpus lemma model")
+                       if lemmas_path.exists() else None)
+        vectors_path = corpus_file(store, VECTORS_FILE)
+        vectors = (analytics_book.VectorStore.load(vectors_path)
+                   if vectors_path.exists() else None)
+        corpus = corpus_context(stats, lemma_model, vectors, config)
+
+        def each(book_id, payload, lemmas):
             enrich_book_payload(payload, Counter(lemmas), corpus, config)
             report.emit_book_report(payload, book_dir(store, book_id),
                                     traces.files)
-            results.append(PhaseResult(book_id, "report", True))
-        except BinderyError as exc:
-            results.append(_failed(book_id, "report", exc))
-    log.debug("report: 0 page(s) reused, %d rendered",
-              sum(result.ok for result in results))
-    report.emit_corpus_report(stats, corpus_file(store, ""), traces.files)
-    traces.record_memo(memo_path, parts, results)
-    return results
+
+        def finish(results):
+            log.debug("report: 0 page(s) reused, %d rendered",
+                      sum(result.ok for result in results))
+            report.emit_corpus_report(stats, corpus_file(store, ""),
+                                      traces.files)
+        return each, finish
+    return _run_memoized("report", store, config, traces, book_ids, start,
+                         "report: %d page(s) reused, 0 rendered")
 
 
 def _timed(name, runner, *args):

@@ -5,8 +5,9 @@ with corpus-level files under ``store/_corpus/`` (docs/formats.md); book
 ids come from their sources by the one source-id rule here. Every file a
 run leaves in a store, the progress log of its last command included, is
 written here by ``write_if_changed``: atomically, when its bytes change.
-``Traces`` is the one rule that decides whether an output is current; the
-``*_KEYS`` sets and ``*_parts`` rules name what each trace covers. The run
+``Traces`` is the one rule that decides whether an output is current, and
+``PHASES`` the one table of what each phase's trace covers: its config
+keys, the rule that gives its parts and where it is recorded. The run
 trace of ``all`` (``run_parts``) lets a run that changes nothing replay the
 results it recorded through this module alone: ``xml_model``, which
 ``Traces.head`` reads ``<meta>`` with, is bound lazily by the package.
@@ -35,8 +36,6 @@ INDEX_FILE = "index.jsonl"
 LEMMAS_FILE = "lemmas.json"
 VECTORS_FILE = "vectors.bin"
 PROGRESS_FILE = "progress.jsonl"
-CORPUS_STATS_MEMO = "corpus-stats.memo"
-REPORT_MEMO = "report.memo"
 # The run trace of ``all`` and its results; it covers every other file of
 # the store but the progress log and the writer's temporary files.
 ALL_MEMO = "all.memo"
@@ -51,35 +50,19 @@ CORPUS_HTML, AUTHORS_HTML, SUBJECTS_HTML = CORPUS_PAGES = (
 SCHEMA_DIR = Path(__file__).parent / "schemas"
 
 # The config keys each trace covers: what ingest reads for one book, what
-# annotate_book reads, what build_book_payload reads, and for corpus-stats
-# and report every key but jobs and mirror_base, which only fetch reads.
+# annotate_book reads, what build_book_payload reads, what dedup reads for
+# a fingerprint and for its matches, and for corpus-stats, report and all
+# every key but jobs and mirror_base, which only fetch reads.
 INGEST_KEYS = ("front_window_frac", "front_short_line_len",
                "front_short_line_ratio", "page_separator")
 ANNOTATE_KEYS = ("header_max_len", "numbering_gap_tolerance", "lexicon_dir",
                  "min_mentions", "pronoun_sentence_window")
 ANALYSIS_KEYS = ("lexicon_dir", "timeline_top_k", "interaction_window",
                  "interaction_min_co")
+MINHASH_KEYS = ("minhash_hashes", "shingle_size", "seed")
+MATCH_KEYS = ("dedup_content_threshold", "dedup_title_author")
 CORPUS_KEYS = tuple(key for key in Config.field_names()
                     if key not in ("jobs", "mirror_base"))
-# What ``all`` records beside its run trace: each phase's book ids in the
-# order of its results, and the duplicates dedup found.
-RUN_MEMO_SCHEMA = {
-    "type": "object", "required": ["trace", "phases", "duplicates"],
-    "properties": {
-        "trace": {"type": "string"},
-        "phases": {"type": "array", "items": {
-            "type": "object", "required": ["phase", "books"],
-            "properties": {
-                "phase": {"type": "string"},
-                "books": {"type": "array", "items": {"type": "string"}}}}},
-        "duplicates": {"type": "object",
-                       "additionalProperties": {"type": "string"}}}}
-LEMMA_MODEL_SCHEMA = {
-    "type": "object", "required": ["total", "common"],
-    "properties": {
-        "total": {"type": "integer"},
-        "common": {"type": "object",
-                   "additionalProperties": {"type": "integer"}}}}
 
 
 # -- sources and layout ------------------------------------------------------------
@@ -418,11 +401,18 @@ class Traces:
             self.heads.pop(path, None)
 
     def remove(self, paths):
-        """Delete the files at ``paths`` and record them as missing."""
+        """Delete the files at ``paths`` and record them as missing; those
+        that cannot be deleted are named in one BinderyError."""
+        errors = []
         for path in paths:
-            path.unlink(missing_ok=True)
-            self.files[path] = None
-            self.heads.pop(path, None)
+            try:
+                path.unlink(missing_ok=True)
+                self.files[path] = None
+                self.heads.pop(path, None)
+            except OSError as exc:
+                errors.append(f"cannot remove {path}: {exc.strerror or exc}")
+        if errors:
+            raise BinderyError("; ".join(errors))
 
     def memo_current(self, path, parts):
         """Whether the memo at ``path`` records the trace of ``parts``."""
@@ -435,6 +425,9 @@ class Traces:
         if all(result.ok for result in results):
             dump_json({"trace": self.digest(parts), **(extra or {})}, path,
                       self.files)
+
+
+# -- the table of traces ----------------------------------------------------------
 
 
 def settings(config, keys):
@@ -451,26 +444,71 @@ def source_parts(path, kind):
             for part in (page.name, page)]
 
 
-def annotate_parts(meta, config):
-    return [*settings(config, ANNOTATE_KEYS), meta.ingest_trace]
-
-
 def analysis_files(store, book_id):
     """A book's book.xml and lemma file: what ``book_analysis`` reads."""
     return [book_xml(store, book_id), book_dir(store, book_id) / LEMMAS_FILE]
 
 
-def analysis_parts(store, book_id, config):
-    # The version reaches it through the traces in book.xml's <meta>.
-    return [*(getattr(config, key) for key in ANALYSIS_KEYS),
-            book_xml(store, book_id)]
+def _books(store, book_ids, pages=()):
+    """Each book's id, then its ``analysis_files`` and its ``pages``."""
+    return [part for book_id in book_ids
+            for part in (book_id, *analysis_files(store, book_id),
+                         *(book_dir(store, book_id) / name for name in pages))]
+
+
+@dataclass(frozen=True)
+class Phase:
+    """A row of the table of traces, as docs/formats.md "Traces" lists it."""
+
+    keys: tuple  # the config keys its trace covers
+    rule: object  # (keys, config, *subject) -> the parts of its trace
+    kept_in: str  # where its trace is recorded
+    takes: str = "kept"  # what its runner is given: see PHASES
+
+    def parts(self, config, *subject):
+        """The parts of the trace of a source, a book or the corpus."""
+        return self.rule(self.keys, config, *subject)
+
+
+# One row per phase, in the order ``all`` runs them; ``pipeline.run_<name>``
+# takes the sources (``in``), the store alone (``store``) or its kept books.
+PHASES = {
+    "ingest": Phase(INGEST_KEYS, lambda keys, config, path, kind: [
+        *settings(config, keys), *source_parts(path, kind)],
+        "<meta>/ingest_trace", "in"),
+    # An index record's ``minhash`` and ``matched_under``, one per key set.
+    "dedup": Phase((MINHASH_KEYS, MATCH_KEYS), lambda keys, config: tuple(
+        tuple(getattr(config, key) for key in named) for named in keys),
+        INDEX_FILE, "store"),
+    "annotate": Phase(ANNOTATE_KEYS, lambda keys, config, meta: [
+        *settings(config, keys), meta.ingest_trace], "<meta>/annotate_trace"),
+    # The version reaches a lemma file through book.xml's traces.
+    "analyze": Phase(ANALYSIS_KEYS, lambda keys, config, store, book_id: [
+        *(getattr(config, key) for key in keys), book_xml(store, book_id)],
+        "lemmas.json/trace"),
+    "corpus-stats": Phase(CORPUS_KEYS, lambda keys, config, store, books: [
+        *settings(config, keys), *_books(store, books),
+        *(corpus_file(store, name) for name in CORPUS_OUTPUTS)],
+        "corpus-stats.memo"),
+    "report": Phase(CORPUS_KEYS, lambda keys, config, store, books: [
+        *settings(config, keys),
+        *(corpus_file(store, name) for name in CORPUS_OUTPUTS),
+        *_books(store, books, BOOK_PAGES),
+        *(corpus_file(store, name) for name in CORPUS_PAGES)], "report.memo"),
+    # The inputs found before the run, to which ``run_parts`` adds the store.
+    "all": Phase(CORPUS_KEYS, lambda keys, config, in_dir: [
+        *settings(config, keys),
+        *(part for book_id, path, kind in discover_sources(in_dir)
+          for part in (book_id, kind.value, *source_parts(path, kind)))],
+        ALL_MEMO, "in"),
+}
 
 
 def current_analysis(store, book_id, config, traces):
     """A book's decoded lemma file while its trace is current, else None."""
     analysis = _json_object(book_dir(store, book_id) / LEMMAS_FILE)
-    current = traces.current(analysis.get("trace"),
-                             analysis_parts(store, book_id, config))
+    current = traces.current(analysis.get("trace"), PHASES["analyze"].parts(
+        config, store, book_id))
     return analysis if current else None
 
 
@@ -496,16 +534,8 @@ def book_analysis(store, book_id, phase, config, book_schema, traces):
 
 
 def run_parts(in_dir, store, config):
-    """What the run memo covers: ``run_inputs`` and ``stored_files``."""
-    return run_inputs(in_dir, config) + stored_files(store)
-
-
-def run_inputs(in_dir, config):
-    """Every key, and each source found now: its id, kind and parts."""
-    parts = settings(config, CORPUS_KEYS)
-    for book_id, path, kind in discover_sources(in_dir):
-        parts += [book_id, kind.value, *source_parts(path, kind)]
-    return parts
+    """What the run memo covers: ``all``'s inputs and ``stored_files``."""
+    return PHASES["all"].parts(config, in_dir) + stored_files(store)
 
 
 def stored_files(store):
@@ -523,10 +553,8 @@ def stored_files(store):
 
 def record_run(inputs, store, traces, results):
     """Record the run trace of an ``all`` whose every result is ok, over
-    its ``run_inputs`` as found before ingest and the store it leaves, with
+    its inputs as found before ingest and the store it leaves, with
     the results: each phase's book ids in order, and the duplicates."""
-    if not all(result.ok for result in results):
-        return
     phases = {}
     for result in results:
         phases.setdefault(result.phase, []).append(result.book_id)
@@ -543,8 +571,8 @@ def replay_run(in_dir, store, config, traces):
     logged as dedup logged them; None otherwise, and under force."""
     memo = traces.recorded(_json_object, corpus_file(store, ALL_MEMO)) or {}
     if not ("trace" in memo and traces.current(
-            memo["trace"], run_parts(in_dir, store, config))
-            and not validate_schema(memo, RUN_MEMO_SCHEMA)):
+            memo["trace"], run_parts(in_dir, store, config)) and not
+            validate_schema(memo, load_schema("run-memo.schema.json"))):
         return None
     duplicates = memo["duplicates"]
     results = [PhaseResult(book_id, entry["phase"], True,

@@ -22,10 +22,11 @@ from bindery import store as store_module
 from bindery.cli import main
 from bindery.config import Config
 from bindery.errors import BinderyError, TooShortError
-from bindery.store import (Traces, analysis_parts, kept_book_ids, load_schema,
-                           store_book_ids, validate_schema)
+from bindery.store import (Traces, kept_book_ids, load_schema, store_book_ids,
+                           validate_schema)
 from conftest import BOOKS
 from generators import random_book
+from oracles import trace_parts as trace_oracle
 
 PHASES = ("ingest", "dedup", "annotate", "analyze", "corpus-stats", "report")
 
@@ -267,6 +268,34 @@ def test_failed_reingest_drops_the_stored_book(raw_dir, smoke_config,
              if not k.endswith("progress.jsonl")}
             == {k: v for k, v in _store_files(cold).items()
                 if not k.endswith("progress.jsonl")})
+
+
+def test_a_file_ingest_cannot_remove_fails_only_that_book(
+        raw_dir, smoke_config, tmp_path, caplog):
+    """A directory standing where a failed book's lemma file was fails that
+    book's ingest, with the path named, and the run goes on."""
+    (raw_dir / "pg1002.txt").unlink()
+    store, cold = tmp_path / "store", tmp_path / "cold"
+    argv = ["--config", str(smoke_config), "all", "--in", str(raw_dir)]
+    assert run(*argv, "--out", str(store)) == 0
+    lemmas = store / "pg1001" / "lemmas.json"
+    lemmas.unlink()
+    lemmas.mkdir()
+    (raw_dir / "pg1001.txt").write_text("", encoding="utf-8")
+    caplog.set_level(logging.INFO)
+    assert run(*argv, "--out", str(store)) == 1
+    errors = [r for r in caplog.records if r.levelno == logging.ERROR]
+    assert errors and all(r.message.startswith("pg1001: ingest: ")
+                          and r.exc_info is None for r in errors)
+    assert f"cannot remove {lemmas}" in errors[0].message
+    assert [(l["book"], l["phase"], l["status"])
+            for l in progress_lines(store) if l["status"] == "error"] == [
+        ("pg1001", "ingest", "error")]
+    assert run(*argv, "--out", str(cold)) == 1
+    assert ({k: v for k, v in _store_files(store).items()
+             if k.startswith("pg730/")}
+            == {k: v for k, v in _store_files(cold).items()
+                if k.startswith("pg730/")})
 
 
 def test_per_book_failure_is_not_fatal(raw_dir, smoke_config, tmp_path,
@@ -991,8 +1020,8 @@ def _no_payload(path):  # as written before the file held the payload
 
 def _other_config(path):  # as written under another timeline_top_k
     other = Config(timeline_top_k=1)
-    trace = Traces(False).digest(analysis_parts(
-        path.parent.parent, path.parent.name, other))
+    trace = Traces(False).digest(store_module.PHASES["analyze"].parts(
+        other, path.parent.parent, path.parent.name))
     _edit_sidecar(path, lambda sidecar: sidecar.update(trace=trace))
 
 
@@ -2193,10 +2222,22 @@ def _analyze_one(config, store, tmp_path):
     pipeline.build_book_payload(book, config)
 
 
-# The keys a trace covers -> what its phase reads for one book.
-PHASE_READS = {"INGEST_KEYS": _ingest_each_source,
-               "ANNOTATE_KEYS": _annotate_one,
-               "ANALYSIS_KEYS": _analyze_one}
+def _dedup_all(config, store, tmp_path):
+    pipeline.run_dedup(store, config, Traces(force=True))
+
+
+def _phase_keys(phase):
+    """The config keys a row of the table of traces names; dedup's row
+    names two key sets."""
+    keys = store_module.PHASES[phase].keys
+    return sum(keys, ()) if phase == "dedup" else keys
+
+
+# The keys a trace covers -> its phase and what the phase reads.
+PHASE_READS = {"INGEST_KEYS": ("ingest", _ingest_each_source),
+               "ANNOTATE_KEYS": ("annotate", _annotate_one),
+               "ANALYSIS_KEYS": ("analyze", _analyze_one),
+               "DEDUP_KEYS": ("dedup", _dedup_all)}
 
 
 def _keys_read(config_path, phase):
@@ -2220,9 +2261,10 @@ def _keys_read(config_path, phase):
 def test_trace_keys_are_the_config_keys_their_phase_reads(fixture_store,
                                                           tmp_path, keys):
     config_path, store = fixture_store
-    reads = _keys_read(config_path, lambda config: PHASE_READS[keys](
+    phase, reads_of = PHASE_READS[keys]
+    reads = _keys_read(config_path, lambda config: reads_of(
         config, store, tmp_path))
-    assert reads == sorted(getattr(store_module, keys))
+    assert reads == sorted(_phase_keys(phase))
 
 
 def test_dedup_reads_the_keys_its_index_records_name(fixture_store):
@@ -2231,15 +2273,52 @@ def test_dedup_reads_the_keys_its_index_records_name(fixture_store):
     config_path, store = fixture_store
     reads = _keys_read(config_path, lambda config: pipeline.run_dedup(
         store, config, Traces(force=True)))
-    assert reads == sorted(["minhash_hashes", "shingle_size", "seed",
-                            "dedup_content_threshold", "dedup_title_author"])
+    minhash_keys, match_keys = store_module.PHASES["dedup"].keys
+    assert reads == sorted([*minhash_keys, *match_keys])
     config = Config.load(config_path)
     for line in _index_bytes(store).splitlines():
         record = json.loads(line)
-        assert record["minhash"] == [config.minhash_hashes,
-                                     config.shingle_size, config.seed]
-        assert record["matched_under"] == [config.dedup_content_threshold,
-                                           config.dedup_title_author]
+        assert record["minhash"] == [getattr(config, key)
+                                     for key in minhash_keys]
+        assert record["matched_under"] == [getattr(config, key)
+                                           for key in match_keys]
+
+
+@pytest.mark.parametrize("which", ["default", "smoke"])
+def test_trace_table_gives_the_parts_the_runners_built(fixture_store,
+                                                       tmp_path, which):
+    """Each row of the table of traces gives the parts list its phase built
+    before the table, values and order, for every source, every book and
+    the corpus of the fixture store, a page-wise source included."""
+    config_path, store = fixture_store
+    config = Config() if which == "default" else Config.load(config_path)
+    raw = tmp_path / "raw"
+    shutil.copytree(BOOKS, raw)
+    (raw / "uc1.b0001").mkdir()
+    for name in ("00000002.txt", "00000001.txt", "manifest.txt"):
+        (raw / "uc1.b0001" / name).write_text(name, encoding="utf-8")
+    table = store_module.PHASES
+    sources = store_module.discover_sources(raw)
+    assert len({kind for _, _, kind in sources}) == 2
+    for _, path, kind in sources:
+        assert (table["ingest"].parts(config, path, kind)
+                == trace_oracle.ingest_parts(config, path, kind))
+    assert table["dedup"].parts(config) == trace_oracle.dedup_parts(config)
+    books = kept_book_ids(store)
+    assert len(books) == 5
+    for book_id in books:
+        meta = xml_model.load_head(store / book_id / "book.xml")[0]
+        assert (table["annotate"].parts(config, meta)
+                == trace_oracle.annotate_parts(meta, config))
+        assert (table["analyze"].parts(config, store, book_id)
+                == trace_oracle.analysis_parts(store, book_id, config))
+    for phase, oracle in (("corpus-stats", trace_oracle.corpus_stats_parts),
+                          ("report", trace_oracle.report_parts)):
+        for kept in (books, books[1:], []):
+            assert (table[phase].parts(config, store, kept)
+                    == oracle(store, config, kept))
+    assert (table["all"].parts(config, raw)
+            == trace_oracle.run_inputs(raw, config))
 
 
 @pytest.fixture(scope="module")

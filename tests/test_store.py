@@ -14,6 +14,7 @@ import pytest
 import bindery
 from bindery import store, xml_model
 from bindery.cli import main
+from bindery.errors import BinderyError
 from bindery.store import PhaseResult, Traces, file_digest, write_if_changed
 from generators import long_book, random_book
 
@@ -87,6 +88,33 @@ def test_the_write_scan_sees_every_kind_of_write(tmp_path):
         "mkdir", "rmtree"}
 
 
+def _names(path):
+    """Every name a module's source uses: as a name, an attribute or an
+    import."""
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    return {getattr(node, fields[type(node)])
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if type(node) in fields}
+
+
+def test_the_pipeline_builds_no_trace_parts_of_its_own():
+    """Trace parts come from the table in the store module alone: the
+    pipeline names no key set and calls neither of its part rules."""
+    names = _names(Path(bindery.__file__).parent / "pipeline.py")
+    assert {name for name in names if name.endswith("_KEYS")} == set()
+    assert names & {"settings", "source_parts"} == set()
+    assert "PHASES" in names
+
+
+def test_the_names_scan_sees_names_attributes_and_imports(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("from .store import INGEST_KEYS\n"
+                      "store.settings(config, store.CORPUS_KEYS)\n"
+                      "parts = source_parts(path, kind)\n", encoding="utf-8")
+    assert {"INGEST_KEYS", "settings", "source_parts", "CORPUS_KEYS"} <= (
+        _names(module))
+
+
 def test_digesting_a_book_holds_one_chunk_of_it(tmp_path):
     path = tmp_path / "book.xml"
     write_if_changed(path, xml_model.serialize_pieces(
@@ -120,6 +148,17 @@ def test_remove_deletes_the_files_and_records_them_as_missing(tmp_path):
     assert traces.files[gone] is None and traces.head(gone) is None
     after = traces.digest([kept, gone])
     assert after == Traces(force=False).digest([kept, gone]) != before
+
+
+def test_remove_names_what_it_cannot_delete_and_deletes_the_rest(tmp_path):
+    blocked, gone = tmp_path / "lemmas.json", tmp_path / "book.json"
+    blocked.mkdir()
+    write_if_changed(gone, "page")
+    traces = Traces(force=False)
+    with pytest.raises(BinderyError, match=f"cannot remove {blocked}: "):
+        traces.remove([blocked, gone])
+    assert blocked.is_dir() and not gone.exists()
+    assert traces.files == {gone: None}
 
 
 def test_memo_is_recorded_only_when_every_result_succeeded(tmp_path):
